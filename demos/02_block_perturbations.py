@@ -54,4 +54,4 @@ assert not is_efficient(B, u[:3]).efficient
 # --- recovering the block from a scrambled matrix ---------------------------
 d = detect_minimal_block(tbm.matrix())
 print(f"\ndetected minimal perturbed block at 1-based indices "
-      f"{[i + 1 for i in d.K]} (guaranteed minimal: {d.minimal_guaranteed})")
+      f"{[i + 1 for i in d.K]}")

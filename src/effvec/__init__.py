@@ -23,6 +23,7 @@ from .blockpert import (
     three_by_three_is_efficient,
     two_block_full_set_check,
     two_block_is_efficient,
+    two_block_sample,
 )
 from .efficiency import (
     TOL_EDGE,

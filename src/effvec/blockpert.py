@@ -18,6 +18,7 @@ from .errors import (
     CharacterizationMismatch,
     DimensionMismatch,
     HeadNotEfficient,
+    TheoremViolation,
 )
 from .efficiency import is_efficient
 from .matrix import (
@@ -222,6 +223,33 @@ def _sample_in(lo, hi, rng: random.Random, exact: bool):
     if exact:
         return lo + (hi - lo) * Fraction(rng.randint(1, 9999), 10000)
     return lo + (hi - lo) * rng.uniform(0.0001, 0.9999)
+
+
+def two_block_sample(
+    S: TwoBlockMatrix, rng: random.Random, count: Optional[int] = None
+) -> Iterator[GeneratedVector]:
+    """Stream of chain vectors for S(x), normalized to w_2 = 1.
+
+    w_1 is drawn between w_2 and x*w_2 and the tail between w_1 and w_2, so
+    every emitted vector passes two_block_is_efficient.
+    """
+    exact = is_exact_scalar(S.x)
+    one = Fraction(1) if exact else 1.0
+    made = 0
+    while count is None or made < count:
+        w2 = one
+        if S.x >= 1:
+            w1 = _sample_in(w2, S.x * w2, rng, exact)
+            lo, hi = w2, w1
+        else:
+            w1 = _sample_in(S.x * w2, w2, rng, exact)
+            lo, hi = w1, w2
+        mids = tuple(_sample_in(lo, hi, rng, exact) for _ in range(S.n - 2))
+        w = (w1, w2) + mids
+        if not two_block_is_efficient(S, w):
+            raise TheoremViolation(f"two-block sampler produced non-chain vector {w}")
+        yield GeneratedVector(w, (w1, w2), (lo, hi))
+        made += 1
 
 
 def lcompl_sample(

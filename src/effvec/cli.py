@@ -20,13 +20,12 @@ from .blockpert import (
     TwoBlockMatrix,
     constant_block_sample,
     three_block_generate,
-    two_block_is_efficient,
-    _sample_in,
+    two_block_sample,
 )
 from .efficiency import TOL_EDGE, is_efficient
 from .errors import EffvecError, InvalidSpec, TheoremViolation
 from .io import load_matrix, load_vector, parse_scalar, scalar_repr
-from .matrix import detect_minimal_block, is_exact_scalar, validate_reciprocal
+from .matrix import detect_minimal_block
 from .perron import (
     TOL_PERRON,
     perron,
@@ -86,6 +85,8 @@ def cmd_perron(args) -> int:
         "structure_ok": None,
         "sufficient_condition": None,
     }
+    # n <= 8 only: the block route computes a second n-by-n Perron pair,
+    # which more than doubles the run time on a large matrix
     detected = detect_minimal_block(A) if A.n <= 8 else None
     if detected is not None:
         form = detected.form
@@ -116,55 +117,25 @@ def cmd_perron(args) -> int:
     return 0 if verdict.efficient else 1
 
 
-def _two_block_stream(x, n, rng):
-    S = TwoBlockMatrix(x, n)
-    one = Fraction(1) if is_exact_scalar(x) else 1.0
-    asc = x >= 1
-    while True:
-        w2 = one
-        if asc:
-            w1 = _sample_in(w2, x * w2, rng, is_exact_scalar(x))
-            lo, hi = w2, w1
-        else:
-            w1 = _sample_in(x * w2, w2, rng, is_exact_scalar(x))
-            lo, hi = w1, w2
-        mids = tuple(_sample_in(lo, hi, rng, is_exact_scalar(x)) for _ in range(n - 2))
-        w = (w1, w2) + mids
-        if not two_block_is_efficient(S, w):
-            raise TheoremViolation(f"two-block sampler produced non-chain vector {w}")
-        yield {"vector": w, "seed_head": (w1, w2), "tail_bounds": (lo, hi),
-               "permutation": None, "matrix": S.matrix()}
-
-
 def _three_block_seed_stream(rng):
     while True:
         yield tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4))
 
 
-def _generate_records(args, rng):
+def _family_stream(args, rng):
+    """The family's matrix and its stream of GeneratedVector."""
     if args.family == "2block":
-        x = parse_scalar(args.x)
-        for rec in _two_block_stream(x, args.n, rng):
-            yield rec
-    elif args.family == "3block":
+        S = TwoBlockMatrix(parse_scalar(args.x), args.n)
+        return S.matrix(), two_block_sample(S, rng)
+    if args.family == "3block":
         a12, a13, a23 = (parse_scalar(args.a12), parse_scalar(args.a13),
                          parse_scalar(args.a23))
         tbm = ThreeBlockMatrix(fixtures.three_block_from_triple(a12, a13, a23), args.n)
-        A = tbm.matrix()
-        for g in three_block_generate(tbm, _three_block_seed_stream(rng), rng):
-            yield {"vector": g.vector, "seed_head": g.seed_head,
-                   "tail_bounds": g.tail_bounds, "permutation": g.permutation,
-                   "matrix": A}
-    elif args.family == "constant":
-        x = parse_scalar(args.x)
-        M = ConstantBlockMatrix(x, args.s, args.n)
-        A = M.matrix()
-        for g in constant_block_sample(M, rng):
-            yield {"vector": g.vector, "seed_head": g.seed_head,
-                   "tail_bounds": g.tail_bounds, "permutation": g.permutation,
-                   "matrix": A}
-    else:
-        raise InvalidSpec(f"unknown family {args.family!r}")
+        return tbm.matrix(), three_block_generate(tbm, _three_block_seed_stream(rng), rng)
+    if args.family == "constant":
+        M = ConstantBlockMatrix(parse_scalar(args.x), args.s, args.n)
+        return M.matrix(), constant_block_sample(M, rng)
+    raise InvalidSpec(f"unknown family {args.family!r}")
 
 
 def cmd_generate(args) -> int:
@@ -175,18 +146,19 @@ def cmd_generate(args) -> int:
     if args.family == "constant" and args.s is None:
         raise InvalidSpec("--s is required for constant")
     rng = random.Random(args.seed)
+    A, stream = _family_stream(args, rng)
     emitted = 0
-    for rec in _generate_records(args, rng):
+    for g in stream:
         # self-certify before emission
-        if not is_efficient(rec["matrix"], rec["vector"]).efficient:
-            raise TheoremViolation(f"generated vector failed the digraph test: {rec}")
+        if not is_efficient(A, g.vector).efficient:
+            raise TheoremViolation(f"generated vector failed the digraph test: {g}")
         print(
             json.dumps(
                 {
-                    "vector": [scalar_repr(v) for v in rec["vector"]],
-                    "seed_head": [scalar_repr(v) for v in rec["seed_head"]],
-                    "tail_bounds": [scalar_repr(v) for v in rec["tail_bounds"]],
-                    "permutation": rec["permutation"],
+                    "vector": [scalar_repr(v) for v in g.vector],
+                    "seed_head": [scalar_repr(v) for v in g.seed_head],
+                    "tail_bounds": [scalar_repr(v) for v in g.tail_bounds],
+                    "permutation": g.permutation,
                 }
             )
         )

@@ -82,76 +82,31 @@ def build_digraph(
 
 
 def strongly_connected_components(G: ComparisonDigraph) -> list:
-    """Tarjan's algorithm, iterative.  Components are sorted vertex tuples."""
+    """Strong components of the semicomplete G, sink first, as sorted tuples.
+
+    A k-set's score sum (out - in) is edges leaving minus edges entering, at most
+    k(n-k), with equality iff it heads the condensation; such a set outscores the rest.
+    """
     n = G.n
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list = []
+    score = [len(out) for out in G.succ]
+    for out in G.succ:
+        for j in out:
+            score[j] -= 1
+    order = sorted(range(n), key=lambda i: -score[i])
     comps = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(sorted(G.succ[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for u in it:
-                if index[u] == -1:
-                    index[u] = low[u] = counter
-                    counter += 1
-                    stack.append(u)
-                    on_stack[u] = True
-                    work.append((u, iter(sorted(G.succ[u]))))
-                    advanced = True
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                comps.append(tuple(sorted(comp)))
-    return comps
-
-
-def source_components(G: ComparisonDigraph, comps: list) -> list:
-    """Components of the condensation with no incoming edge from outside."""
-    member = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            member[v] = ci
-    has_incoming = [False] * len(comps)
-    for i in range(G.n):
-        for j in G.succ[i]:
-            if member[i] != member[j]:
-                has_incoming[member[j]] = True
-    return sorted(
-        (comp for ci, comp in enumerate(comps) if not has_incoming[ci])
-    )
+    start = total = 0
+    for k, v in enumerate(order, 1):
+        total += score[v]
+        if total == k * (n - k):
+            comps.append(tuple(sorted(order[start:k])))
+            start = k
+    return comps[::-1]
 
 
 def is_strongly_connected(G: ComparisonDigraph):
     """(connected?, component list, source component or None)."""
     comps = strongly_connected_components(G)
-    if len(comps) == 1:
-        return True, comps, None
-    return False, comps, source_components(G, comps)[0]
+    return len(comps) == 1, comps, None if len(comps) == 1 else comps[-1]
 
 
 @dataclass(frozen=True)
@@ -225,17 +180,13 @@ def is_efficient(
     return EfficiencyVerdict(False, tuple(comps), G, tuple(source), dom)
 
 
-def _normalized_copy(w: Sequence[Scalar], v: Sequence[Scalar]):
-    scale = w[0] / v[0]
-    return tuple(x * scale for x in v)
-
-
 def dominance_compare(
     A: ReciprocalMatrix, w: Sequence[Scalar], v: Sequence[Scalar]
 ) -> str:
     """Entry-wise comparison of approximation errors |a_ij - v_i/v_j|.
 
-    Scale-normalizes v to w first; scalar multiples compare as "equal".
+    The errors depend only on the ratios v_i/v_j, so v is compared as given;
+    scalar multiples compare as "equal".
     """
     n = A.n
     if len(w) != n or len(v) != n:
@@ -246,11 +197,10 @@ def dominance_compare(
     if not exact:
         w = tuple(float(x) for x in w)
         v = tuple(float(x) for x in v)
-    vn = _normalized_copy(w, v)
     if exact:
-        if vn == w:
+        if all(a * w[0] == b * v[0] for a, b in zip(v, w)):
             return EQUAL
-    elif all(abs(a / b - 1.0) <= 1e-12 for a, b in zip(vn, w)):
+    elif all(abs(a * w[0] / (b * v[0]) - 1.0) <= 1e-12 for a, b in zip(v, w)):
         return EQUAL
     v_le = w_le = True
     for i in range(n):
@@ -258,7 +208,7 @@ def dominance_compare(
             if i == j:
                 continue
             ew = abs(A[i, j] - w[i] / w[j])
-            ev = abs(A[i, j] - vn[i] / vn[j])
+            ev = abs(A[i, j] - v[i] / v[j])
             if ev > ew:
                 v_le = False
             if ew > ev:

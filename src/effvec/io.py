@@ -35,7 +35,12 @@ def parse_scalar(cell, backend: Optional[str] = None) -> Scalar:
     if isinstance(cell, int):
         return Fraction(cell)
     if isinstance(cell, float):
-        return Fraction(cell).limit_denominator(10**12) if backend == "exact" else cell
+        if backend != "exact":
+            return cell
+        try:
+            return Fraction(cell).limit_denominator(10**12)
+        except (OverflowError, ValueError) as exc:
+            raise ParseError(f"cannot parse cell {cell!r}: {exc}") from exc
     raise ParseError(f"cannot parse cell {cell!r}")
 
 

@@ -10,7 +10,6 @@ matrix to the float backend.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,8 +40,8 @@ def check_positive_vector(w: Sequence[Scalar]) -> Vector:
     if len(w) == 0:
         raise BadShape("empty vector")
     for x in w:
-        if not x > 0:
-            raise NonPositiveEntry(f"vector entry {x!r} is not positive")
+        if not 0 < x < math.inf:
+            raise NonPositiveEntry(f"vector entry {x!r} is not positive and finite")
     return tuple(w)
 
 
@@ -329,19 +328,30 @@ def is_block_perturbation(
 class DetectedBlock:
     K: tuple
     form: BlockPerturbedForm
-    minimal_guaranteed: bool
 
 
-def _inconsistent_triple_counts(A: ReciprocalMatrix, tol: float) -> list:
-    counts = [0] * A.n
-    for i, j, k in itertools.combinations(range(A.n), 3):
-        lhs = A[i, j] * A[j, k]
-        bad = lhs != A[i, k] if A.exact else abs(lhs / A[i, k] - 1.0) > tol
-        if bad:
-            counts[i] += 1
-            counts[j] += 1
-            counts[k] += 1
-    return counts
+def _reference_block(A: ReciprocalMatrix, r: int, tol: float, limit: int) -> Optional[set]:
+    """K_r: endpoints of the pairs (i, j) with a_ij != a_ir * a_rj, or None
+    once it grows past `limit` members.  Pairs through r hold exactly on
+    both backends (a_rr = 1), so r is never a member."""
+    n = A.n
+    row_r = A.row(r)
+    K: set = set()
+    for i in range(n):
+        row_i, a_ir = A.row(i), A[i, r]
+        for j in range(i + 1, n):
+            if A.exact:
+                bad = row_i[j] != a_ir * row_r[j]
+            else:
+                bad = abs(row_i[j] / (a_ir * row_r[j]) - 1.0) > tol
+            if bad:
+                K.add(i)
+                K.add(j)
+                if len(K) > limit:
+                    return None
+                if len(K) == n - 1:
+                    return K
+    return K
 
 
 def detect_minimal_block(
@@ -349,29 +359,24 @@ def detect_minimal_block(
 ) -> Optional[DetectedBlock]:
     """Smallest index set K (lexicographic tie-break) making A a block perturbation.
 
-    Exhaustive over subsets for n <= 8; greedy for larger n (grow K by the
-    index participating in most inconsistent triples), in which case the
-    result is advisory and flagged minimal_guaranteed=False.
+    K is a block iff K contains K_r for some (then every) r outside K, so each
+    minimal block is K_r for every r outside it.  A block of size m misses one
+    of the indices 0..m, hence scanning r = 0, 1, ... while r <= |best| finds
+    them all; once 2|K_r| < n, K_r is the unique minimum.  O(n^3) at worst.
+    A consistent A gives K = (0,).  Returns None only when float rounding
+    puts the K found and is_block_perturbation on opposite sides of tol.
     """
     n = A.n
-    if n <= 8:
-        for size in range(1, n):
-            for K in itertools.combinations(range(n), size):
-                form = is_block_perturbation(A, K, tol)
-                if form is not None:
-                    return DetectedBlock(K, form, True)
-        return None
-    counts = _inconsistent_triple_counts(A, tol)
-    order = sorted(range(n), key=lambda i: (-counts[i], i))
-    K: list = []
-    for idx in order:
-        K.append(idx)
-        if len(K) >= n:
-            break
-        form = is_block_perturbation(A, K, tol)
-        if form is not None:
-            return DetectedBlock(tuple(sorted(K)), form, False)
-    return None
+    best = sorted(_reference_block(A, 0, tol, n - 1))
+    r = 1
+    while 2 * len(best) >= n and r <= len(best):
+        K = _reference_block(A, r, tol, len(best))
+        if K is not None and (len(K), sorted(K)) < (len(best), best):
+            best = sorted(K)
+        r += 1
+    K = tuple(best) or (0,)
+    form = is_block_perturbation(A, K, tol)
+    return None if form is None else DetectedBlock(K, form)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from effvec import (
     transform_vector,
     two_block_full_set_check,
     two_block_is_efficient,
+    two_block_sample,
 )
 from effvec.errors import BadShape, DimensionMismatch, HeadNotEfficient
 from effvec.fixtures import B3, canonical_form
@@ -52,6 +53,13 @@ class TestTwoBlock:
         for _ in range(100):
             S = TwoBlockMatrix(rand_frac(rng), 5)
             two_block_full_set_check(S, rand_vector(5, rng))
+
+    @pytest.mark.parametrize("x", [F(3), F(1, 3), 0.5])
+    def test_sampler_emits_efficient(self, rng, x):
+        S = TwoBlockMatrix(x, 6)
+        for g in two_block_sample(S, rng, 50):
+            assert two_block_is_efficient(S, g.vector)
+            assert is_efficient(S.matrix(), g.vector).efficient
 
     def test_bad_sizes(self):
         with pytest.raises(BadShape):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -70,6 +71,41 @@ class TestScc:
         # (3,2,1,2): ties w_2 = w_4 keep the digraph connected
         assert is_strongly_connected(build_digraph(CC, (3, 2, 1, 2)))[0]
 
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_matches_mutual_reachability(self, backend):
+        """Power-of-two entries make w_i/w_j = a_ij ties (two-way edges) common."""
+        rng = random.Random(11)
+        cast = F if backend == "exact" else float
+        split = 0
+        for _ in range(1000):
+            n = rng.randint(2, 9)
+            rows = [[cast(1)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[i][j] = cast(F(2) ** rng.randint(-2, 2))
+                    rows[j][i] = 1 / rows[i][j]
+            w = tuple(cast(F(2) ** rng.randint(-3, 3)) for _ in range(n))
+            G = build_digraph(validate_reciprocal(rows), w)
+            comps = reference_components(G)
+            split += len(comps) > 1
+            assert is_strongly_connected(G) == (
+                len(comps) == 1, comps, None if len(comps) == 1 else comps[-1])
+        assert 100 < split < 900
+
+
+def reference_components(G):
+    """Mutual-reachability classes as sorted tuples, sink first (fewest reachable)."""
+    reach = []
+    for v in range(G.n):
+        seen, stack = {v}, [v]
+        while stack:
+            for u in G.succ[stack.pop()] - seen:
+                seen.add(u)
+                stack.append(u)
+        reach.append(seen)
+    comps = {tuple(u for u in sorted(reach[v]) if v in reach[u]) for v in range(G.n)}
+    return sorted(comps, key=lambda c: len(reach[c[0]]))
+
 
 class TestIsEfficient:
     def test_consistent_columns(self):
@@ -121,6 +157,24 @@ class TestDominance:
                 {V_DOMINATES, W_DOMINATES},
                 {V_DOMINATES},  # equal-error, non-proportional edge case
             )
+
+    def test_float_certificate_confirmed(self):
+        """Errors are compared on the dominator as given, so the pairs it leaves
+        unchanged keep bit-identical errors on the float backend."""
+        rng = random.Random(5)
+        for _ in range(20):
+            n = 6
+            rows = [[1.0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[i][j] = math.exp(rng.uniform(-math.log(9), math.log(9)))
+                    rows[j][i] = 1 / rows[i][j]
+            A = validate_reciprocal(rows)
+            w = list(A.column(rng.randrange(n)))
+            k = rng.randrange(n)
+            w[k] = 1.5 * max(A[k, j] * w[j] for j in range(n))
+            verdict = is_efficient(A, w)
+            assert dominance_compare(A, w, verdict.dominator) == V_DOMINATES
 
 
 class TestDominatingVector:

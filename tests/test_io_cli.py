@@ -11,7 +11,7 @@ import pytest
 
 import effvec
 from effvec.cli import main
-from effvec.errors import ParseError
+from effvec.errors import NonPositiveEntry, ParseError
 from effvec.io import (
     load_matrix,
     parse_matrix_text,
@@ -84,6 +84,16 @@ class TestParseVector:
         with pytest.raises(ParseError):
             parse_vector_text("1,2\n3\n")
 
+    @pytest.mark.parametrize("text", ["1e400,1,1", "[Infinity, 1, 1]"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(NonPositiveEntry):
+            parse_vector_text(text)
+
+    @pytest.mark.parametrize("text", ["[Infinity, 1, 1]", "[NaN, 1, 1]"])
+    def test_non_finite_json_exact_backend(self, text):
+        with pytest.raises(ParseError):
+            parse_vector_text(text, "exact")
+
 
 def test_scalar_repr_round_trip():
     assert scalar_repr(F(3, 4)) == "3/4"
@@ -152,6 +162,13 @@ class TestCheckCommand:
         m = files("m.csv", CC_CSV)
         v = files("v.csv", "3,2,1,2\n")
         assert main(["check", m, v, "--tol-edge", "0.5"]) == 2
+
+    @pytest.mark.parametrize("text", ["1e400,2,1,2\n", "[Infinity, 2, 1, 2]"])
+    def test_non_finite_vector_exit_two(self, files, capsys, text):
+        m = files("m.csv", CC_CSV)
+        v = files("v.csv", text)
+        assert main(["check", m, v]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestPerronCommand:

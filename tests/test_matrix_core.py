@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -162,10 +163,29 @@ class TestBlockPerturbation:
             is_block_perturbation(CC, {0, 1, 2, 3})
 
 
+def brute_force_block(A):
+    """Smallest K, lexicographic among equal sizes, that is_block_perturbation accepts."""
+    for size in range(1, A.n):
+        for K in itertools.combinations(range(A.n), size):
+            if is_block_perturbation(A, K) is not None:
+                return K
+    return None
+
+
+def coarse_reciprocal(n, rng):
+    """Entries from {1/2, 1, 2}: small blocks often hide partly consistent rows."""
+    rows = [[F(1)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rng.choice((F(1, 2), F(1), F(2)))
+            rows[j][i] = 1 / rows[i][j]
+    return validate_reciprocal(rows)
+
+
 class TestDetectMinimalBlock:
     def test_consistent(self):
         d = detect_minimal_block(consistent_from_vector((1, 2, 3)))
-        assert d is not None and len(d.K) == 1 and d.minimal_guaranteed
+        assert d is not None and len(d.K) == 1
 
     def test_four_block(self):
         d = detect_minimal_block(EX20)
@@ -180,13 +200,28 @@ class TestDetectMinimalBlock:
             d = detect_minimal_block(A)
             assert d is not None and len(d.K) == 3
 
-    def test_greedy_large_n(self, rng):
-        B = rand_reciprocal(3, rng)
-        assert not is_consistent(B)
-        A = block_matrix(B, 9)
-        d = detect_minimal_block(A)
-        assert d is not None and not d.minimal_guaranteed
-        assert set(d.K) >= {0, 1, 2} or is_block_perturbation(A, d.K) is not None
+    def test_exact_minimal_large_n(self, rng):
+        for n in (9, 10):
+            B = rand_reciprocal(3, rng)
+            assert not is_consistent(B)
+            A = apply_similarity(block_matrix(B, n), rand_similarity(n, rng))
+            d = detect_minimal_block(A)
+            assert d.K == brute_force_block(A)
+            assert d.form.original().entries == A.entries
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_matches_brute_force(self, backend):
+        rng = random.Random(17)
+        for _ in range(40):
+            n = rng.randint(3, 8)
+            s = rng.randint(2, n - 1)
+            B = (coarse_reciprocal if rng.random() < 0.5 else rand_reciprocal)(s, rng)
+            A = apply_similarity(block_matrix(B, n), rand_similarity(n, rng))
+            if backend == "float":
+                A = A.to_float()
+            d = detect_minimal_block(A)
+            assert d is not None and d.K == brute_force_block(A)
+            assert d.form == is_block_perturbation(A, d.K)
 
 
 class TestGeometricMean:

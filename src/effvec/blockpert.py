@@ -55,11 +55,7 @@ class TwoBlockMatrix:
 
     def matrix(self) -> ReciprocalMatrix:
         x = Fraction(self.x) if is_exact_scalar(self.x) else float(self.x)
-        one = Fraction(1) if is_exact_scalar(self.x) else 1.0
-        rows = [[one] * self.n for _ in range(self.n)]
-        rows[0][1] = x
-        rows[1][0] = 1 / x
-        return validate_reciprocal(rows)
+        return block_matrix(validate_reciprocal([[x ** 0, x], [1 / x, x ** 0]]), self.n)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .perron import (
 
 
 def _use_color() -> bool:
-    return os.environ.get("PCM_NO_COLOR") is None and sys.stdout.isatty()
+    return os.environ.get("EFFVEC_NO_COLOR") is None and sys.stdout.isatty()
 
 
 def _paint(text: str, good: bool) -> str:

@@ -22,6 +22,7 @@ from .matrix import (
     ReciprocalMatrix,
     Scalar,
     Vector,
+    block_matrix,
     check_positive_vector,
     is_exact_scalar,
     vector_is_exact,
@@ -186,7 +187,9 @@ def dominance_compare(
     """Entry-wise comparison of approximation errors |a_ij - v_i/v_j|.
 
     The errors depend only on the ratios v_i/v_j, so v is compared as given;
-    scalar multiples compare as "equal".
+    scalar multiples compare as "equal".  On floats a pair counts as worse or
+    better only beyond 1e-12 * a_ij, the slack of the "equal" test: scaling a
+    set of entries moves the ratios inside it in the last bit.
     """
     n = A.n
     if len(w) != n or len(v) != n:
@@ -204,14 +207,16 @@ def dominance_compare(
         return EQUAL
     v_le = w_le = True
     for i in range(n):
+        row = A.row(i)
         for j in range(n):
             if i == j:
                 continue
-            ew = abs(A[i, j] - w[i] / w[j])
-            ev = abs(A[i, j] - v[i] / v[j])
-            if ev > ew:
+            a = row[j]
+            gap = abs(a - v[i] / v[j]) - abs(a - w[i] / w[j])  # ev - ew
+            slack = 0 if exact else 1e-12 * a
+            if gap > slack:
                 v_le = False
-            if ew > ev:
+            if gap < -slack:
                 w_le = False
     if v_le:
         return V_DOMINATES
@@ -283,12 +288,11 @@ def equal_tail_reduce(form, w: Sequence[Scalar]):
     Returns (A, w) unchanged when the tail has no equal pair.
     """
     w = check_positive_vector(w)
-    A = form.matrix()
     if len(w) != form.n:
         raise DimensionMismatch(f"vector size {len(w)} != {form.n}")
     for p in range(form.s, form.n):
         for q in range(p + 1, form.n):
             if w[p] == w[q]:
-                keep = [i for i in range(form.n) if i != p]
-                return A.delete(p), tuple(w[i] for i in keep)
-    return A, w
+                # A_n(B) without tail index p is A_{n-1}(B)
+                return block_matrix(form.block, form.n - 1), w[:p] + w[p + 1 :]
+    return form.matrix(), w

@@ -55,7 +55,12 @@ def as_float_vector(w: Sequence[Scalar]) -> tuple:
 
 @dataclass(frozen=True)
 class ReciprocalMatrix:
-    """Validated reciprocal matrix.  Immutable; construct via validate_reciprocal."""
+    """Validated reciprocal matrix.  Immutable.
+
+    Outside input goes through validate_reciprocal.  Derived matrices
+    (submatrix, delete, to_float, block_matrix, the blocks of canonical
+    forms) are built from validated parts and are not checked again.
+    """
 
     entries: tuple
     exact: bool
@@ -145,19 +150,10 @@ def consistent_from_vector(w: Sequence[Scalar]) -> ReciprocalMatrix:
 
 
 def is_consistent(A: ReciprocalMatrix, tol: float = TOL_CONS) -> bool:
-    """True iff a_ij * a_jk == a_ik for every triple (exact backend: exactly)."""
-    n = A.n
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = A[i, j] * A[j, k]
-                if A.exact:
-                    if lhs != A[i, k]:
-                        return False
-                else:
-                    if abs(lhs / A[i, k] - 1.0) > tol:
-                        return False
-    return True
+    """True iff a_ij == a_i0 * a_0j for every pair (exact backend: exactly),
+    i.e. K_0 is empty; then a_ij * a_jk == a_ik for every triple.  O(n^2),
+    stopping at the first bad pair."""
+    return _reference_block(A, 0, tol, 0) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +264,18 @@ class BlockPerturbedForm:
 
 
 def block_matrix(B: ReciprocalMatrix, n: int) -> ReciprocalMatrix:
-    """Build A_n(B): B as leading principal block, all other entries 1."""
+    """Build A_n(B): B as leading principal block, all other entries 1.
+
+    B is already validated, so no entry is checked again: O(n^2)."""
     s = B.n
     if n < s:
         raise BadShape(f"n = {n} smaller than block size {s}")
+    if n < 2:
+        raise BadShape(f"need n >= 2, got {n}")
     one = Fraction(1) if B.exact else 1.0
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(B[i, j] if i < s and j < s else one)
-        rows.append(row)
-    return validate_reciprocal(rows)
+    tail = (one,) * (n - s)
+    rows = tuple(B.row(i) + tail for i in range(s)) + ((one,) * n,) * (n - s)
+    return ReciprocalMatrix(rows, B.exact)
 
 
 def is_block_perturbation(
@@ -287,9 +283,10 @@ def is_block_perturbation(
 ) -> Optional[BlockPerturbedForm]:
     """Canonicalize A as an s-block perturbation with perturbed indices K.
 
-    Permutes K to the front, scales by the column of the smallest index
-    outside K, and checks that everything outside the leading |K|-by-|K|
-    block becomes 1.  Returns None when A is not consistent outside K.
+    With r the smallest index outside K, K is a block iff K_r lies inside
+    K; scaling by column r then leaves 1s outside the block, which is
+    B_pq = a_{K_p K_q} * a_{K_q r} / a_{K_p r}.  Returns None when A is not
+    consistent outside K.  O(n^2).
     """
     K = sorted(set(K))
     n = A.n
@@ -298,29 +295,24 @@ def is_block_perturbation(
     if K[0] < 0 or K[-1] >= n:
         raise BadShape(f"K {K!r} out of range for n = {n}")
     s = len(K)
-    rest = [i for i in range(n) if i not in set(K)]
-    order = K + rest  # order[p] = original index at canonical position p
+    in_K = set(K)
+    rest = [i for i in range(n) if i not in in_K]
+    r = rest[0]
+    K_r = _reference_block(A, r, tol, s)
+    if K_r is None or not K_r <= in_K:
+        return None
     perm = [0] * n
-    for p, i in enumerate(order):
+    for p, i in enumerate(K + rest):  # index i goes to canonical position p
         perm[i] = p
-    M_perm = MonomialSimilarity.permutation(perm)
-    Ap = apply_similarity(A, M_perm)
-    # reference column: smallest index not in K, now sitting at position s
-    d = Ap.column(s)
-    M_scale = MonomialSimilarity.scaling(tuple(1 / x for x in d))
-    Acan = apply_similarity(Ap, M_scale)
-    for i in range(n):
-        for j in range(n):
-            if i < s and j < s:
-                continue
-            x = Acan[i, j]
-            if Acan.exact:
-                if x != 1:
-                    return None
-            elif abs(x - 1.0) > tol:
-                return None
-    fwd = M_perm.then(M_scale)
-    block = Acan.submatrix(range(s))
+    col_r = A.column(r)
+    one = Fraction(1) if A.exact else 1.0
+    rows = [[one] * s for _ in range(s)]
+    for p in range(s):
+        for q in range(p + 1, s):
+            x = A[K[p], K[q]] * col_r[K[q]] / col_r[K[p]]
+            rows[p][q], rows[q][p] = x, 1 / x
+    fwd = MonomialSimilarity(tuple(1 / x for x in col_r), tuple(perm))
+    block = ReciprocalMatrix(tuple(map(tuple, rows)), A.exact)
     return BlockPerturbedForm(block=block, s=s, n=n, back_map=fwd.inverse())
 
 
@@ -363,8 +355,8 @@ def detect_minimal_block(
     minimal block is K_r for every r outside it.  A block of size m misses one
     of the indices 0..m, hence scanning r = 0, 1, ... while r <= |best| finds
     them all; once 2|K_r| < n, K_r is the unique minimum.  O(n^3) at worst.
-    A consistent A gives K = (0,).  Returns None only when float rounding
-    puts the K found and is_block_perturbation on opposite sides of tol.
+    A consistent A gives K = (0,).  Returns None only on floats near tol,
+    where K_r for two references r can disagree.
     """
     n = A.n
     best = sorted(_reference_block(A, 0, tol, n - 1))

@@ -15,7 +15,7 @@ import numpy as np
 from .blockpert import ConstantBlockMatrix
 from .efficiency import EfficiencyVerdict, build_digraph, is_efficient
 from .errors import NoConvergence, NotNormalized, StructureViolation, TheoremViolation
-from .matrix import BlockPerturbedForm, ReciprocalMatrix
+from .matrix import BlockPerturbedForm, ReciprocalMatrix, block_matrix
 
 TOL_PERRON = 1e-12
 
@@ -75,7 +75,7 @@ def perron_efficiency_via_submatrix(
     structure it equals the full-matrix verdict."""
     if not perron_tail_structure(form, r):
         raise StructureViolation("Perron tail entries are not equal within tolerance")
-    sub = form.matrix().to_float().submatrix(range(form.s + 1))
+    sub = block_matrix(form.block, form.s + 1).to_float()
     return is_efficient(sub, r.w[: form.s + 1])
 
 
@@ -139,10 +139,10 @@ def constant_block_perron_check(M: ConstantBlockMatrix) -> EfficiencyVerdict:
     if M.n <= M.s:
         raise StructureViolation("need n > s for the Perron check")
     Mn, _ = M.normalize()
-    A = Mn.matrix().to_float()
-    r = perron(A)
+    B = Mn.block()
+    r = perron(block_matrix(B, Mn.n).to_float())
     s = Mn.s
-    sub = A.submatrix(range(s + 1))
+    sub = block_matrix(B, s + 1).to_float()
     wsub = r.w[: s + 1]
     G = build_digraph(sub, wsub)
     cycle = tuple(range(s, -1, -1))  # s -> s-1 -> ... -> 0 -> s

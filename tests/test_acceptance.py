@@ -35,12 +35,22 @@ from effvec import (
     two_block_is_efficient,
     validate_reciprocal,
 )
-from effvec.blockpert import _sample_in
 from effvec.efficiency import V_DOMINATES
 from effvec.errors import HeadNotEfficient
 from effvec.fixtures import canonical_form, reproduce_examples, reproduce_table1
 
 from conftest import rand_frac, rand_reciprocal, rand_similarity, rand_vector
+
+
+def sample_in(lo, hi, rng):
+    """Exact point of [lo, hi] (lo < hi); each endpoint has probability 0.1,
+    so boundary ties occur."""
+    u = rng.random()
+    if u < 0.1:
+        return lo
+    if u < 0.2:
+        return hi
+    return lo + (hi - lo) * F(rng.randint(1, 9999), 10000)
 
 
 def report(capsys, name, ok, detail=""):
@@ -113,9 +123,7 @@ def test_characterization_equivalences(capsys):
             head = tuple(scale * B[i, c] for i in range(s))
         # tails drawn wider than [min, max] so both verdicts occur
         lo, hi = min(head), max(head)
-        tail = tuple(
-            _sample_in(lo / 2, hi * 2, rng, True) for _ in range(n - s)
-        )
+        tail = tuple(sample_in(lo / 2, hi * 2, rng) for _ in range(n - s))
         w = head + tail
         if lcompl_membership(form, w) != is_efficient(form.matrix(), w).efficient:
             mismatches.append(("bounded-tail", trial))

@@ -176,6 +176,39 @@ class TestDominance:
             verdict = is_efficient(A, w)
             assert dominance_compare(A, w, verdict.dominator) == V_DOMINATES
 
+    def test_float_two_vertex_source_set(self):
+        """Scaling the source set {1, 2} by t = 0.4 moves w_1/w_2 = 3 in the
+        last bit; that is rounding, not a worse error."""
+        upper = {(0, 1): 2, (0, 2): F(1, 2), (0, 3): F(3, 2), (1, 2): 3, (1, 3): 2, (2, 3): F(1, 4)}
+        rows = [[F(1)] * 4 for _ in range(4)]
+        for (i, j), x in upper.items():
+            rows[i][j], rows[j][i] = F(x), 1 / F(x)
+        w = (F(1, 5), 3, 1, F(1, 5))
+        for A, w in ((validate_reciprocal(rows), w),
+                     (validate_reciprocal(rows).to_float(), tuple(map(float, w)))):
+            verdict = is_efficient(A, w)
+            assert verdict.source_set == (1, 2)
+            assert dominance_compare(A, w, verdict.dominator) == V_DOMINATES
+
+    def test_float_multi_vertex_source_sets(self):
+        rng = random.Random(8)
+        multi = 0
+        for _ in range(300):
+            n = rng.randint(4, 8)
+            rows = [[1.0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[i][j] = math.exp(rng.uniform(-2, 2))
+                    rows[j][i] = 1 / rows[i][j]
+            A = validate_reciprocal(rows)
+            w = [math.exp(rng.uniform(-2, 2)) for _ in range(n)]
+            verdict = is_efficient(A, w)
+            if verdict.efficient:
+                continue
+            multi += len(verdict.source_set) > 1
+            assert dominance_compare(A, w, verdict.dominator) == V_DOMINATES
+        assert multi >= 20
+
 
 class TestDominatingVector:
     def test_certificate(self):

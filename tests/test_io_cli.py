@@ -143,7 +143,7 @@ class TestCheckCommand:
         assert lines[1].startswith("dominator,")
 
     def test_table_format_no_color(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("PCM_NO_COLOR", "1")
+        monkeypatch.setenv("EFFVEC_NO_COLOR", "1")
         m = files("m.csv", CC_CSV)
         v = files("v.csv", "3,2,1,2\n")
         assert main(["check", m, v]) == 0
@@ -197,7 +197,7 @@ class TestPerronCommand:
         assert out["sufficient_condition"] == "cond1"
 
     def test_table_format(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("PCM_NO_COLOR", "1")
+        monkeypatch.setenv("EFFVEC_NO_COLOR", "1")
         m = files("m.csv", CC_CSV)
         main(["perron", m])
         out = capsys.readouterr().out
@@ -239,13 +239,13 @@ class TestGenerateCommand:
 
 class TestReproduceCommand:
     def test_table1(self, capsys, monkeypatch):
-        monkeypatch.setenv("PCM_NO_COLOR", "1")
+        monkeypatch.setenv("EFFVEC_NO_COLOR", "1")
         assert main(["reproduce", "table1"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
 
     def test_all(self, capsys, monkeypatch):
-        monkeypatch.setenv("PCM_NO_COLOR", "1")
+        monkeypatch.setenv("EFFVEC_NO_COLOR", "1")
         assert main(["reproduce", "all"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out[-1].endswith("checks passed")

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effvec import (
+    TOL_CONS,
+    BlockPerturbedForm,
     MonomialSimilarity,
     apply_similarity,
     block_matrix,
@@ -163,11 +165,39 @@ class TestBlockPerturbation:
             is_block_perturbation(CC, {0, 1, 2, 3})
 
 
+def reference_block_form(A, K, tol=TOL_CONS):
+    """The block form by its definition: permute K to the front, scale by the
+    column of the smallest index outside K, and require 1s outside the block."""
+    K = sorted(K)
+    n, s = A.n, len(K)
+    order = K + [i for i in range(n) if i not in K]
+    M_perm = MonomialSimilarity.permutation([order.index(i) for i in range(n)])
+    Ap = apply_similarity(A, M_perm)
+    M_scale = MonomialSimilarity.scaling(tuple(1 / x for x in Ap.column(s)))
+    Acan = apply_similarity(Ap, M_scale)
+    for i in range(n):
+        for j in range(n):
+            if i < s and j < s:
+                continue
+            if Acan[i, j] != 1 if A.exact else abs(Acan[i, j] - 1.0) > tol:
+                return None
+    return BlockPerturbedForm(Acan.submatrix(range(s)), s, n, M_perm.then(M_scale).inverse())
+
+
+def triple_consistent(A, tol=TOL_CONS):
+    """Consistency by its definition: a_ij * a_jk == a_ik for every triple."""
+    for i, j, k in itertools.product(range(A.n), repeat=3):
+        lhs = A[i, j] * A[j, k]
+        if lhs != A[i, k] if A.exact else abs(lhs / A[i, k] - 1.0) > tol:
+            return False
+    return True
+
+
 def brute_force_block(A):
-    """Smallest K, lexicographic among equal sizes, that is_block_perturbation accepts."""
+    """Smallest K, lexicographic among equal sizes, that reference_block_form accepts."""
     for size in range(1, A.n):
         for K in itertools.combinations(range(A.n), size):
-            if is_block_perturbation(A, K) is not None:
+            if reference_block_form(A, K) is not None:
                 return K
     return None
 
@@ -180,6 +210,60 @@ def coarse_reciprocal(n, rng):
             rows[i][j] = rng.choice((F(1, 2), F(1), F(2)))
             rows[j][i] = 1 / rows[i][j]
     return validate_reciprocal(rows)
+
+
+def scrambled_block(n, s, rng):
+    """A_n(B) for a random s-by-s B under a random monomial similarity."""
+    B = (coarse_reciprocal if rng.random() < 0.5 else rand_reciprocal)(s, rng)
+    return apply_similarity(block_matrix(B, n), rand_similarity(n, rng))
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_block_form_matches_reference(backend):
+    rng = random.Random(29)
+    accepted = rejected = 0
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        A = scrambled_block(n, rng.randint(2, n - 1), rng)
+        if backend == "float":
+            A = A.to_float()
+        for size in range(1, n):
+            K = sorted(rng.sample(range(n), size))
+            form, ref = is_block_perturbation(A, K), reference_block_form(A, K)
+            assert (form is None) == (ref is None)
+            if form is None:
+                rejected += 1
+                continue
+            accepted += 1
+            if A.exact:
+                assert form == ref
+                assert form.original().entries == A.entries
+            else:
+                for x, y in zip(sum(form.block.entries, ()), sum(ref.block.entries, ())):
+                    assert x == pytest.approx(y, rel=1e-12)
+    assert accepted >= 50 and rejected >= 50
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_consistency_matches_triple_definition(backend):
+    """Float inputs are exact rationals: consistent ones are off by rounding
+    only, inconsistent ones by far more than TOL_CONS."""
+    rng = random.Random(31)
+    verdicts = []
+    for _ in range(120):
+        n = rng.randint(2, 7)
+        kind = rng.randrange(3)
+        if kind == 0:
+            A = consistent_from_vector(rand_vector(n, rng))
+        elif kind == 1:
+            A = coarse_reciprocal(n, rng)
+        else:
+            A = scrambled_block(n + 1, rng.randint(2, n), rng)
+        if backend == "float":
+            A = A.to_float()
+        verdicts.append(is_consistent(A))
+        assert verdicts[-1] == triple_consistent(A)
+    assert 20 <= sum(verdicts) <= 100
 
 
 class TestDetectMinimalBlock:

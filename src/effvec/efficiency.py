@@ -10,8 +10,11 @@ vector that strictly dominates w.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
+from itertools import compress, repeat
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -22,9 +25,9 @@ from .matrix import (
     ReciprocalMatrix,
     Scalar,
     Vector,
+    as_float_vector,
     block_matrix,
     check_positive_vector,
-    is_exact_scalar,
     vector_is_exact,
 )
 
@@ -38,18 +41,29 @@ EQUAL = "equal"
 INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonDigraph:
     """G(A, w): for every ordered pair at least one direction is present."""
 
-    n: int
-    succ: tuple  # succ[i] = frozenset of j with edge i -> j
+    adj: np.ndarray  # n-by-n bool, adj[i, j] iff edge i -> j
+
+    @property
+    def n(self) -> int:
+        return len(self.adj)
+
+    @cached_property
+    def succ(self) -> tuple:
+        """succ[i] = frozenset of j with edge i -> j."""
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.adj)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ComparisonDigraph) and np.array_equal(self.adj, other.adj)
+
+    def __hash__(self) -> int:
+        return hash(self.adj.tobytes())
 
     def has_edge(self, i: int, j: int) -> bool:
-        return j in self.succ[i]
-
-    def edge_list(self) -> list:
-        return [(i, j) for i in range(self.n) for j in sorted(self.succ[i])]
+        return bool(self.adj[i, j])
 
     def has_cycle(self, cycle: Sequence[int]) -> bool:
         """True iff consecutive edges of the closed walk are all present."""
@@ -63,23 +77,18 @@ def build_digraph(
     """Edge i->j iff w_i/w_j >= a_ij (float backend: >= a_ij*(1 - tol_edge))."""
     if len(w) != A.n:
         raise DimensionMismatch(f"matrix size {A.n} vs vector size {len(w)}")
-    w = check_positive_vector(w)
-    exact = A.exact and vector_is_exact(w)
     n = A.n
-    succ = []
-    for i in range(n):
-        out = set()
-        for j in range(n):
-            if i == j:
-                continue
-            if exact:
-                if w[i] >= A[i, j] * w[j]:
-                    out.add(j)
-            else:
-                if float(w[i]) / float(w[j]) >= float(A[i, j]) * (1.0 - tol_edge):
-                    out.add(j)
-        succ.append(frozenset(out))
-    return ComparisonDigraph(n, tuple(succ))
+    w = check_positive_vector(w)
+    if A.exact and vector_is_exact(w):
+        adj = np.array([[i != j and w[i] >= A[i, j] * w[j] for j in range(n)]
+                        for i in range(n)], dtype=bool)
+    else:
+        wf = as_float_vector(w)
+        with np.errstate(over="ignore"):  # w_i/w_j = inf is an edge, as it should be
+            adj = wf[:, None] / wf[None, :] >= A.array * (1.0 - tol_edge)
+        np.fill_diagonal(adj, False)
+    adj.flags.writeable = False
+    return ComparisonDigraph(adj)
 
 
 def strongly_connected_components(G: ComparisonDigraph) -> list:
@@ -89,11 +98,8 @@ def strongly_connected_components(G: ComparisonDigraph) -> list:
     k(n-k), with equality iff it heads the condensation; such a set outscores the rest.
     """
     n = G.n
-    score = [len(out) for out in G.succ]
-    for out in G.succ:
-        for j in out:
-            score[j] -= 1
-    order = sorted(range(n), key=lambda i: -score[i])
+    score = (G.adj.sum(axis=1) - G.adj.sum(axis=0)).tolist()
+    order = sorted(range(n), key=score.__getitem__, reverse=True)  # stable
     comps = []
     start = total = 0
     for k, v in enumerate(order, 1):
@@ -124,10 +130,14 @@ class EfficiencyVerdict:
 
     def to_dict(self, one_based: bool = True) -> dict:
         off = 1 if one_based else 0
+        ids = list(range(off, self.digraph.n + off))
+        edges = []
+        for i, row in zip(ids, self.digraph.adj):
+            edges.extend(zip(repeat(i), compress(ids, row.tolist())))
         d = {
             "status": self.status,
             "scc_partition": [[v + off for v in c] for c in self.components],
-            "edge_list": [(i + off, j + off) for i, j in self.digraph.edge_list()],
+            "edge_list": edges,
         }
         if not self.efficient:
             d["source_set"] = [v + off for v in self.source_set]
@@ -152,21 +162,21 @@ def construct_dominating_vector(
     if not S or len(S) >= n:
         raise InvalidWitness(f"source set {sorted(S)!r} must be nonempty and proper")
     exact = A.exact and vector_is_exact(w)
-    t = None
-    for i in S:
-        for j in range(n):
-            if j in S:
-                continue
-            cand = A[i, j] * w[j] / w[i]
-            if not cand < 1:
-                raise InvalidWitness(
-                    f"edge {j}->{i} enters the claimed source set (ratio {cand})"
-                )
-            if t is None or cand > t:
-                t = cand
     if exact:
-        t = Fraction(t)
-    return tuple(w[i] * t if i in S else w[i] for i in range(n))
+        t, i, j = max((A[i, j] * w[j] / w[i], i, j) for i in S for j in range(n) if j not in S)
+    else:
+        wf = as_float_vector(w)
+        inside = np.array(sorted(S))
+        outside = np.delete(np.arange(n), inside)
+        cand = A.array[np.ix_(inside, outside)] * wf[outside] / wf[inside, None]
+        p, q = np.unravel_index(np.argmax(cand), cand.shape)
+        t, i, j = cand[p, q], inside[p], outside[q]
+    if not t < 1:
+        raise InvalidWitness(f"edge {j}->{i} enters the claimed source set (ratio {t})")
+    if exact:
+        return tuple(w[i] * t if i in S else w[i] for i in range(n))
+    wf[inside] *= t
+    return tuple(wf.tolist())
 
 
 def is_efficient(
@@ -196,28 +206,29 @@ def dominance_compare(
         raise DimensionMismatch("vector sizes do not match the matrix")
     w = check_positive_vector(w)
     v = check_positive_vector(v)
-    exact = A.exact and vector_is_exact(w) and vector_is_exact(v)
-    if not exact:
-        w = tuple(float(x) for x in w)
-        v = tuple(float(x) for x in v)
-    if exact:
+    v_le = w_le = True
+    if A.exact and vector_is_exact(w) and vector_is_exact(v):
         if all(a * w[0] == b * v[0] for a, b in zip(v, w)):
             return EQUAL
-    elif all(abs(a * w[0] / (b * v[0]) - 1.0) <= 1e-12 for a, b in zip(v, w)):
-        return EQUAL
-    v_le = w_le = True
-    for i in range(n):
-        row = A.row(i)
-        for j in range(n):
-            if i == j:
-                continue
-            a = row[j]
-            gap = abs(a - v[i] / v[j]) - abs(a - w[i] / w[j])  # ev - ew
-            slack = 0 if exact else 1e-12 * a
-            if gap > slack:
-                v_le = False
-            if gap < -slack:
-                w_le = False
+        for i, row in enumerate(A.entries):
+            for j, a in enumerate(row):
+                if i != j:
+                    gap = abs(a - v[i] / v[j]) - abs(a - w[i] / w[j])  # ev - ew
+                    v_le = v_le and gap <= 0
+                    w_le = w_le and gap >= 0
+    else:
+        w, v = as_float_vector(w), as_float_vector(v)
+        if (np.abs(v * w[0] / (w * v[0]) - 1.0) <= 1e-12).all():
+            return EQUAL
+        step = max(1, 2**16 // n)  # row blocks of ~64k cells; the diagonal has gap 0
+        for lo in range(0, n, step):
+            a = A.array[lo : lo + step]
+            gap = (np.abs(a - v[lo : lo + step, None] / v)
+                   - np.abs(a - w[lo : lo + step, None] / w))
+            v_le = v_le and not (gap > 1e-12 * a).any()
+            w_le = w_le and not (gap < -1e-12 * a).any()
+            if not (v_le or w_le):
+                break
     if v_le:
         return V_DOMINATES
     if w_le:

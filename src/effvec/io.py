@@ -12,10 +12,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
+
+import numpy as np
 
 from .errors import ParseError
-from .matrix import ReciprocalMatrix, Scalar, Vector, check_positive_vector, validate_reciprocal
+from .matrix import (ReciprocalMatrix, Scalar, Vector, check_positive_vector,
+                     validate_reciprocal, vector_is_exact)
 
 
 def parse_scalar(cell, backend: Optional[str] = None) -> Scalar:
@@ -44,26 +47,37 @@ def parse_scalar(cell, backend: Optional[str] = None) -> Scalar:
     raise ParseError(f"cannot parse cell {cell!r}")
 
 
-def _coerce_backend(values, backend: Optional[str]):
-    if backend == "float":
-        return [float(x) for x in values]
-    return values
+#: bytes.translate arguments reducing a CSV line to its "," "/" and "." marks ("e", "E" -> ".")
+_MARKS = bytes.maketrans(b"eE", b"..")
+_NOT_MARKS = bytes(b for b in range(256) if b not in b",./eE")
 
 
-def _parse_csv_rows(text: str, backend: Optional[str]):
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(
-            _coerce_backend(
-                [parse_scalar(c, backend) for c in line.split(",")], backend
-            )
-        )
-    if not rows:
+def _float_row(vals) -> np.ndarray:
+    try:
+        return np.asarray(vals, dtype=float)
+    except OverflowError as exc:
+        raise ParseError(f"cell too large for a float: {exc}") from exc
+
+
+def _csv_lines(text: str) -> list:
+    lines = [line for line in map(str.strip, text.splitlines())
+             if line and not line.startswith("#")]
+    if not lines:
         raise ParseError("no data rows found")
-    return rows
+    return lines
+
+
+def _matrix_row(line: str, backend: Optional[str]):
+    """One CSV row: a float64 array when every cell reads as a float,
+    else the list of parse_scalar values."""
+    marks = b"," + line.encode().translate(_MARKS, _NOT_MARKS) + b","
+    # parse_scalar reads a cell as exact when it has "/", or neither "." nor "e"
+    if backend != "exact" and b"/" not in marks and b",," not in marks:
+        try:
+            return np.array(list(map(float, line.split(","))))
+        except ValueError:
+            pass  # parse_scalar names the cell
+    return [parse_scalar(c, backend) for c in line.split(",")]
 
 
 def parse_matrix_text(
@@ -76,14 +90,14 @@ def parse_matrix_text(
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
         entries = obj["entries"] if isinstance(obj, dict) else obj
-        rows = [
-            _coerce_backend([parse_scalar(c, backend) for c in row], backend)
-            for row in entries
-        ]
+        rows = [[parse_scalar(c, backend) for c in row] for row in entries]
         if isinstance(obj, dict) and "n" in obj and obj["n"] != len(rows):
             raise ParseError(f"declared n={obj['n']} but found {len(rows)} rows")
     else:
-        rows = _parse_csv_rows(text, backend)
+        rows = [_matrix_row(line, backend) for line in _csv_lines(text)]
+    if backend == "float" or not all(
+            isinstance(r, list) and vector_is_exact(r) for r in rows):
+        rows = [_float_row(r) for r in rows]
     return validate_reciprocal(rows)
 
 
@@ -97,14 +111,17 @@ def parse_vector_text(text: str, backend: Optional[str] = None) -> Vector:
         entries = obj["entries"] if isinstance(obj, dict) else obj
         vals = [parse_scalar(c, backend) for c in entries]
     else:
-        rows = _parse_csv_rows(text, backend)
+        rows = [[parse_scalar(c, backend) for c in line.split(",")]
+                for line in _csv_lines(text)]
         if len(rows) == 1:
             vals = rows[0]
         elif all(len(r) == 1 for r in rows):
             vals = [r[0] for r in rows]
         else:
             raise ParseError("vector file must be a single CSV row or column")
-    return check_positive_vector(_coerce_backend(vals, backend))
+    if backend == "float":
+        vals = _float_row(vals).tolist()
+    return check_positive_vector(vals)
 
 
 def load_matrix(path: Union[str, Path], backend: Optional[str] = None) -> ReciprocalMatrix:

@@ -13,7 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     BadShape,
@@ -49,8 +52,15 @@ def vector_is_exact(w: Sequence[Scalar]) -> bool:
     return all(is_exact_scalar(x) for x in w)
 
 
-def as_float_vector(w: Sequence[Scalar]) -> tuple:
-    return tuple(float(x) for x in w)
+def as_float_vector(w: Sequence[Scalar]) -> np.ndarray:
+    """w as a float64 array; entries must stay positive and finite as floats."""
+    try:
+        wf = np.array(check_positive_vector(w), dtype=float)
+    except OverflowError as exc:
+        raise NonPositiveEntry(f"vector entry too large for a float: {exc}") from exc
+    if not wf.all():
+        raise NonPositiveEntry("vector entry rounds to 0.0 as a float")
+    return wf
 
 
 @dataclass(frozen=True)
@@ -98,6 +108,13 @@ class ReciprocalMatrix:
     def as_lists(self) -> list:
         return [list(r) for r in self.entries]
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The entries as a read-only float64 array, built at most once."""
+        a = np.array(self.entries, dtype=float)
+        a.flags.writeable = False
+        return a
+
 
 def validate_reciprocal(grid: Sequence[Sequence[Scalar]]) -> ReciprocalMatrix:
     """Validate a square grid of positive entries as a reciprocal matrix.
@@ -113,11 +130,25 @@ def validate_reciprocal(grid: Sequence[Sequence[Scalar]]) -> ReciprocalMatrix:
     for r in grid:
         if len(r) != n:
             raise BadShape("grid is not square")
-    exact = all(is_exact_scalar(x) for r in grid for x in r)
-    if exact:
-        rows = [[Fraction(x) for x in r] for r in grid]
-    else:
-        rows = [[float(x) for x in r] for r in grid]
+    if not all(is_exact_scalar(x) for r in grid for x in r):
+        # float backend, on the array; errors name the first bad entry in row-major order
+        a = np.array(grid, dtype=float)
+        for i, j in np.argwhere(~(a > 0))[:1]:
+            raise NonPositiveEntry(f"entry ({i},{j}) = {float(a[i, j])!r} is not positive")
+        bad = np.abs(a * a.T - 1.0) > TOL_RECIP
+        np.fill_diagonal(bad, a.diagonal() != 1)
+        for i, j in np.argwhere(np.triu(bad))[:1]:
+            if i == j:
+                raise ReciprocityViolation(f"diagonal entry ({i},{i}) = {float(a[i, i])!r} != 1")
+            raise ReciprocityViolation(f"a[{i}][{j}] * a[{j}][{i}] = {float(a[i, j] * a[j, i])} "
+                                       f"deviates from 1 beyond {TOL_RECIP}")
+        with np.errstate(over="ignore"):
+            a = np.where(np.tri(n, k=-1, dtype=bool), 1.0 / a.T, a)
+        A = ReciprocalMatrix(tuple(map(tuple, a.tolist())), False)
+        a.flags.writeable = False
+        A.__dict__["array"] = a  # fill the cached property
+        return A
+    rows = [[Fraction(x) for x in r] for r in grid]
     for i in range(n):
         for j in range(n):
             if not rows[i][j] > 0:
@@ -127,18 +158,9 @@ def validate_reciprocal(grid: Sequence[Sequence[Scalar]]) -> ReciprocalMatrix:
             raise ReciprocityViolation(f"diagonal entry ({i},{i}) = {rows[i][i]!r} != 1")
         for j in range(i + 1, n):
             prod = rows[i][j] * rows[j][i]
-            if exact:
-                if prod != 1:
-                    raise ReciprocityViolation(
-                        f"a[{i}][{j}] * a[{j}][{i}] = {prod} != 1"
-                    )
-            else:
-                if abs(prod - 1.0) > TOL_RECIP:
-                    raise ReciprocityViolation(
-                        f"a[{i}][{j}] * a[{j}][{i}] = {prod} deviates from 1 beyond {TOL_RECIP}"
-                    )
-                rows[j][i] = 1.0 / rows[i][j]
-    return ReciprocalMatrix(tuple(tuple(r) for r in rows), exact)
+            if prod != 1:
+                raise ReciprocityViolation(f"a[{i}][{j}] * a[{j}][{i}] = {prod} != 1")
+    return ReciprocalMatrix(tuple(tuple(r) for r in rows), True)
 
 
 def consistent_from_vector(w: Sequence[Scalar]) -> ReciprocalMatrix:

@@ -23,6 +23,7 @@ from .matrix import (
     ReciprocalMatrix,
     Scalar,
     Vector,
+    as_float_vector,
     check_positive_vector,
     validate_reciprocal,
     vector_is_exact,
@@ -77,11 +78,11 @@ def grid_dominator_search(
             f"{g.candidate_count} candidates exceed the {GRID_GUARD} guard"
         )
     exact = A.exact and vector_is_exact(w)
-    Af = np.array(A.to_float().entries, dtype=float)
-    wf = np.array([float(x) for x in g.base], dtype=float)
+    Af = A.to_float().array
+    wf = as_float_vector(g.base)
     off = ~np.eye(n, dtype=bool)
-    err_w = np.abs(Af - np.array([float(x) for x in w], dtype=float)[:, None]
-                   / np.array([float(x) for x in w], dtype=float)[None, :])
+    w_arr = as_float_vector(w)
+    err_w = np.abs(Af - w_arr[:, None] / w_arr[None, :])
     budget = err_w * (1 + 1e-9) + 1e-15
     factors = g.factor_values()
     combo_iter = itertools.product(factors, repeat=n - 1)

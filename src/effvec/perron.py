@@ -32,7 +32,7 @@ def perron(
     A: ReciprocalMatrix, tol: float = TOL_PERRON, max_iter: int = 200000
 ) -> PerronResult:
     """Dominant eigenpair by power iteration from the all-ones vector."""
-    M = np.array(A.to_float().entries, dtype=float)
+    M = A.to_float().array
     n = A.n
     v = np.ones(n)
     lam_prev = 0.0

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,11 +60,13 @@ class TestBuildDigraph:
 
 class TestScc:
     def test_cycle(self):
-        G = ComparisonDigraph(3, (frozenset({1}), frozenset({2}), frozenset({0})))
+        G = ComparisonDigraph(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=bool))
+        assert G.succ == (frozenset({1}), frozenset({2}), frozenset({0}))
         assert len(strongly_connected_components(G)) == 1
 
     def test_single_edge(self):
-        G = ComparisonDigraph(2, (frozenset({1}), frozenset()))
+        G = ComparisonDigraph(np.array([[0, 1], [0, 0]], dtype=bool))
+        assert G.succ == (frozenset({1}), frozenset())
         ok, comps, source = is_strongly_connected(G)
         assert not ok and source == (0,)
 

@@ -1,0 +1,281 @@
+"""The float backend's array code against per-entry loop references.
+
+The references below are per-entry Python loops for the parse (parse_scalar
+on every cell), float validation, edge rule, score cuts, dominator,
+comparison and report.  They live here, not in the package, so the array
+code is checked against an independent implementation that makes the same
+float operations: every answer must be identical, bit for bit where floats
+are returned.
+"""
+
+import json
+import math
+import random
+
+import pytest
+
+from effvec import build_digraph, dominance_compare, is_efficient, validate_reciprocal
+from effvec.efficiency import EQUAL, INCOMPARABLE, TOL_EDGE, V_DOMINATES, W_DOMINATES
+from effvec.errors import BadShape, EffvecError, NonPositiveEntry, ReciprocityViolation
+from effvec.io import parse_matrix_text, parse_scalar
+from effvec.matrix import TOL_RECIP, ReciprocalMatrix, is_exact_scalar
+
+# ---------------------------------------------------------------------------
+# parse
+
+
+def reference_validate(grid):
+    """Per-entry float validation with a_ji := 1/a_ij; exact grids (whose
+    loops are unchanged) go to validate_reciprocal."""
+    if all(is_exact_scalar(x) for r in grid for x in r):
+        return validate_reciprocal(grid)
+    n = len(grid)
+    if n < 2 or any(len(r) != n for r in grid):
+        raise BadShape("not a square grid with n >= 2")
+    rows = [[float(x) for x in r] for r in grid]
+    if not all(x > 0 for r in rows for x in r):
+        raise NonPositiveEntry("an entry is not positive")
+    for i in range(n):
+        if rows[i][i] != 1:
+            raise ReciprocityViolation("diagonal")
+        for j in range(i + 1, n):
+            if abs(rows[i][j] * rows[j][i] - 1.0) > TOL_RECIP:
+                raise ReciprocityViolation("pair")
+            rows[j][i] = 1.0 / rows[i][j]
+    return ReciprocalMatrix(tuple(map(tuple, rows)), False)
+
+
+def reference_parse(text, backend=None):
+    """parse_scalar on every cell, floats coerced per cell, then validation."""
+    if text.lstrip().startswith(("{", "[")):
+        obj = json.loads(text)
+        entries = obj["entries"] if isinstance(obj, dict) else obj
+        rows = [[parse_scalar(c, backend) for c in row] for row in entries]
+        if isinstance(obj, dict) and "n" in obj and obj["n"] != len(rows):
+            raise ValueError("declared n does not match")
+    else:
+        lines = [ln.strip() for ln in text.splitlines()]
+        rows = [[parse_scalar(c, backend) for c in ln.split(",")]
+                for ln in lines if ln and not ln.startswith("#")]
+        if not rows:
+            raise ValueError("no data rows")
+    if backend == "float":
+        rows = [[float(x) for x in r] for r in rows]
+    return reference_validate(rows)
+
+
+def _random_csv(n, rng, fmt):
+    rows = [[1.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = math.exp(rng.gauss(0, 2))
+            rows[j][i] = 1 / rows[i][j]
+    return "".join(",".join(fmt(x) for x in r) + "\n" for r in rows)
+
+
+_rng = random.Random(5)
+PARSE_CORPUS = [
+    "1,2\n1/2,1\n",                          # ints and p/q: exact
+    "1,3,1/2\n1/3,1,1/6\n2,6,1\n",
+    "1,2.5\n0.4,1\n",                         # decimals
+    "1,2.5e0\n4E-1,1\n1.0\n",                 # exponents, ragged
+    "1,2.5e0\n4E-1,1\n",
+    "+1.0,+2.0\n0.5,+1\n",                    # signs, exact +1 beside floats
+    "1,1_0.5\n0.09523809523809523,1\n",       # underscores
+    " 1 , 2.0 \n 0.5 ,\t1\n",                 # padded cells
+    "# comment\n\n1,2.0\n\n0.5,1\n# end\n",   # comments and blank lines
+    "1,2.0,3\n0.5,1\n1/3,1,1\n",              # ragged rows
+    "1,2.0\n0.5,1,\n",                        # trailing comma: empty cell
+    "1,2.0,0.5\n1/2,1,0.25\n2.0,4,1\n",       # exact cells inside float rows
+    "1,2,0.5\n1/2,1,1/4\n2.0,4,1\n",          # an all-exact row before float rows
+    "1.0,0.5\n2,1\n",
+    "1,nan\nnan,1\n",
+    "1,inf\n0,1\n",
+    "1.0,1e400\n1e-400,1\n",                  # overflow to inf, underflow to 0
+    "1.0,1e400\n1,1\n",
+    "1.0,1e-400\n1e400,1.0\n",
+    "1.5.2,1\n1,1\n",
+    "1,2.0\n0.5;1\n",
+    "1,2\n0.5,1\n", "1.0,2.0\n0.5,1.0\n",
+    "1,1.5/2\n2,1\n",
+    "# only a comment\n",
+    "1.0,2.0\n0.6,1.0\n",                     # not reciprocal
+    "2.0,1.0\n1.0,1.0\n",                     # diagonal
+    "1,2.0\n0.5,1.0000000000001\n",           # diagonal off by 1e-13 < TOL_RECIP
+    "1.0,-2.0\n-0.5,1.0\n",                   # not positive
+    "1,3.0\n0.33333333333333337,1\n",         # a_ji within TOL_RECIP: renormalized
+    '{"n": 2, "entries": [[1, 2.5], [0.4, 1]]}',
+    '{"n": 3, "entries": [[1, 2.5], [0.4, 1]]}',
+    '[[1, "1/2"], ["2", 1]]',
+    '[[1.0, 2], [0.5, 1]]',
+    '[["1.0", "2.5e0"], ["0.4", " 1 "]]',
+    _random_csv(7, _rng, repr),
+    _random_csv(12, _rng, lambda x: "%.17g" % x),
+    _random_csv(9, _rng, lambda x: " %.17e " % x),
+    _random_csv(10, _rng, lambda x: "%.15g" % x),
+]
+
+
+@pytest.mark.parametrize("backend", [None, "float", "exact"])
+@pytest.mark.parametrize("text", PARSE_CORPUS, ids=[f"text{k}" for k in range(len(PARSE_CORPUS))])
+def test_parse_matches_per_cell_reference(text, backend):
+    try:
+        expected = reference_parse(text, backend)
+    except (EffvecError, ValueError, ZeroDivisionError, OverflowError):
+        with pytest.raises(EffvecError):
+            parse_matrix_text(text, backend)
+        return
+    A = parse_matrix_text(text, backend)
+    assert A.exact == expected.exact
+    assert A.entries == expected.entries
+    assert all(type(x) is type(y) for r, s in zip(A.entries, expected.entries)
+               for x, y in zip(r, s))
+    if not A.exact:
+        assert A.array.tolist() == [list(r) for r in expected.entries]
+
+
+def test_parse_corpus_covers_both_outcomes():
+    accepted = rejected = 0
+    for text in PARSE_CORPUS:
+        try:
+            reference_parse(text)
+            accepted += 1
+        except (EffvecError, ValueError, ZeroDivisionError, OverflowError):
+            rejected += 1
+    assert accepted >= 12 and rejected >= 12
+
+
+# ---------------------------------------------------------------------------
+# edge rule, components, dominator, comparison, report
+
+
+def reference_succ(A, w, tol_edge=TOL_EDGE):
+    n = A.n
+    return [frozenset(j for j in range(n) if j != i and
+                      float(w[i]) / float(w[j]) >= float(A[i, j]) * (1.0 - tol_edge))
+            for i in range(n)]
+
+
+def reference_components(succ):
+    n = len(succ)
+    score = [len(out) for out in succ]
+    for out in succ:
+        for j in out:
+            score[j] -= 1
+    order = sorted(range(n), key=lambda i: -score[i])
+    comps = []
+    start = total = 0
+    for k, v in enumerate(order, 1):
+        total += score[v]
+        if total == k * (n - k):
+            comps.append(tuple(sorted(order[start:k])))
+            start = k
+    return comps[::-1]
+
+
+def reference_dominator(A, w, S):
+    t = None
+    for i in S:
+        for j in range(A.n):
+            if j not in S:
+                cand = A[i, j] * w[j] / w[i]
+                assert cand < 1
+                t = cand if t is None or cand > t else t
+    return tuple(w[i] * t if i in S else w[i] for i in range(A.n))
+
+
+def reference_compare(A, w, v):
+    n = A.n
+    w = tuple(float(x) for x in w)
+    v = tuple(float(x) for x in v)
+    if all(abs(a * w[0] / (b * v[0]) - 1.0) <= 1e-12 for a, b in zip(v, w)):
+        return EQUAL
+    v_le = w_le = True
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                a = A[i, j]
+                gap = abs(a - v[i] / v[j]) - abs(a - w[i] / w[j])
+                if gap > 1e-12 * a:
+                    v_le = False
+                if gap < -1e-12 * a:
+                    w_le = False
+    return V_DOMINATES if v_le else W_DOMINATES if w_le else INCOMPARABLE
+
+
+def reference_report(succ, comps, dominator):
+    n = len(succ)
+    d = {
+        "status": "efficient" if len(comps) == 1 else "inefficient",
+        "scc_partition": [[v + 1 for v in c] for c in comps],
+        "edge_list": [(i + 1, j + 1) for i in range(n) for j in sorted(succ[i])],
+    }
+    if len(comps) > 1:
+        d["source_set"] = [v + 1 for v in comps[-1]]
+        d["dominator"] = [float(x) for x in dominator]
+    return json.dumps(d)
+
+
+def float_instance(n, rng, kind):
+    """A random float matrix and a vector: "column" gives w_i/w_j = a_ij ties,
+    "groups" a near-consistent A with a scaled-up group (multi-vertex sources)."""
+    u = [math.exp(rng.gauss(0, 2)) for _ in range(n)]
+    rows = [[1.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if kind == "random":
+                rows[i][j] = math.exp(rng.gauss(0, 1.5))
+            else:
+                rows[i][j] = u[i] / u[j] * math.exp(rng.gauss(0, 0.05))
+            rows[j][i] = 1 / rows[i][j]
+    A = validate_reciprocal(rows)
+    if kind == "column":
+        return A, A.column(rng.randrange(n))
+    if kind == "groups":
+        group = set(rng.sample(range(n), rng.randint(1, max(1, n - 1))))
+        return A, tuple(u[i] * (8.0 if i in group else 1.0) for i in range(n))
+    return A, tuple(math.exp(rng.gauss(0, 2)) for _ in range(n))
+
+
+def test_float_path_matches_loop_references():
+    rng = random.Random(2024)
+    multi_source = ties = 0
+    kinds = ["random", "column", "groups", "near"]
+    for trial in range(160):
+        n = rng.choice([2, 3, 4, 5, 8, 13, 21, 34, 64]) if trial % 2 else rng.randint(2, 64)
+        A, w = float_instance(n, rng, kinds[trial % 4])
+        succ = reference_succ(A, w)
+        ties += sum(j in succ[i] and i in succ[j] for i in range(n) for j in range(i))
+        G = build_digraph(A, w)
+        assert list(G.succ) == succ
+        assert [G.has_edge(i, j) for i in range(n) for j in range(n)] == \
+            [j in succ[i] for i in range(n) for j in range(n)]
+        comps = reference_components(succ)
+        v = is_efficient(A, w)
+        assert list(v.components) == comps
+        assert v.efficient == (len(comps) == 1)
+        dom = None
+        if not v.efficient:
+            assert v.source_set == comps[-1]
+            multi_source += len(v.source_set) > 1
+            dom = reference_dominator(A, w, set(comps[-1]))
+            assert v.dominator == dom
+            assert all(type(x) is float for x in v.dominator)
+            for a, b in [(w, dom), (dom, w), (w, w)]:
+                assert dominance_compare(A, a, b) == reference_compare(A, a, b)
+        other = tuple(x * math.exp(rng.gauss(0, 0.1)) for x in w)
+        assert dominance_compare(A, w, other) == reference_compare(A, w, other)
+        assert json.dumps(v.to_dict()) == reference_report(succ, comps, dom)
+    assert multi_source >= 20 and ties >= 100
+
+
+def test_dominance_compare_row_blocks():
+    """n = 300 runs over more than one row block."""
+    rng = random.Random(7)
+    A, w = float_instance(300, rng, "random")
+    for k in (0, 150, 299):
+        v = list(w)
+        v[k] *= 1.5
+        v = tuple(v)
+        assert dominance_compare(A, w, v) == reference_compare(A, w, v)
+        assert dominance_compare(A, v, w) == reference_compare(A, v, w)

@@ -171,6 +171,34 @@ class TestCheckCommand:
         assert "error:" in capsys.readouterr().err
 
 
+BIG = "1" + "0" * 400  # an integer cell too large for a float
+
+
+class TestFloatOverflow:
+    """An exact cell converted for the float backend is an input error (exit 2)."""
+
+    def test_conversion_errors(self):
+        with pytest.raises(ParseError):
+            parse_matrix_text(f"1,{BIG}\n0.5,1.0\n")
+        with pytest.raises(ParseError):
+            parse_vector_text(f"{BIG},1\n", backend="float")
+        A = parse_matrix_text("1,2.0\n0.5,1\n")
+        for vector in (f"{BIG},1\n", f"1/{BIG},1\n"):  # overflow; underflow to 0.0
+            with pytest.raises(NonPositiveEntry):
+                effvec.build_digraph(A, parse_vector_text(vector))
+
+    @pytest.mark.parametrize("matrix, vector, args", [
+        (f"1,{BIG}\n0.5,1.0\n", "1,1\n", []),
+        ("1,2.0\n0.5,1\n", f"{BIG},1\n", []),
+        ("1,2.0\n0.5,1\n", f"{BIG},1\n", ["--backend", "float"]),
+    ], ids=["matrix-cell", "vector", "vector-backend-float"])
+    def test_exit_two(self, files, capsys, matrix, vector, args):
+        m, v = files("m.csv", matrix), files("v.csv", vector)
+        assert main(["check", m, v, "--format", "json", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+
 class TestPerronCommand:
     def test_json_output(self, files, capsys):
         m = files("m.csv", "1,2,4,1\n1/2,1,2,1\n1/4,1/2,1,1\n1,1,1,1\n")
@@ -297,3 +325,11 @@ def test_entry_point_installed(tmp_path):
         exe = shutil.which("effvec")
         assert exe is not None, "effvec is installed but its launcher is not on PATH"
         _assert_command_exit_codes([exe], tmp_path, env)
+
+
+def test_python_dash_m(tmp_path):
+    """``python -m effvec`` runs the CLI wherever ``effvec`` is importable."""
+    src = str(Path(effvec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    _assert_command_exit_codes([sys.executable, "-m", "effvec"], tmp_path, env)

@@ -24,6 +24,7 @@ from .blockpert import (
     two_block_full_set_check,
     two_block_is_efficient,
     two_block_sample,
+    union_route_member,
 )
 from .efficiency import (
     TOL_EDGE,

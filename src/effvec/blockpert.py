@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .errors import (
-    BadShape,
-    CharacterizationMismatch,
-    DimensionMismatch,
-    HeadNotEfficient,
-    TheoremViolation,
-)
+from .errors import DimensionMismatch, InputError, InternalError, PreconditionError
 from .efficiency import is_efficient
 from .matrix import (
     BlockPerturbedForm,
@@ -49,9 +43,9 @@ class TwoBlockMatrix:
 
     def __post_init__(self):
         if self.n < 3:
-            raise BadShape("two-block form needs n >= 3")
+            raise InputError("two-block form needs n >= 3")
         if not self.x > 0:
-            raise BadShape("x must be positive")
+            raise InputError("x must be positive")
 
     def matrix(self) -> ReciprocalMatrix:
         x = Fraction(self.x) if is_exact_scalar(self.x) else float(self.x)
@@ -67,9 +61,9 @@ class ThreeBlockMatrix:
 
     def __post_init__(self):
         if self.block.n != 3:
-            raise BadShape("block must be 3-by-3")
+            raise InputError("block must be 3-by-3")
         if self.n < 4:
-            raise BadShape("three-block form needs n >= 4")
+            raise InputError("three-block form needs n >= 4")
 
     @property
     def a12(self):
@@ -121,11 +115,11 @@ class ConstantBlockMatrix:
 
     def __post_init__(self):
         if self.s < 2:
-            raise BadShape("constant block needs s >= 2")
+            raise InputError("constant block needs s >= 2")
         if self.n < self.s:
-            raise BadShape("need n >= s")
+            raise InputError("need n >= s")
         if not self.x > 0:
-            raise BadShape("x must be positive")
+            raise InputError("x must be positive")
 
     def block(self) -> ReciprocalMatrix:
         x = Fraction(self.x) if is_exact_scalar(self.x) else float(self.x)
@@ -192,7 +186,7 @@ def lcompl_membership(form: BlockPerturbedForm, w: Sequence[Scalar]) -> bool:
     w = check_positive_vector(w)
     head = w[: form.s]
     if not is_efficient(form.block, head).efficient:
-        raise HeadNotEfficient("w[0:s] is not efficient for the perturbed block")
+        raise PreconditionError("w[0:s] is not efficient for the perturbed block")
     lo, hi = _head_bounds(head)
     return all(lo <= w[i] <= hi for i in range(form.s, form.n))
 
@@ -243,7 +237,7 @@ def two_block_sample(
         mids = tuple(_sample_in(lo, hi, rng, exact) for _ in range(S.n - 2))
         w = (w1, w2) + mids
         if not two_block_is_efficient(S, w):
-            raise TheoremViolation(f"two-block sampler produced non-chain vector {w}")
+            raise InternalError(f"two-block sampler produced non-chain vector {w}")
         yield GeneratedVector(w, (w1, w2), (lo, hi))
         made += 1
 
@@ -259,7 +253,7 @@ def lcompl_sample(
     if len(head) != form.s:
         raise DimensionMismatch(f"head size {len(head)} != block size {form.s}")
     if not is_efficient(form.block, head).efficient:
-        raise HeadNotEfficient("head is not efficient for the perturbed block")
+        raise PreconditionError("head is not efficient for the perturbed block")
     lo, hi = _head_bounds(head)
     exact = vector_is_exact(head)
     made = 0
@@ -278,7 +272,7 @@ def tail_permute(
         raise DimensionMismatch(f"vector size {len(w)} != {form.n}")
     t = form.n - form.s
     if sorted(perm) != list(range(t)):
-        raise BadShape(f"{perm!r} is not a permutation of the {t} tail positions")
+        raise InputError(f"{perm!r} is not a permutation of the {t} tail positions")
     tail = w[form.s :]
     new_tail = [None] * t
     for i in range(t):
@@ -288,6 +282,18 @@ def tail_permute(
 
 # ---------------------------------------------------------------------------
 # 3-block: union over E(A, {1,2,3,j})
+
+
+def union_route_member(head_form: ReciprocalMatrix, w: Sequence[Scalar], j: int) -> bool:
+    """Route j >= s (0-based) of the union characterization, with head_form
+    the (s+1)-by-(s+1) matrix A_{s+1}(B): (w_0, ..., w_{s-1}, w_j) is
+    efficient for it and every other tail entry lies within its min/max."""
+    s = head_form.n - 1
+    sub = tuple(w[:s]) + (w[j],)
+    if not is_efficient(head_form, sub).efficient:
+        return False
+    lo, hi = min(sub), max(sub)
+    return all(lo <= w[i] <= hi for i in range(s, len(w)) if i != j)
 
 
 def three_block_membership(
@@ -302,11 +308,7 @@ def three_block_membership(
     w = check_positive_vector(w)
     A4 = block_matrix(A.block, 4)
     for j in range(3, A.n):
-        sub = (w[0], w[1], w[2], w[j])
-        if not is_efficient(A4, sub).efficient:
-            continue
-        lo, hi = min(sub), max(sub)
-        if all(lo <= w[i] <= hi for i in range(3, A.n) if i != j):
+        if union_route_member(A4, w, j):
             return True, j
     return False, None
 
@@ -351,20 +353,16 @@ def two_block_full_set_check(S: TwoBlockMatrix, w: Sequence[Scalar]) -> bool:
     an implementation bug, not a verdict.
     """
     if S.n < 4:
-        raise BadShape("full-set cross-check needs n >= 4")
+        raise InputError("full-set cross-check needs n >= 4")
     w = check_positive_vector(w)
     if len(w) != S.n:
         raise DimensionMismatch(f"vector size {len(w)} != {S.n}")
     chain = two_block_is_efficient(S, w)
     S3 = TwoBlockMatrix(S.x, 3).matrix()
     for j in range(2, S.n):
-        sub = (w[0], w[1], w[j])
-        ok = is_efficient(S3, sub).efficient
-        if ok:
-            lo, hi = min(sub), max(sub)
-            ok = all(lo <= w[i] <= hi for i in range(2, S.n) if i != j)
+        ok = union_route_member(S3, w, j)
         if ok != chain:
-            raise CharacterizationMismatch(
+            raise InternalError(
                 f"route j={j} gives {ok}, chain gives {chain} for w={w!r}"
             )
     return chain
@@ -421,7 +419,7 @@ def constant_block_sample(
             yield GeneratedVector(vec, vec[: M.s], g.tail_bounds, g.permutation)
         return
     if M.s < 3:
-        raise BadShape("class sampler needs block size s >= 3")
+        raise InputError("class sampler needs block size s >= 3")
     x = Fraction(M.x) if is_exact_scalar(M.x) else float(M.x)
     exact = is_exact_scalar(x)
     one = Fraction(1) if exact else 1.0

@@ -1,7 +1,7 @@
 """Command-line surface: check, perron, generate, reproduce.
 
 Exit codes: 0 success (check: efficient), 1 inefficient / reproduction
-mismatch, 2 input error.
+mismatch, 2 any EffvecError, an unreadable file or a usage error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .blockpert import (
     two_block_sample,
 )
 from .efficiency import TOL_EDGE, is_efficient
-from .errors import EffvecError, InvalidSpec, TheoremViolation
+from .errors import EffvecError, InputError, InternalError
 from .io import load_matrix, load_vector, parse_scalar, scalar_repr
 from .matrix import detect_minimal_block
 from .perron import (
@@ -47,7 +47,7 @@ def _paint(text: str, good: bool) -> str:
 
 def _check_tol(name: str, value: float) -> float:
     if not 0 < value < 1e-3:
-        raise InvalidSpec(f"{name} override {value} outside (0, 1e-3)")
+        raise InputError(f"{name} override {value} outside (0, 1e-3)")
     return value
 
 
@@ -132,26 +132,24 @@ def _family_stream(args, rng):
                          parse_scalar(args.a23))
         tbm = ThreeBlockMatrix(fixtures.three_block_from_triple(a12, a13, a23), args.n)
         return tbm.matrix(), three_block_generate(tbm, _three_block_seed_stream(rng), rng)
-    if args.family == "constant":
-        M = ConstantBlockMatrix(parse_scalar(args.x), args.s, args.n)
-        return M.matrix(), constant_block_sample(M, rng)
-    raise InvalidSpec(f"unknown family {args.family!r}")
+    M = ConstantBlockMatrix(parse_scalar(args.x), args.s, args.n)
+    return M.matrix(), constant_block_sample(M, rng)
 
 
 def cmd_generate(args) -> int:
     if args.family in ("2block", "constant") and args.x is None:
-        raise InvalidSpec(f"--x is required for {args.family}")
+        raise InputError(f"--x is required for {args.family}")
     if args.family == "3block" and None in (args.a12, args.a13, args.a23):
-        raise InvalidSpec("--a12/--a13/--a23 are required for 3block")
+        raise InputError("--a12/--a13/--a23 are required for 3block")
     if args.family == "constant" and args.s is None:
-        raise InvalidSpec("--s is required for constant")
+        raise InputError("--s is required for constant")
     rng = random.Random(args.seed)
     A, stream = _family_stream(args, rng)
     emitted = 0
     for g in stream:
         # self-certify before emission
         if not is_efficient(A, g.vector).efficient:
-            raise TheoremViolation(f"generated vector failed the digraph test: {g}")
+            raise InternalError(f"generated vector failed the digraph test: {g}")
         print(
             json.dumps(
                 {
@@ -194,23 +192,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--backend", choices=["exact", "float"], default=None,
-                        help="force a numeric backend (default: inferred from input)")
-        sp.add_argument("--format", choices=["json", "csv", "table"], default="table")
-        sp.add_argument("--tol-edge", type=float, default=TOL_EDGE)
-        sp.add_argument("--tol-perron", type=float, default=TOL_PERRON)
-        sp.add_argument("--seed", type=int, default=0)
-
     sp = sub.add_parser("check", help="decide efficiency of a vector for a matrix")
     sp.add_argument("matrix")
     sp.add_argument("vector")
-    common(sp)
+    sp.add_argument("--backend", choices=["exact", "float"], default=None,
+                    help="force a numeric backend (default: inferred from input)")
+    sp.add_argument("--format", choices=["json", "csv", "table"], default="table")
+    sp.add_argument("--tol-edge", type=float, default=TOL_EDGE)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("perron", help="Perron eigenpair and its efficiency")
     sp.add_argument("matrix")
-    common(sp)
+    sp.add_argument("--backend", choices=["exact", "float"], default=None,
+                    help="force a numeric backend (default: inferred from input)")
+    sp.add_argument("--format", choices=["json", "table"], default="table")
+    sp.add_argument("--tol-perron", type=float, default=TOL_PERRON)
     sp.set_defaults(func=cmd_perron)
 
     sp = sub.add_parser("generate", help="stream certified efficient vectors")
@@ -222,12 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a13", default=None)
     sp.add_argument("--a23", default=None)
     sp.add_argument("--count", type=int, default=10)
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_generate)
 
     sp = sub.add_parser("reproduce", help="replay bundled fixtures")
     sp.add_argument("target", choices=["table1", "examples", "all"])
-    common(sp)
     sp.set_defaults(func=cmd_reproduce)
     return p
 
@@ -236,7 +231,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EffvecError, OSError, KeyError) as exc:
+    except (EffvecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

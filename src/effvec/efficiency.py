@@ -10,17 +10,14 @@ vector that strictly dominates w.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidWitness,
-    SubvectorNotEfficient,
-)
+from .errors import DimensionMismatch, PreconditionError
 from .matrix import (
     ReciprocalMatrix,
     Scalar,
@@ -128,19 +125,19 @@ class EfficiencyVerdict:
     def status(self) -> str:
         return "efficient" if self.efficient else "inefficient"
 
-    def to_dict(self, one_based: bool = True) -> dict:
-        off = 1 if one_based else 0
-        ids = list(range(off, self.digraph.n + off))
+    def to_dict(self) -> dict:
+        """JSON-ready verdict; vertices are numbered from 1."""
+        ids = list(range(1, self.digraph.n + 1))
         edges = []
         for i, row in zip(ids, self.digraph.adj):
             edges.extend(zip(repeat(i), compress(ids, row.tolist())))
         d = {
             "status": self.status,
-            "scc_partition": [[v + off for v in c] for c in self.components],
+            "scc_partition": [[v + 1 for v in c] for c in self.components],
             "edge_list": edges,
         }
         if not self.efficient:
-            d["source_set"] = [v + off for v in self.source_set]
+            d["source_set"] = [v + 1 for v in self.source_set]
             d["dominator"] = [float(x) for x in self.dominator]
         return d
 
@@ -160,7 +157,7 @@ def construct_dominating_vector(
     if len(w) != n:
         raise DimensionMismatch(f"matrix size {n} vs vector size {len(w)}")
     if not S or len(S) >= n:
-        raise InvalidWitness(f"source set {sorted(S)!r} must be nonempty and proper")
+        raise PreconditionError(f"source set {sorted(S)!r} must be nonempty and proper")
     exact = A.exact and vector_is_exact(w)
     if exact:
         t, i, j = max((A[i, j] * w[j] / w[i], i, j) for i in S for j in range(n) if j not in S)
@@ -172,7 +169,7 @@ def construct_dominating_vector(
         p, q = np.unravel_index(np.argmax(cand), cand.shape)
         t, i, j = cand[p, q], inside[p], outside[q]
     if not t < 1:
-        raise InvalidWitness(f"edge {j}->{i} enters the claimed source set (ratio {t})")
+        raise PreconditionError(f"edge {j}->{i} enters the claimed source set (ratio {t})")
     if exact:
         return tuple(w[i] * t if i in S else w[i] for i in range(n))
     wf[inside] *= t
@@ -208,6 +205,7 @@ def dominance_compare(
     v = check_positive_vector(v)
     v_le = w_le = True
     if A.exact and vector_is_exact(w) and vector_is_exact(v):
+        w, v = tuple(map(Fraction, w)), tuple(map(Fraction, v))  # int / int is a float
         if all(a * w[0] == b * v[0] for a, b in zip(v, w)):
             return EQUAL
         for i, row in enumerate(A.entries):
@@ -248,7 +246,7 @@ class ExtensionInterval:
 
 
 def extension_interval(
-    A: ReciprocalMatrix, w_minus_k: Sequence[Scalar], k: int, check: bool = True
+    A: ReciprocalMatrix, w_minus_k: Sequence[Scalar], k: int
 ) -> ExtensionInterval:
     """Closed interval of w_k values extending an efficient subvector.
 
@@ -258,8 +256,8 @@ def extension_interval(
     n = A.n
     if len(w_minus_k) != n - 1:
         raise DimensionMismatch(f"subvector size {len(w_minus_k)} != {n - 1}")
-    if check and not is_efficient(A.delete(k), w_minus_k).efficient:
-        raise SubvectorNotEfficient(
+    if not is_efficient(A.delete(k), w_minus_k).efficient:
+        raise PreconditionError(
             f"subvector is not efficient for A({k}); the interval rule does not apply"
         )
     others = [i for i in range(n) if i != k]
@@ -268,13 +266,9 @@ def extension_interval(
 
 
 def extend_one(
-    A: ReciprocalMatrix,
-    w_minus_k: Sequence[Scalar],
-    k: int,
-    w_k: Scalar,
-    check: bool = True,
+    A: ReciprocalMatrix, w_minus_k: Sequence[Scalar], k: int, w_k: Scalar
 ) -> bool:
-    iv = extension_interval(A, w_minus_k, k, check)
+    iv = extension_interval(A, w_minus_k, k)
     return iv.lo <= w_k <= iv.hi
 
 

@@ -1,69 +1,30 @@
-"""Exception hierarchy for effvec."""
+"""Exception hierarchy for effvec: one base class and five roles.
+
+``effvec`` exits with code 2 on any EffvecError.
+"""
 
 
 class EffvecError(Exception):
     """Base class for all effvec errors."""
 
 
-class BadShape(EffvecError):
-    pass
-
-
-class NonPositiveEntry(EffvecError):
-    pass
-
-
-class ReciprocityViolation(EffvecError):
-    pass
+class InputError(EffvecError):
+    """Malformed input: bad shape, a non-positive or non-reciprocal entry,
+    an unparsable cell, or an invalid parameter."""
 
 
 class DimensionMismatch(EffvecError):
-    pass
+    """Sizes that must agree do not."""
 
 
-class EmptySubset(EffvecError):
-    pass
-
-
-class SubvectorNotEfficient(EffvecError):
-    pass
-
-
-class InvalidWitness(EffvecError):
-    pass
-
-
-class HeadNotEfficient(EffvecError):
-    pass
+class PreconditionError(EffvecError):
+    """A result's hypothesis does not hold, e.g. w[0:s] is not efficient
+    for B in the bounded-tail class."""
 
 
 class NoConvergence(EffvecError):
-    pass
+    """An iteration did not reach its tolerance."""
 
 
-class NotNormalized(EffvecError):
-    pass
-
-
-class StructureViolation(EffvecError):
-    pass
-
-
-class TheoremViolation(EffvecError):
+class InternalError(EffvecError):
     """A mathematically guaranteed property failed; signals an implementation bug."""
-
-
-class CharacterizationMismatch(EffvecError):
-    """Two routes that must agree produced different verdicts."""
-
-
-class GridTooLarge(EffvecError):
-    pass
-
-
-class InvalidSpec(EffvecError):
-    pass
-
-
-class ParseError(EffvecError):
-    pass

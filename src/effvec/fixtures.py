@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as F
 
-from .blockpert import ConstantBlockMatrix, ThreeBlockMatrix, three_block_membership
+from .blockpert import (ConstantBlockMatrix, ThreeBlockMatrix, three_block_membership,
+                        union_route_member)
 from .efficiency import (
     build_digraph,
     extension_interval,
@@ -27,7 +28,7 @@ from .matrix import (
     detect_minimal_block,
     validate_reciprocal,
 )
-from .perron import perron, perron_efficiency_via_submatrix, perron_tail_structure
+from .perron import TOL_PERRON, perron, perron_efficiency_via_submatrix
 
 # 4-by-4 reference matrix C with a fully described efficient set
 CC = validate_reciprocal(
@@ -123,16 +124,6 @@ class Check:
     detail: str = ""
 
 
-def _route_member(A: ThreeBlockMatrix, w, j: int) -> bool:
-    """Membership in E(A, {1,2,3,j}) (0-based j) via the lcompl bounds."""
-    A4 = block_matrix(A.block, 4)
-    sub = (w[0], w[1], w[2], w[j])
-    if not is_efficient(A4, sub).efficient:
-        return False
-    lo, hi = min(sub), max(sub)
-    return all(lo <= w[i] <= hi for i in range(3, A.n) if i != j)
-
-
 def reproduce_reference_pairs() -> list:
     """Efficient/inefficient vector pairs on the 4-by-4 reference matrix."""
     checks = []
@@ -199,13 +190,14 @@ def reproduce_extension_families() -> list:
 def reproduce_union_route() -> list:
     """The j-route membership sets genuinely differ across j."""
     tbm = ThreeBlockMatrix(B3, 6)
+    A4 = block_matrix(B3, 4)
     checks = []
     ok, j = three_block_membership(tbm, A6_U)
     checks.append(Check("u efficient with witness j=4", ok and j == 3, f"j={j}"))
     checks.append(
         Check(
             "u not in the j=5,6 routes",
-            not _route_member(tbm, A6_U, 4) and not _route_member(tbm, A6_U, 5),
+            not union_route_member(A4, A6_U, 4) and not union_route_member(A4, A6_U, 5),
         )
     )
     ok, j = three_block_membership(tbm, A6_V)
@@ -213,7 +205,7 @@ def reproduce_union_route() -> list:
     checks.append(
         Check(
             "v not in the j=4,6 routes",
-            not _route_member(tbm, A6_V, 3) and not _route_member(tbm, A6_V, 5),
+            not union_route_member(A4, A6_V, 3) and not union_route_member(A4, A6_V, 5),
         )
     )
     checks.append(
@@ -295,7 +287,7 @@ def reproduce_intervals() -> list:
     return checks
 
 
-def reproduce_table1(residual_tol: float = 1e-12) -> list:
+def reproduce_table1() -> list:
     """All eight Perron verdicts plus witness cycles for the yes rows."""
     checks = []
     for row, (a12, a13, a23, expect, cycle) in enumerate(TABLE1):
@@ -305,7 +297,7 @@ def reproduce_table1(residual_tol: float = 1e-12) -> list:
         r = perron(A)
         verdict = perron_efficiency_via_submatrix(form, r)
         label = f"table row ({a12}, {a13}, {a23})"
-        ok = verdict.efficient == expect and r.residual <= residual_tol
+        ok = verdict.efficient == expect and r.residual <= TOL_PERRON
         detail = f"residual={r.residual:.2e}"
         if ok and cycle is not None:
             sub = A.to_float().submatrix(range(4))

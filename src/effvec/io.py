@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InputError
 from .matrix import (ReciprocalMatrix, Scalar, Vector, check_positive_vector,
                      validate_reciprocal, vector_is_exact)
 
@@ -32,9 +32,9 @@ def parse_scalar(cell, backend: Optional[str] = None) -> Scalar:
                 return Fraction(text) if backend == "exact" else float(text)
             return Fraction(int(text))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"cannot parse cell {cell!r}: {exc}") from exc
+            raise InputError(f"cannot parse cell {cell!r}: {exc}") from exc
     if isinstance(cell, bool):
-        raise ParseError(f"cannot parse cell {cell!r}")
+        raise InputError(f"cannot parse cell {cell!r}")
     if isinstance(cell, int):
         return Fraction(cell)
     if isinstance(cell, float):
@@ -43,8 +43,8 @@ def parse_scalar(cell, backend: Optional[str] = None) -> Scalar:
         try:
             return Fraction(cell).limit_denominator(10**12)
         except (OverflowError, ValueError) as exc:
-            raise ParseError(f"cannot parse cell {cell!r}: {exc}") from exc
-    raise ParseError(f"cannot parse cell {cell!r}")
+            raise InputError(f"cannot parse cell {cell!r}: {exc}") from exc
+    raise InputError(f"cannot parse cell {cell!r}")
 
 
 #: bytes.translate arguments reducing a CSV line to its "," "/" and "." marks ("e", "E" -> ".")
@@ -56,14 +56,14 @@ def _float_row(vals) -> np.ndarray:
     try:
         return np.asarray(vals, dtype=float)
     except OverflowError as exc:
-        raise ParseError(f"cell too large for a float: {exc}") from exc
+        raise InputError(f"cell too large for a float: {exc}") from exc
 
 
 def _csv_lines(text: str) -> list:
     lines = [line for line in map(str.strip, text.splitlines())
              if line and not line.startswith("#")]
     if not lines:
-        raise ParseError("no data rows found")
+        raise InputError("no data rows found")
     return lines
 
 
@@ -80,19 +80,29 @@ def _matrix_row(line: str, backend: Optional[str]):
     return [parse_scalar(c, backend) for c in line.split(",")]
 
 
+def _json_entries(text: str):
+    """(object, entries) of a JSON text: a list, or an object whose "entries" is one."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON: {exc}") from exc
+    entries = obj.get("entries") if isinstance(obj, dict) else obj
+    if not isinstance(entries, list):
+        raise InputError('JSON input must be a list, or an object whose "entries" is a list')
+    return obj, entries
+
+
 def parse_matrix_text(
     text: str, backend: Optional[str] = None
 ) -> ReciprocalMatrix:
-    text_stripped = text.lstrip()
-    if text_stripped.startswith("{") or text_stripped.startswith("["):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-        entries = obj["entries"] if isinstance(obj, dict) else obj
+    if text.lstrip().startswith(("{", "[")):
+        obj, entries = _json_entries(text)
+        for i, row in enumerate(entries):
+            if not isinstance(row, list):
+                raise InputError(f"JSON matrix row {i} is not a list")
         rows = [[parse_scalar(c, backend) for c in row] for row in entries]
         if isinstance(obj, dict) and "n" in obj and obj["n"] != len(rows):
-            raise ParseError(f"declared n={obj['n']} but found {len(rows)} rows")
+            raise InputError(f"declared n={obj['n']} but found {len(rows)} rows")
     else:
         rows = [_matrix_row(line, backend) for line in _csv_lines(text)]
     if backend == "float" or not all(
@@ -102,14 +112,8 @@ def parse_matrix_text(
 
 
 def parse_vector_text(text: str, backend: Optional[str] = None) -> Vector:
-    text_stripped = text.lstrip()
-    if text_stripped.startswith("{") or text_stripped.startswith("["):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-        entries = obj["entries"] if isinstance(obj, dict) else obj
-        vals = [parse_scalar(c, backend) for c in entries]
+    if text.lstrip().startswith(("{", "[")):
+        vals = [parse_scalar(c, backend) for c in _json_entries(text)[1]]
     else:
         rows = [[parse_scalar(c, backend) for c in line.split(",")]
                 for line in _csv_lines(text)]
@@ -118,7 +122,7 @@ def parse_vector_text(text: str, backend: Optional[str] = None) -> Vector:
         elif all(len(r) == 1 for r in rows):
             vals = [r[0] for r in rows]
         else:
-            raise ParseError("vector file must be a single CSV row or column")
+            raise InputError("vector file must be a single CSV row or column")
     if backend == "float":
         vals = _float_row(vals).tolist()
     return check_positive_vector(vals)

@@ -14,17 +14,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    BadShape,
-    DimensionMismatch,
-    EmptySubset,
-    NonPositiveEntry,
-    ReciprocityViolation,
-)
+from .errors import DimensionMismatch, InputError
 
 Scalar = Union[int, Fraction, float]
 Vector = tuple  # positive weight vector, entries are Scalars
@@ -41,10 +36,10 @@ def is_exact_scalar(x: Scalar) -> bool:
 
 def check_positive_vector(w: Sequence[Scalar]) -> Vector:
     if len(w) == 0:
-        raise BadShape("empty vector")
+        raise InputError("empty vector")
     for x in w:
         if not 0 < x < math.inf:
-            raise NonPositiveEntry(f"vector entry {x!r} is not positive and finite")
+            raise InputError(f"vector entry {x!r} is not positive and finite")
     return tuple(w)
 
 
@@ -57,9 +52,9 @@ def as_float_vector(w: Sequence[Scalar]) -> np.ndarray:
     try:
         wf = np.array(check_positive_vector(w), dtype=float)
     except OverflowError as exc:
-        raise NonPositiveEntry(f"vector entry too large for a float: {exc}") from exc
+        raise InputError(f"vector entry too large for a float: {exc}") from exc
     if not wf.all():
-        raise NonPositiveEntry("vector entry rounds to 0.0 as a float")
+        raise InputError("vector entry rounds to 0.0 as a float")
     return wf
 
 
@@ -102,16 +97,32 @@ class ReciprocalMatrix:
     def to_float(self) -> "ReciprocalMatrix":
         if not self.exact:
             return self
-        rows = tuple(tuple(float(x) for x in r) for r in self.entries)
-        return ReciprocalMatrix(rows, False)
+        out = ReciprocalMatrix(tuple(map(tuple, self.array.tolist())), False)
+        out.__dict__["array"] = self.array  # fill the cached property
+        return out
 
     def as_lists(self) -> list:
         return [list(r) for r in self.entries]
 
     @cached_property
     def array(self) -> np.ndarray:
-        """The entries as a read-only float64 array, built at most once."""
-        a = np.array(self.entries, dtype=float)
+        """The entries as a read-only float64 array, built at most once.
+        An exact entry outside the positive floats is an InputError."""
+        n = self.n
+        try:
+            cells = map(float, chain.from_iterable(self.entries))
+            a = np.fromiter(cells, float, n * n).reshape(n, n)
+        except OverflowError:
+            a = None
+        if a is None or not a.all():
+            for i, r in enumerate(self.entries):
+                for j, x in enumerate(r):
+                    try:
+                        zero = float(x) == 0.0
+                    except OverflowError as exc:
+                        raise InputError(f"entry ({i},{j}) too large for a float: {exc}") from exc
+                    if zero:
+                        raise InputError(f"entry ({i},{j}) rounds to 0.0 as a float")
         a.flags.writeable = False
         return a
 
@@ -126,21 +137,21 @@ def validate_reciprocal(grid: Sequence[Sequence[Scalar]]) -> ReciprocalMatrix:
     """
     n = len(grid)
     if n < 2:
-        raise BadShape(f"need n >= 2, got {n}")
+        raise InputError(f"need n >= 2, got {n}")
     for r in grid:
         if len(r) != n:
-            raise BadShape("grid is not square")
+            raise InputError("grid is not square")
     if not all(is_exact_scalar(x) for r in grid for x in r):
         # float backend, on the array; errors name the first bad entry in row-major order
         a = np.array(grid, dtype=float)
         for i, j in np.argwhere(~(a > 0))[:1]:
-            raise NonPositiveEntry(f"entry ({i},{j}) = {float(a[i, j])!r} is not positive")
+            raise InputError(f"entry ({i},{j}) = {float(a[i, j])!r} is not positive")
         bad = np.abs(a * a.T - 1.0) > TOL_RECIP
         np.fill_diagonal(bad, a.diagonal() != 1)
         for i, j in np.argwhere(np.triu(bad))[:1]:
             if i == j:
-                raise ReciprocityViolation(f"diagonal entry ({i},{i}) = {float(a[i, i])!r} != 1")
-            raise ReciprocityViolation(f"a[{i}][{j}] * a[{j}][{i}] = {float(a[i, j] * a[j, i])} "
+                raise InputError(f"diagonal entry ({i},{i}) = {float(a[i, i])!r} != 1")
+            raise InputError(f"a[{i}][{j}] * a[{j}][{i}] = {float(a[i, j] * a[j, i])} "
                                        f"deviates from 1 beyond {TOL_RECIP}")
         with np.errstate(over="ignore"):
             a = np.where(np.tri(n, k=-1, dtype=bool), 1.0 / a.T, a)
@@ -152,14 +163,14 @@ def validate_reciprocal(grid: Sequence[Sequence[Scalar]]) -> ReciprocalMatrix:
     for i in range(n):
         for j in range(n):
             if not rows[i][j] > 0:
-                raise NonPositiveEntry(f"entry ({i},{j}) = {rows[i][j]!r} is not positive")
+                raise InputError(f"entry ({i},{j}) = {rows[i][j]!r} is not positive")
     for i in range(n):
         if rows[i][i] != 1:
-            raise ReciprocityViolation(f"diagonal entry ({i},{i}) = {rows[i][i]!r} != 1")
+            raise InputError(f"diagonal entry ({i},{i}) = {rows[i][i]!r} != 1")
         for j in range(i + 1, n):
             prod = rows[i][j] * rows[j][i]
             if prod != 1:
-                raise ReciprocityViolation(f"a[{i}][{j}] * a[{j}][{i}] = {prod} != 1")
+                raise InputError(f"a[{i}][{j}] * a[{j}][{i}] = {prod} != 1")
     return ReciprocalMatrix(tuple(tuple(r) for r in rows), True)
 
 
@@ -171,11 +182,11 @@ def consistent_from_vector(w: Sequence[Scalar]) -> ReciprocalMatrix:
     return validate_reciprocal([[wi / wj for wj in w] for wi in w])
 
 
-def is_consistent(A: ReciprocalMatrix, tol: float = TOL_CONS) -> bool:
+def is_consistent(A: ReciprocalMatrix) -> bool:
     """True iff a_ij == a_i0 * a_0j for every pair (exact backend: exactly),
     i.e. K_0 is empty; then a_ij * a_jk == a_ik for every triple.  O(n^2),
     stopping at the first bad pair."""
-    return _reference_block(A, 0, tol, 0) is not None
+    return _reference_block(A, 0, 0) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +212,10 @@ class MonomialSimilarity:
         if len(self.perm) != len(self.diag):
             raise DimensionMismatch("diag and perm sizes differ")
         if sorted(self.perm) != list(range(len(self.perm))):
-            raise BadShape(f"perm {self.perm!r} is not a permutation")
+            raise InputError(f"perm {self.perm!r} is not a permutation")
         for d in self.diag:
             if not d > 0:
-                raise NonPositiveEntry(f"diagonal entry {d!r} is not positive")
+                raise InputError(f"diagonal entry {d!r} is not positive")
 
     @classmethod
     def identity(cls, n: int) -> "MonomialSimilarity":
@@ -291,9 +302,9 @@ def block_matrix(B: ReciprocalMatrix, n: int) -> ReciprocalMatrix:
     B is already validated, so no entry is checked again: O(n^2)."""
     s = B.n
     if n < s:
-        raise BadShape(f"n = {n} smaller than block size {s}")
+        raise InputError(f"n = {n} smaller than block size {s}")
     if n < 2:
-        raise BadShape(f"need n >= 2, got {n}")
+        raise InputError(f"need n >= 2, got {n}")
     one = Fraction(1) if B.exact else 1.0
     tail = (one,) * (n - s)
     rows = tuple(B.row(i) + tail for i in range(s)) + ((one,) * n,) * (n - s)
@@ -301,7 +312,7 @@ def block_matrix(B: ReciprocalMatrix, n: int) -> ReciprocalMatrix:
 
 
 def is_block_perturbation(
-    A: ReciprocalMatrix, K: Iterable[int], tol: float = TOL_CONS
+    A: ReciprocalMatrix, K: Iterable[int]
 ) -> Optional[BlockPerturbedForm]:
     """Canonicalize A as an s-block perturbation with perturbed indices K.
 
@@ -313,14 +324,14 @@ def is_block_perturbation(
     K = sorted(set(K))
     n = A.n
     if not K or len(K) >= n:
-        raise BadShape(f"K must be a nonempty proper subset of 0..{n - 1}")
+        raise InputError(f"K must be a nonempty proper subset of 0..{n - 1}")
     if K[0] < 0 or K[-1] >= n:
-        raise BadShape(f"K {K!r} out of range for n = {n}")
+        raise InputError(f"K {K!r} out of range for n = {n}")
     s = len(K)
     in_K = set(K)
     rest = [i for i in range(n) if i not in in_K]
     r = rest[0]
-    K_r = _reference_block(A, r, tol, s)
+    K_r = _reference_block(A, r, s)
     if K_r is None or not K_r <= in_K:
         return None
     perm = [0] * n
@@ -344,7 +355,7 @@ class DetectedBlock:
     form: BlockPerturbedForm
 
 
-def _reference_block(A: ReciprocalMatrix, r: int, tol: float, limit: int) -> Optional[set]:
+def _reference_block(A: ReciprocalMatrix, r: int, limit: int) -> Optional[set]:
     """K_r: endpoints of the pairs (i, j) with a_ij != a_ir * a_rj, or None
     once it grows past `limit` members.  Pairs through r hold exactly on
     both backends (a_rr = 1), so r is never a member."""
@@ -357,7 +368,7 @@ def _reference_block(A: ReciprocalMatrix, r: int, tol: float, limit: int) -> Opt
             if A.exact:
                 bad = row_i[j] != a_ir * row_r[j]
             else:
-                bad = abs(row_i[j] / (a_ir * row_r[j]) - 1.0) > tol
+                bad = abs(row_i[j] / (a_ir * row_r[j]) - 1.0) > TOL_CONS
             if bad:
                 K.add(i)
                 K.add(j)
@@ -368,9 +379,7 @@ def _reference_block(A: ReciprocalMatrix, r: int, tol: float, limit: int) -> Opt
     return K
 
 
-def detect_minimal_block(
-    A: ReciprocalMatrix, tol: float = TOL_CONS
-) -> Optional[DetectedBlock]:
+def detect_minimal_block(A: ReciprocalMatrix) -> Optional[DetectedBlock]:
     """Smallest index set K (lexicographic tie-break) making A a block perturbation.
 
     K is a block iff K contains K_r for some (then every) r outside K, so each
@@ -381,15 +390,15 @@ def detect_minimal_block(
     where K_r for two references r can disagree.
     """
     n = A.n
-    best = sorted(_reference_block(A, 0, tol, n - 1))
+    best = sorted(_reference_block(A, 0, n - 1))
     r = 1
     while 2 * len(best) >= n and r <= len(best):
-        K = _reference_block(A, r, tol, len(best))
+        K = _reference_block(A, r, len(best))
         if K is not None and (len(K), sorted(K)) < (len(best), best):
             best = sorted(K)
         r += 1
     K = tuple(best) or (0,)
-    form = is_block_perturbation(A, K, tol)
+    form = is_block_perturbation(A, K)
     return None if form is None else DetectedBlock(K, form)
 
 
@@ -405,9 +414,9 @@ def geometric_mean_vector(A: ReciprocalMatrix, cols: Iterable[int]) -> Vector:
     """
     cols = sorted(set(cols))
     if not cols:
-        raise EmptySubset("need at least one column")
+        raise InputError("need at least one column")
     if cols[0] < 0 or cols[-1] >= A.n:
-        raise BadShape(f"column subset {cols!r} out of range for n = {A.n}")
+        raise InputError(f"column subset {cols!r} out of range for n = {A.n}")
     if len(cols) == 1:
         return A.column(cols[0])
     k = len(cols)

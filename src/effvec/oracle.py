@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .efficiency import V_DOMINATES, dominance_compare, is_efficient
-from .errors import GridTooLarge
+from .errors import DimensionMismatch, InputError
 from .matrix import (
     ReciprocalMatrix,
     Scalar,
@@ -48,9 +48,9 @@ class GridSpec:
     def __post_init__(self):
         check_positive_vector(self.base)
         if not self.rho > 1:
-            raise GridTooLarge(f"rho must exceed 1, got {self.rho}")
+            raise InputError(f"rho must exceed 1, got {self.rho}")
         if self.m < 1:
-            raise GridTooLarge(f"m must be >= 1, got {self.m}")
+            raise InputError(f"m must be >= 1, got {self.m}")
 
     @property
     def candidate_count(self) -> int:
@@ -72,9 +72,9 @@ def grid_dominator_search(
     """
     n = A.n
     if len(w) != n or len(g.base) != n:
-        raise GridTooLarge("grid base and vector must match the matrix size")
+        raise DimensionMismatch("grid base and vector must match the matrix size")
     if g.candidate_count > GRID_GUARD:
-        raise GridTooLarge(
+        raise InputError(
             f"{g.candidate_count} candidates exceed the {GRID_GUARD} guard"
         )
     exact = A.exact and vector_is_exact(w)

@@ -14,10 +14,12 @@ import numpy as np
 
 from .blockpert import ConstantBlockMatrix
 from .efficiency import EfficiencyVerdict, build_digraph, is_efficient
-from .errors import NoConvergence, NotNormalized, StructureViolation, TheoremViolation
+from .errors import InternalError, NoConvergence, PreconditionError
 from .matrix import BlockPerturbedForm, ReciprocalMatrix, block_matrix
 
 TOL_PERRON = 1e-12
+#: power-iteration steps before NoConvergence
+MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
@@ -28,15 +30,13 @@ class PerronResult:
     iterations: int
 
 
-def perron(
-    A: ReciprocalMatrix, tol: float = TOL_PERRON, max_iter: int = 200000
-) -> PerronResult:
+def perron(A: ReciprocalMatrix, tol: float = TOL_PERRON) -> PerronResult:
     """Dominant eigenpair by power iteration from the all-ones vector."""
     M = A.to_float().array
     n = A.n
     v = np.ones(n)
     lam_prev = 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         u = M @ v
         lam = u.sum() / v.sum()
         residual = float(np.max(np.abs(u - lam * v) / (lam * v)))
@@ -45,7 +45,7 @@ def perron(
             return PerronResult(float(lam), tuple(w), residual, it)
         lam_prev = lam
         v = u / u[-1]
-    raise NoConvergence(f"power iteration did not reach {tol} in {max_iter} steps")
+    raise NoConvergence(f"power iteration did not reach {tol} in {MAX_ITER} steps")
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def perron_efficiency_via_submatrix(
     """Verdict from the leading (s+1)-by-(s+1) pair only; by the equal-tail
     structure it equals the full-matrix verdict."""
     if not perron_tail_structure(form, r):
-        raise StructureViolation("Perron tail entries are not equal within tolerance")
+        raise PreconditionError("Perron tail entries are not equal within tolerance")
     sub = block_matrix(form.block, form.s + 1).to_float()
     return is_efficient(sub, r.w[: form.s + 1])
 
@@ -92,10 +92,10 @@ def three_block_sufficient(B: ReciprocalMatrix) -> ThreeBlockPerronConditions:
     """Sufficient conditions (on a13-normalized blocks) for the Perron
     eigenvector of A_n(B) to be efficient, every n >= 4."""
     if B.n != 3:
-        raise StructureViolation("need a 3-by-3 block")
+        raise PreconditionError("need a 3-by-3 block")
     a12, a13, a23 = B[0, 1], B[0, 2], B[1, 2]
     if a13 < 1:
-        raise NotNormalized("a13 < 1; apply the block reversal similarity first")
+        raise PreconditionError("a13 < 1; apply the block reversal similarity first")
     q = a13 - a23 * a12
     if a12 >= 1 and a23 >= 1 and q <= 0:
         matched = "cond1"
@@ -137,7 +137,7 @@ def constant_block_perron_check(M: ConstantBlockMatrix) -> EfficiencyVerdict:
     inefficiency verdict.
     """
     if M.n <= M.s:
-        raise StructureViolation("need n > s for the Perron check")
+        raise PreconditionError("need n > s for the Perron check")
     Mn, _ = M.normalize()
     B = Mn.block()
     r = perron(block_matrix(B, Mn.n).to_float())
@@ -147,12 +147,12 @@ def constant_block_perron_check(M: ConstantBlockMatrix) -> EfficiencyVerdict:
     G = build_digraph(sub, wsub)
     cycle = tuple(range(s, -1, -1))  # s -> s-1 -> ... -> 0 -> s
     if not G.has_cycle(cycle):
-        raise TheoremViolation(
+        raise InternalError(
             f"witness cycle missing for x={M.x}, s={M.s}, n={M.n}"
         )
     verdict = is_efficient(sub, wsub)
     if not verdict.efficient:
-        raise TheoremViolation(
+        raise InternalError(
             f"Perron vector tested inefficient for x={M.x}, s={M.s}, n={M.n}"
         )
     return verdict

@@ -36,7 +36,6 @@ from effvec import (
     validate_reciprocal,
 )
 from effvec.efficiency import V_DOMINATES
-from effvec.errors import HeadNotEfficient
 from effvec.fixtures import canonical_form, reproduce_examples, reproduce_table1
 
 from conftest import rand_frac, rand_reciprocal, rand_similarity, rand_vector
@@ -63,7 +62,7 @@ def report(capsys, name, ok, detail=""):
 def test_perron_verdict_table(capsys):
     """Eight n=6 Perron verdicts with witness cycles, residual <= 1e-12, < 1s."""
     t0 = time.perf_counter()
-    checks = reproduce_table1(residual_tol=1e-12)
+    checks = reproduce_table1()
     elapsed = time.perf_counter() - t0
     bad = [c.name for c in checks if not c.ok]
     ok = not bad and elapsed < 1.0

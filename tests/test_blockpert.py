@@ -21,7 +21,7 @@ from effvec import (
     two_block_is_efficient,
     two_block_sample,
 )
-from effvec.errors import BadShape, DimensionMismatch, HeadNotEfficient
+from effvec.errors import DimensionMismatch, InputError, PreconditionError
 from effvec.fixtures import B3, canonical_form
 
 from conftest import rand_frac, rand_reciprocal, rand_vector
@@ -62,9 +62,9 @@ class TestTwoBlock:
             assert is_efficient(S.matrix(), g.vector).efficient
 
     def test_bad_sizes(self):
-        with pytest.raises(BadShape):
+        with pytest.raises(InputError, match="two-block form needs n >= 3"):
             TwoBlockMatrix(F(2), 2)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="vector size 3 != 4"):
             two_block_is_efficient(TwoBlockMatrix(F(2), 4), (1, 2, 3))
 
 
@@ -98,7 +98,7 @@ class TestLcompl:
 
     def test_head_must_be_efficient(self):
         form = canonical_form(B3, 6)
-        with pytest.raises(HeadNotEfficient):
+        with pytest.raises(PreconditionError, match=r"w\[0:s\] is not efficient"):
             lcompl_membership(form, (3, 2, 1, 2, 2, 2))
 
     def test_matches_digraph(self, rng):
@@ -122,7 +122,7 @@ class TestLcompl:
 
     def test_sampler_rejects_bad_head(self, rng):
         form = canonical_form(B3, 6)
-        with pytest.raises(HeadNotEfficient):
+        with pytest.raises(PreconditionError, match="head is not efficient"):
             next(lcompl_sample(form, (3, 2, 1), rng))
 
 
@@ -140,7 +140,7 @@ class TestTailPermute:
 
     def test_bad_perm(self):
         form = canonical_form(B3, 6)
-        with pytest.raises(BadShape):
+        with pytest.raises(InputError, match="is not a permutation of the 3 tail positions"):
             tail_permute(form, (1, 1, 1, 1, 1, 1), (0, 0, 1))
 
 

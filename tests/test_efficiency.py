@@ -25,7 +25,7 @@ from effvec import (
     validate_reciprocal,
 )
 from effvec.efficiency import EQUAL, INCOMPARABLE, V_DOMINATES, W_DOMINATES, ComparisonDigraph
-from effvec.errors import DimensionMismatch, InvalidWitness, SubvectorNotEfficient
+from effvec.errors import DimensionMismatch, PreconditionError
 from effvec.fixtures import A6_U, B3, CC, EX21, EX21_W, canonical_form
 
 from conftest import rand_reciprocal, rand_similarity, rand_vector
@@ -54,7 +54,7 @@ class TestBuildDigraph:
                         assert G.has_edge(i, j) or G.has_edge(j, i)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="matrix size 4 vs vector size 3"):
             build_digraph(CC, (1, 2, 3))
 
 
@@ -161,6 +161,13 @@ class TestDominance:
                 {V_DOMINATES},  # equal-error, non-proportional edge case
             )
 
+    def test_int_entries_compared_exactly(self):
+        """int vectors on an exact matrix compare as Fractions: w_i / w_j on
+        ints is a float, and A's errors are exact."""
+        A = validate_reciprocal([[1, F(3, 2), 1], [F(2, 3), 1, 3], [1, F(1, 3), 1]])
+        assert dominance_compare(A, (5, 5, 3), (3, 1, 1)) == W_DOMINATES
+        assert dominance_compare(A, (F(5), F(5), F(3)), (F(3), F(1), F(1))) == W_DOMINATES
+
     def test_float_certificate_confirmed(self):
         """Errors are compared on the dominator as given, so the pairs it leaves
         unchanged keep bit-identical errors on the float backend."""
@@ -220,7 +227,7 @@ class TestDominatingVector:
         assert dominance_compare(B3, (3, 2, 1), v) == V_DOMINATES
 
     def test_strongly_connected_rejected(self):
-        with pytest.raises(InvalidWitness):
+        with pytest.raises(PreconditionError, match="enters the claimed source set"):
             construct_dominating_vector(CC, (3, 2, 1, 2), {0})
 
     def test_random_certificates(self, rng):
@@ -256,7 +263,7 @@ class TestExtension:
         assert iv.lo == iv.hi
 
     def test_precondition(self):
-        with pytest.raises(SubvectorNotEfficient):
+        with pytest.raises(PreconditionError, match=r"subvector is not efficient for A\(3\)"):
             extension_interval(CC, (3, 2, 1), 3)
 
     def test_interval_matches_digraph(self, rng):

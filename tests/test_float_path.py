@@ -16,7 +16,7 @@ import pytest
 
 from effvec import build_digraph, dominance_compare, is_efficient, validate_reciprocal
 from effvec.efficiency import EQUAL, INCOMPARABLE, TOL_EDGE, V_DOMINATES, W_DOMINATES
-from effvec.errors import BadShape, EffvecError, NonPositiveEntry, ReciprocityViolation
+from effvec.errors import EffvecError, InputError
 from effvec.io import parse_matrix_text, parse_scalar
 from effvec.matrix import TOL_RECIP, ReciprocalMatrix, is_exact_scalar
 
@@ -31,16 +31,16 @@ def reference_validate(grid):
         return validate_reciprocal(grid)
     n = len(grid)
     if n < 2 or any(len(r) != n for r in grid):
-        raise BadShape("not a square grid with n >= 2")
+        raise InputError("not a square grid with n >= 2")
     rows = [[float(x) for x in r] for r in grid]
     if not all(x > 0 for r in rows for x in r):
-        raise NonPositiveEntry("an entry is not positive")
+        raise InputError("an entry is not positive")
     for i in range(n):
         if rows[i][i] != 1:
-            raise ReciprocityViolation("diagonal")
+            raise InputError("diagonal")
         for j in range(i + 1, n):
             if abs(rows[i][j] * rows[j][i] - 1.0) > TOL_RECIP:
-                raise ReciprocityViolation("pair")
+                raise InputError("pair")
             rows[j][i] = 1.0 / rows[i][j]
     return ReciprocalMatrix(tuple(map(tuple, rows)), False)
 

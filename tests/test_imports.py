@@ -48,3 +48,43 @@ def test_detects_private_imports(tmp_path):
         (1, "effvec.blockpert", "_sample_in"),
         (2, ".matrix", "_reference_block"),
     ]
+
+
+def unraised_errors(errors_path, paths):
+    """Classes in errors_path that no `raise` in paths names and that no
+    class in errors_path derives from."""
+    tree = ast.parse(errors_path.read_text(), str(errors_path))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    bases = {b.id for node in tree.body if isinstance(node, ast.ClassDef)
+             for b in node.bases if isinstance(b, ast.Name)}
+    raised = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return sorted(classes - raised - bases)
+
+
+def test_every_error_is_raised():
+    src = ROOT / "src" / "effvec"
+    assert unraised_errors(src / "errors.py", sorted(src.glob("*.py"))) == []
+
+
+def test_detects_unraised_errors(tmp_path):
+    errors = tmp_path / "errors.py"
+    errors.write_text(
+        "class BaseError(Exception):\n    pass\n\n"
+        "class Raised(BaseError):\n    pass\n\n"
+        "class RaisedBare(BaseError):\n    pass\n\n"
+        "class Unraised(BaseError):\n    pass\n"
+    )
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def f(x):\n"
+        "    if x:\n        raise Raised('x') from None\n"
+        "    raise RaisedBare\n\n"
+        "def g():\n    return Unraised('never raised')\n"
+    )
+    assert unraised_errors(errors, [errors, module]) == ["Unraised"]

@@ -11,7 +11,7 @@ import pytest
 
 import effvec
 from effvec.cli import main
-from effvec.errors import NonPositiveEntry, ParseError
+from effvec.errors import InputError
 from effvec.io import (
     load_matrix,
     parse_matrix_text,
@@ -38,9 +38,9 @@ class TestParseScalar:
         assert v == F(1, 2) and isinstance(v, F)
 
     def test_garbage(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="cannot parse cell 'x/y'"):
             parse_scalar("x/y")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="cannot parse cell '1/0'"):
             parse_scalar("1/0")
 
 
@@ -62,7 +62,7 @@ class TestParseMatrix:
         assert not A.exact
 
     def test_json_n_mismatch(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="declared n=3 but found 2 rows"):
             parse_matrix_text(json.dumps({"n": 3, "entries": [[1, 2], [0.5, 1]]}))
 
     def test_backend_float_coercion(self):
@@ -81,17 +81,17 @@ class TestParseVector:
         assert parse_vector_text('["1/2", 2]') == (F(1, 2), F(2))
 
     def test_ragged(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="single CSV row or column"):
             parse_vector_text("1,2\n3\n")
 
     @pytest.mark.parametrize("text", ["1e400,1,1", "[Infinity, 1, 1]"])
     def test_non_finite_rejected(self, text):
-        with pytest.raises(NonPositiveEntry):
+        with pytest.raises(InputError, match="is not positive and finite"):
             parse_vector_text(text)
 
     @pytest.mark.parametrize("text", ["[Infinity, 1, 1]", "[NaN, 1, 1]"])
     def test_non_finite_json_exact_backend(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="cannot parse cell"):
             parse_vector_text(text, "exact")
 
 
@@ -175,28 +175,60 @@ BIG = "1" + "0" * 400  # an integer cell too large for a float
 
 
 class TestFloatOverflow:
-    """An exact cell converted for the float backend is an input error (exit 2)."""
+    """An exact cell or entry converted to a float must stay a positive
+    float, or it is an input error (exit 2)."""
 
     def test_conversion_errors(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="cell too large for a float"):
             parse_matrix_text(f"1,{BIG}\n0.5,1.0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="cell too large for a float"):
             parse_vector_text(f"{BIG},1\n", backend="float")
         A = parse_matrix_text("1,2.0\n0.5,1\n")
-        for vector in (f"{BIG},1\n", f"1/{BIG},1\n"):  # overflow; underflow to 0.0
-            with pytest.raises(NonPositiveEntry):
+        for vector, message in ((f"{BIG},1\n", "vector entry too large for a float"),
+                                (f"1/{BIG},1\n", "vector entry rounds to 0.0")):
+            with pytest.raises(InputError, match=message):
                 effvec.build_digraph(A, parse_vector_text(vector))
+        A = parse_matrix_text(f"1,{BIG}\n1/{BIG},1\n")
+        with pytest.raises(InputError, match=r"entry \(0,1\) too large for a float"):
+            A.to_float()
+        A = parse_matrix_text(f"1,1/{BIG}\n{BIG},1\n")
+        with pytest.raises(InputError, match=r"entry \(0,1\) rounds to 0.0 as a float"):
+            A.array
 
-    @pytest.mark.parametrize("matrix, vector, args", [
-        (f"1,{BIG}\n0.5,1.0\n", "1,1\n", []),
-        ("1,2.0\n0.5,1\n", f"{BIG},1\n", []),
-        ("1,2.0\n0.5,1\n", f"{BIG},1\n", ["--backend", "float"]),
-    ], ids=["matrix-cell", "vector", "vector-backend-float"])
-    def test_exit_two(self, files, capsys, matrix, vector, args):
-        m, v = files("m.csv", matrix), files("v.csv", vector)
-        assert main(["check", m, v, "--format", "json", *args]) == 2
+    @pytest.mark.parametrize("command, matrix, vector, args", [
+        ("check", f"1,{BIG}\n0.5,1.0\n", "1,1\n", ["--format", "json"]),
+        ("check", "1,2.0\n0.5,1\n", f"{BIG},1\n", ["--format", "json"]),
+        ("check", "1,2.0\n0.5,1\n", f"{BIG},1\n", ["--format", "json", "--backend", "float"]),
+        ("check", f"1,{BIG}\n1/{BIG},1\n", "1.0,2.0\n", []),
+        ("perron", f"1,{BIG}\n1/{BIG},1\n", None, []),
+    ], ids=["matrix-cell", "vector", "vector-backend-float", "exact-matrix-float-vector",
+            "perron-exact-matrix"])
+    def test_exit_two(self, files, capsys, command, matrix, vector, args):
+        paths = [files("m.csv", matrix)] + ([files("v.csv", vector)] if vector else [])
+        assert main([command, *paths, *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
+
+
+class TestJsonShape:
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "JSON matrix row 0 is not a list"),
+        ("[[1, 2], 3]", "JSON matrix row 1 is not a list"),
+        ('{"entries": 5}', 'object whose "entries" is a list'),
+        ('{"n": 2}', 'object whose "entries" is a list'),
+    ])
+    def test_matrix_exit_two(self, files, capsys, text, message):
+        with pytest.raises(InputError, match=message):
+            parse_matrix_text(text)
+        m, v = files("m.json", text), files("v.csv", "1,1\n")
+        assert main(["check", m, v]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ['{"entries": 5}', '{"n": 2}'])
+    def test_vector(self, text):
+        with pytest.raises(InputError, match='object whose "entries" is a list'):
+            parse_vector_text(text)
 
 
 class TestPerronCommand:
@@ -263,6 +295,23 @@ class TestGenerateCommand:
         assert main(["generate", "2block", "--n", "5"]) == 2
         assert main(["generate", "3block", "--n", "5"]) == 2
         assert main(["generate", "constant", "--n", "5", "--x", "2"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "all", "--seed", "1"],
+    ["check", "m", "v", "--tol-perron", "1e-6"],
+    ["perron", "m", "--format", "csv"],
+    ["perron", "m", "--tol-edge", "1e-6"],
+    ["generate", "2block", "--n", "5", "--x", "3", "--backend", "exact"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_option_not_read_is_a_usage_error(capsys, argv):
+    """Each subcommand accepts only the options it reads."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: effvec")
+    assert argv[-2] in captured.err.splitlines()[-1]  # the error line names the option
 
 
 class TestReproduceCommand:

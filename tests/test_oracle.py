@@ -9,9 +9,10 @@ from effvec import (
     grid_dominator_search,
     is_efficient,
     dominance_compare,
+    validate_reciprocal,
 )
 from effvec.efficiency import V_DOMINATES
-from effvec.errors import GridTooLarge
+from effvec.errors import DimensionMismatch, InputError
 from effvec.fixtures import B3, CC
 from effvec.oracle import random_pow2_instance
 
@@ -28,11 +29,15 @@ class TestGridSpec:
         assert vals[3] == pytest.approx(1.0)
 
     def test_guard(self):
-        g = GridSpec((1,) * 10, rho=2.0, m=6)
-        with pytest.raises(GridTooLarge):
+        ones = validate_reciprocal([[1] * 10] * 10)
+        with pytest.raises(InputError, match="candidates exceed the 10000000 guard"):
+            grid_dominator_search(ones, (1,) * 10, GridSpec((1,) * 10))
+        with pytest.raises(DimensionMismatch, match="must match the matrix size"):
             grid_dominator_search(CC, (1, 1, 1, 1), GridSpec((1,) * 10))
-        with pytest.raises(GridTooLarge):
+        with pytest.raises(InputError, match="rho must exceed 1"):
             GridSpec((1, 1), rho=0.5)
+        with pytest.raises(InputError, match="m must be >= 1"):
+            GridSpec((1, 1), m=0)
 
 
 class TestGridSearch:

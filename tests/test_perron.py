@@ -17,7 +17,7 @@ from effvec import (
     three_block_sufficient,
     validate_reciprocal,
 )
-from effvec.errors import NotNormalized, StructureViolation
+from effvec.errors import PreconditionError
 from effvec.fixtures import B3, CC, canonical_form, three_block_from_triple
 
 from conftest import rand_reciprocal
@@ -72,7 +72,7 @@ class TestSubmatrixVerdict:
 class TestThreeBlockConditions:
     def test_requires_normalization(self):
         B = three_block_from_triple(F(1, 2), F(1, 3), F(2))
-        with pytest.raises(NotNormalized):
+        with pytest.raises(PreconditionError, match="a13 < 1"):
             three_block_sufficient(B)
 
     def test_condition_labels(self):
@@ -123,5 +123,5 @@ class TestConstantBlockPerron:
             assert verdict.efficient
 
     def test_requires_tail(self):
-        with pytest.raises(StructureViolation):
+        with pytest.raises(PreconditionError, match="need n > s"):
             constant_block_perron_check(ConstantBlockMatrix(F(2), 3, 3))

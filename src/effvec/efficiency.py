@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionError
+from .io import scalar_repr
 from .matrix import (
     ReciprocalMatrix,
     Scalar,
@@ -31,6 +32,8 @@ from .matrix import (
 #: one-sided relative tolerance for the edge rule on the float backend;
 #: deliberately favors edge inclusion so boundary ties never disconnect
 TOL_EDGE = 1e-9
+
+_FLOAT_MAX = np.finfo(float).max
 
 V_DOMINATES = "v_dominates"
 W_DOMINATES = "w_dominates"
@@ -68,10 +71,8 @@ class ComparisonDigraph:
         return all(self.has_edge(cycle[k], cycle[(k + 1) % m]) for k in range(m))
 
 
-def build_digraph(
-    A: ReciprocalMatrix, w: Sequence[Scalar], tol_edge: float = TOL_EDGE
-) -> ComparisonDigraph:
-    """Edge i->j iff w_i/w_j >= a_ij (float backend: >= a_ij*(1 - tol_edge))."""
+def build_digraph(A: ReciprocalMatrix, w: Sequence[Scalar]) -> ComparisonDigraph:
+    """Edge i->j iff w_i/w_j >= a_ij (float backend: >= a_ij*(1 - TOL_EDGE))."""
     if len(w) != A.n:
         raise DimensionMismatch(f"matrix size {A.n} vs vector size {len(w)}")
     n = A.n
@@ -82,7 +83,7 @@ def build_digraph(
     else:
         wf = as_float_vector(w)
         with np.errstate(over="ignore"):  # w_i/w_j = inf is an edge, as it should be
-            adj = wf[:, None] / wf[None, :] >= A.array * (1.0 - tol_edge)
+            adj = wf[:, None] / wf[None, :] >= A.array * (1.0 - TOL_EDGE)
         np.fill_diagonal(adj, False)
     adj.flags.writeable = False
     return ComparisonDigraph(adj)
@@ -138,7 +139,7 @@ class EfficiencyVerdict:
         }
         if not self.efficient:
             d["source_set"] = [v + 1 for v in self.source_set]
-            d["dominator"] = [float(x) for x in self.dominator]
+            d["dominator"] = [scalar_repr(x) for x in self.dominator]
         return d
 
 
@@ -176,11 +177,9 @@ def construct_dominating_vector(
     return tuple(wf.tolist())
 
 
-def is_efficient(
-    A: ReciprocalMatrix, w: Sequence[Scalar], tol_edge: float = TOL_EDGE
-) -> EfficiencyVerdict:
+def is_efficient(A: ReciprocalMatrix, w: Sequence[Scalar]) -> EfficiencyVerdict:
     """Full verdict: strong connectivity witness, or source set + dominator."""
-    G = build_digraph(A, w, tol_edge)
+    G = build_digraph(A, w)
     connected, comps, source = is_strongly_connected(G)
     if connected:
         return EfficiencyVerdict(True, tuple(comps), G)
@@ -195,8 +194,9 @@ def dominance_compare(
 
     The errors depend only on the ratios v_i/v_j, so v is compared as given;
     scalar multiples compare as "equal".  On floats a pair counts as worse or
-    better only beyond 1e-12 * a_ij, the slack of the "equal" test: scaling a
-    set of entries moves the ratios inside it in the last bit.
+    better only beyond 1e-12 * max(a_ij, w_i/w_j, v_i/v_j), the slack of the
+    "equal" test: scaling a set of entries moves the ratios inside it in the
+    last bit, and a ratio far above a_ij carries that rounding into the error.
     """
     n = A.n
     if len(w) != n or len(v) != n:
@@ -221,10 +221,12 @@ def dominance_compare(
         step = max(1, 2**16 // n)  # row blocks of ~64k cells; the diagonal has gap 0
         for lo in range(0, n, step):
             a = A.array[lo : lo + step]
-            gap = (np.abs(a - v[lo : lo + step, None] / v)
-                   - np.abs(a - w[lo : lo + step, None] / w))
-            v_le = v_le and not (gap > 1e-12 * a).any()
-            w_le = w_le and not (gap < -1e-12 * a).any()
+            rv, rw = v[lo : lo + step, None] / v, w[lo : lo + step, None] / w
+            gap = np.abs(a - rv) - np.abs(a - rw)
+            # capped, so a ratio that overflows to inf still counts as worse
+            slack = np.minimum(1e-12 * np.maximum(np.maximum(a, rv), rw), _FLOAT_MAX)
+            v_le = v_le and not (gap > slack).any()
+            w_le = w_le and not (gap < -slack).any()
             if not (v_le or w_le):
                 break
     if v_le:

@@ -14,17 +14,12 @@ from fractions import Fraction as F
 
 from .blockpert import (ConstantBlockMatrix, ThreeBlockMatrix, three_block_membership,
                         union_route_member)
-from .efficiency import (
-    build_digraph,
-    extension_interval,
-    is_efficient,
-    subvector_efficiency_profile,
-)
+from .efficiency import extension_interval, is_efficient, subvector_efficiency_profile
 from .matrix import (
-    BlockPerturbedForm,
     MonomialSimilarity,
     ReciprocalMatrix,
     block_matrix,
+    canonical_form,
     detect_minimal_block,
     validate_reciprocal,
 )
@@ -110,11 +105,6 @@ def three_block_from_triple(a12, a13, a23) -> ReciprocalMatrix:
 def table1_matrix(row: int) -> ThreeBlockMatrix:
     a12, a13, a23, _, _ = TABLE1[row]
     return ThreeBlockMatrix(three_block_from_triple(a12, a13, a23), TABLE1_N)
-
-
-def canonical_form(B: ReciprocalMatrix, n: int) -> BlockPerturbedForm:
-    """Wrap an already-canonical A_n(B) (identity back map)."""
-    return BlockPerturbedForm(B, B.n, n, MonomialSimilarity.identity(n))
 
 
 @dataclass(frozen=True)
@@ -292,17 +282,13 @@ def reproduce_table1() -> list:
     checks = []
     for row, (a12, a13, a23, expect, cycle) in enumerate(TABLE1):
         tbm = table1_matrix(row)
-        form = canonical_form(tbm.block, TABLE1_N)
-        A = tbm.matrix()
-        r = perron(A)
-        verdict = perron_efficiency_via_submatrix(form, r)
+        r = perron(tbm.matrix())
+        verdict = perron_efficiency_via_submatrix(canonical_form(tbm.block, TABLE1_N), r)
         label = f"table row ({a12}, {a13}, {a23})"
         ok = verdict.efficient == expect and r.residual <= TOL_PERRON
         detail = f"residual={r.residual:.2e}"
         if ok and cycle is not None:
-            sub = A.to_float().submatrix(range(4))
-            G = build_digraph(sub, r.w[:4])
-            ok = G.has_cycle(tuple(c - 1 for c in cycle))
+            ok = verdict.digraph.has_cycle(tuple(c - 1 for c in cycle))
             detail += f", cycle {'->'.join(map(str, cycle))}"
         checks.append(
             Check(f"{label}: {'efficient' if expect else 'inefficient'}", ok, detail)

@@ -80,8 +80,9 @@ def _matrix_row(line: str, backend: Optional[str]):
     return [parse_scalar(c, backend) for c in line.split(",")]
 
 
-def _json_entries(text: str):
-    """(object, entries) of a JSON text: a list, or an object whose "entries" is one."""
+def _json_entries(text: str, unit: str) -> list:
+    """Entries of a JSON text: a list, or an object whose "entries" is one
+    and whose optional "n" counts them (in `unit`, for the message)."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -89,20 +90,20 @@ def _json_entries(text: str):
     entries = obj.get("entries") if isinstance(obj, dict) else obj
     if not isinstance(entries, list):
         raise InputError('JSON input must be a list, or an object whose "entries" is a list')
-    return obj, entries
+    if isinstance(obj, dict) and "n" in obj and obj["n"] != len(entries):
+        raise InputError(f"declared n={obj['n']} but found {len(entries)} {unit}")
+    return entries
 
 
 def parse_matrix_text(
     text: str, backend: Optional[str] = None
 ) -> ReciprocalMatrix:
     if text.lstrip().startswith(("{", "[")):
-        obj, entries = _json_entries(text)
+        entries = _json_entries(text, "rows")
         for i, row in enumerate(entries):
             if not isinstance(row, list):
                 raise InputError(f"JSON matrix row {i} is not a list")
         rows = [[parse_scalar(c, backend) for c in row] for row in entries]
-        if isinstance(obj, dict) and "n" in obj and obj["n"] != len(rows):
-            raise InputError(f"declared n={obj['n']} but found {len(rows)} rows")
     else:
         rows = [_matrix_row(line, backend) for line in _csv_lines(text)]
     if backend == "float" or not all(
@@ -113,7 +114,7 @@ def parse_matrix_text(
 
 def parse_vector_text(text: str, backend: Optional[str] = None) -> Vector:
     if text.lstrip().startswith(("{", "[")):
-        vals = [parse_scalar(c, backend) for c in _json_entries(text)[1]]
+        vals = [parse_scalar(c, backend) for c in _json_entries(text, "entries")]
     else:
         rows = [[parse_scalar(c, backend) for c in line.split(",")]
                 for line in _csv_lines(text)]

@@ -296,6 +296,11 @@ class BlockPerturbedForm:
         return apply_similarity(self.matrix(), self.back_map)
 
 
+def canonical_form(B: ReciprocalMatrix, n: int) -> BlockPerturbedForm:
+    """Wrap an already-canonical A_n(B) (identity back map)."""
+    return BlockPerturbedForm(B, B.n, n, MonomialSimilarity.identity(n))
+
+
 def block_matrix(B: ReciprocalMatrix, n: int) -> ReciprocalMatrix:
     """Build A_n(B): B as leading principal block, all other entries 1.
 

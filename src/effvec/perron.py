@@ -13,9 +13,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .blockpert import ConstantBlockMatrix
-from .efficiency import EfficiencyVerdict, build_digraph, is_efficient
+from .efficiency import EfficiencyVerdict, is_efficient
 from .errors import InternalError, NoConvergence, PreconditionError
-from .matrix import BlockPerturbedForm, ReciprocalMatrix, block_matrix
+from .matrix import BlockPerturbedForm, ReciprocalMatrix, block_matrix, canonical_form
 
 TOL_PERRON = 1e-12
 #: power-iteration steps before NoConvergence
@@ -30,8 +30,9 @@ class PerronResult:
     iterations: int
 
 
-def perron(A: ReciprocalMatrix, tol: float = TOL_PERRON) -> PerronResult:
-    """Dominant eigenpair by power iteration from the all-ones vector."""
+def perron(A: ReciprocalMatrix) -> PerronResult:
+    """Dominant eigenpair by power iteration from the all-ones vector,
+    to relative residual TOL_PERRON."""
     M = A.to_float().array
     n = A.n
     v = np.ones(n)
@@ -40,12 +41,12 @@ def perron(A: ReciprocalMatrix, tol: float = TOL_PERRON) -> PerronResult:
         u = M @ v
         lam = u.sum() / v.sum()
         residual = float(np.max(np.abs(u - lam * v) / (lam * v)))
-        if residual < tol and abs(lam - lam_prev) < tol * lam:
+        if residual < TOL_PERRON and abs(lam - lam_prev) < TOL_PERRON * lam:
             w = u / u[-1]
             return PerronResult(float(lam), tuple(w), residual, it)
         lam_prev = lam
         v = u / u[-1]
-    raise NoConvergence(f"power iteration did not reach {tol} in {MAX_ITER} steps")
+    raise NoConvergence(f"power iteration did not reach {TOL_PERRON} in {MAX_ITER} steps")
 
 
 @dataclass(frozen=True)
@@ -132,27 +133,17 @@ def three_block_proof_residuals(
 def constant_block_perron_check(M: ConstantBlockMatrix) -> EfficiencyVerdict:
     """The Perron eigenvector of A_n(C_s(x)) is always efficient.
 
-    Asserts the proof's witness cycle s+1 -> s -> ... -> 1 -> s+1 in the
-    digraph of the leading (s+1)-pair; a missing edge signals a bug, not an
-    inefficiency verdict.
+    Asserts equal tails and the proof's witness cycle s+1 -> s -> ... -> 1
+    -> s+1 in the digraph of the leading (s+1)-pair verdict; a missing edge
+    signals a bug, not an inefficiency verdict.
     """
     if M.n <= M.s:
         raise PreconditionError("need n > s for the Perron check")
     Mn, _ = M.normalize()
-    B = Mn.block()
-    r = perron(block_matrix(B, Mn.n).to_float())
-    s = Mn.s
-    sub = block_matrix(B, s + 1).to_float()
-    wsub = r.w[: s + 1]
-    G = build_digraph(sub, wsub)
-    cycle = tuple(range(s, -1, -1))  # s -> s-1 -> ... -> 0 -> s
-    if not G.has_cycle(cycle):
+    form = canonical_form(Mn.block(), Mn.n)
+    verdict = perron_efficiency_via_submatrix(form, perron(form.matrix()))
+    if not verdict.digraph.has_cycle(tuple(range(Mn.s, -1, -1))):  # s -> ... -> 0 -> s
         raise InternalError(
             f"witness cycle missing for x={M.x}, s={M.s}, n={M.n}"
-        )
-    verdict = is_efficient(sub, wsub)
-    if not verdict.efficient:
-        raise InternalError(
-            f"Perron vector tested inefficient for x={M.x}, s={M.s}, n={M.n}"
         )
     return verdict

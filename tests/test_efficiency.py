@@ -219,6 +219,27 @@ class TestDominance:
             assert dominance_compare(A, w, verdict.dominator) == V_DOMINATES
         assert multi >= 20
 
+    @pytest.mark.parametrize("seed", [8, 14, 26])
+    def test_float_ratio_far_from_entry(self, seed):
+        """With log-normal w, w_i/w_j reaches ~1e5 * a_ij, and scaling the source
+        set moves an error inside it by more than 1e-12 * a_ij: the slack is
+        relative to the largest of a_ij, w_i/w_j and v_i/v_j."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(140, 210))
+        x = np.exp(rng.uniform(-2, 2, (n, n)))
+        A = validate_reciprocal(np.triu(x, 1) + np.triu(1 / x, 1).T + np.eye(n))
+        w = np.exp(rng.normal(0, 4, n)).tolist()
+        verdict = is_efficient(A, w)
+        assert not verdict.efficient
+        assert dominance_compare(A, w, verdict.dominator) == V_DOMINATES
+
+    def test_float_ratio_overflow(self):
+        """v_1/v_2 overflows to inf, so the relative slack is inf too; v is still worse."""
+        A = validate_reciprocal([[1.0, 2.0], [0.5, 1.0]])
+        with np.errstate(over="ignore"):
+            assert dominance_compare(A, (1.0, 1.0), (1e200, 1e-200)) == W_DOMINATES
+            assert dominance_compare(A, (1e200, 1e-200), (1.0, 1.0)) == V_DOMINATES
+
 
 class TestDominatingVector:
     def test_certificate(self):

@@ -196,9 +196,10 @@ def reference_compare(A, w, v):
             if i != j:
                 a = A[i, j]
                 gap = abs(a - v[i] / v[j]) - abs(a - w[i] / w[j])
-                if gap > 1e-12 * a:
+                slack = 1e-12 * max(a, w[i] / w[j], v[i] / v[j])
+                if gap > slack:
                     v_le = False
-                if gap < -1e-12 * a:
+                if gap < -slack:
                     w_le = False
     return V_DOMINATES if v_le else W_DOMINATES if w_le else INCOMPARABLE
 

@@ -1,6 +1,8 @@
+import argparse
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import effvec
-from effvec.cli import main
+from effvec import block_matrix, perron
+from effvec.cli import build_parser, main
 from effvec.errors import InputError
+from effvec.fixtures import B3
 from effvec.io import (
     load_matrix,
     parse_matrix_text,
@@ -94,6 +98,11 @@ class TestParseVector:
         with pytest.raises(InputError, match="cannot parse cell"):
             parse_vector_text(text, "exact")
 
+    def test_json_n_mismatch(self):
+        with pytest.raises(InputError, match="declared n=3 but found 2 entries"):
+            parse_vector_text('{"n": 3, "entries": [1, 2]}')
+        assert parse_vector_text('{"n": 2, "entries": [1, 2]}') == (F(1), F(2))
+
 
 def test_scalar_repr_round_trip():
     assert scalar_repr(F(3, 4)) == "3/4"
@@ -134,6 +143,16 @@ class TestCheckCommand:
         assert out["status"] == "inefficient"
         assert out["source_set"] and out["dominator"]
 
+    def test_exact_dominator_beyond_floats(self, files, capsys):
+        """An exact dominator is written as exact values, so one outside the
+        float range still makes a JSON report."""
+        m = files("m.csv", f"1,1{'0' * 800}\n1/1{'0' * 800},1\n")
+        v = files("v.csv", f"1{'0' * 400},1\n")
+        assert main(["check", m, v, "--format", "json"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "inefficient" and out["source_set"] == [2]
+        assert [F(x) for x in out["dominator"]] == [F(10) ** 400, F(1, 10**400)]
+
     def test_csv_format(self, files, capsys):
         m = files("m.csv", "1,2,3\n1/2,1,1\n1/3,1,1\n")
         v = files("v.csv", "3,2,1\n")
@@ -157,11 +176,6 @@ class TestCheckCommand:
         m = files("m.csv", "1,2\n3,1\n")
         v = files("v.csv", "1,1\n")
         assert main(["check", m, v]) == 2
-
-    def test_bad_tol_exit_two(self, files, capsys):
-        m = files("m.csv", CC_CSV)
-        v = files("v.csv", "3,2,1,2\n")
-        assert main(["check", m, v, "--tol-edge", "0.5"]) == 2
 
     @pytest.mark.parametrize("text", ["1e400,2,1,2\n", "[Infinity, 2, 1, 2]"])
     def test_non_finite_vector_exit_two(self, files, capsys, text):
@@ -263,6 +277,38 @@ class TestPerronCommand:
         out = capsys.readouterr().out
         assert "lambda" in out and "residual" in out
 
+    # A_6(B) for a 4-by-4 block B, rescaled and with its indices scrambled
+    SCRAMBLED = ("1,1,1,1,1,1\n1,1,2,1,1,1\n1,1/2,1,1,4,3\n"
+                 "1,1,1,1,1,1\n1,1,1/4,1,1,1\n1,1,1/3,1,1,1\n")
+
+    def test_one_perron_pair(self, files, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return perron(*args)
+
+        monkeypatch.setattr("effvec.cli.perron", counted)
+        assert main(["perron", files("m.csv", self.SCRAMBLED), "--format", "json"]) == 0
+        assert len(calls) == 1
+
+    def test_verdict_on_input_indices(self, files, capsys):
+        main(["perron", files("m.csv", self.SCRAMBLED), "--format", "json"])
+        out = json.loads(capsys.readouterr().out)
+        assert out["block_indices"] == [2, 3, 5, 6] and out["structure_ok"] is True
+        assert len(out["vector"]) == 6
+        assert sorted(sum(out["verdict"]["scc_partition"], [])) == [1, 2, 3, 4, 5, 6]
+
+    def test_same_keys_with_and_without_detection(self, files, capsys):
+        big = block_matrix(B3, 10)  # n > 8: no block detection
+        rows = "\n".join(",".join(str(x) for x in row) for row in big.entries)
+        reports = []
+        for text in (self.SCRAMBLED, rows + "\n"):
+            main(["perron", files("m.csv", text), "--format", "json"])
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0].keys() == reports[1].keys()
+        assert reports[1]["block_indices"] is None and reports[1]["structure_ok"] is None
+
 
 class TestGenerateCommand:
     def _records(self, capsys):
@@ -300,8 +346,10 @@ class TestGenerateCommand:
 @pytest.mark.parametrize("argv", [
     ["reproduce", "all", "--seed", "1"],
     ["check", "m", "v", "--tol-perron", "1e-6"],
+    ["check", "m", "v", "--tol-edge", "0.5"],
     ["perron", "m", "--format", "csv"],
     ["perron", "m", "--tol-edge", "1e-6"],
+    ["perron", "m", "--tol-perron", "1e-6"],
     ["generate", "2block", "--n", "5", "--x", "3", "--backend", "exact"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_option_not_read_is_a_usage_error(capsys, argv):
@@ -312,6 +360,19 @@ def test_option_not_read_is_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("usage: effvec")
     assert argv[-2] in captured.err.splitlines()[-1]  # the error line names the option
+
+
+def test_readme_option_table_matches_parser():
+    """Each subcommand's row of the README option table lists exactly the
+    options build_parser registers for it (besides -h/--help)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    rows = {name: set(re.findall(r"--[\w-]+", cell))
+            for name, cell in re.findall(r"^\| `(\w+)[^`]*` \| (.*) \|$", readme, re.M)
+            if name in sub.choices}
+    registered = {name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+                  for name, sp in sub.choices.items()}
+    assert rows == registered
 
 
 class TestReproduceCommand:

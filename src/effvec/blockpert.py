@@ -8,10 +8,11 @@ the tests with the digraph verdict it must agree with.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, InputError, InternalError, PreconditionError
 from .efficiency import is_efficient
@@ -22,6 +23,7 @@ from .matrix import (
     Scalar,
     Vector,
     block_matrix,
+    canonical_form,
     check_positive_vector,
     is_exact_scalar,
     transform_vector,
@@ -32,6 +34,11 @@ from .matrix import (
 
 # ---------------------------------------------------------------------------
 # Parameterized matrix families
+
+
+def _reverse_leading(s: int, n: int) -> MonomialSimilarity:
+    """The permutation reversing indices 0..s-1 and fixing the rest."""
+    return MonomialSimilarity.permutation(list(range(s - 1, -1, -1)) + list(range(s, n)))
 
 
 @dataclass(frozen=True)
@@ -92,17 +99,8 @@ class ThreeBlockMatrix:
         """
         if self.normalized:
             return self, MonomialSimilarity.identity(self.n)
-        perm = [2, 1, 0] + list(range(3, self.n))
-        sim = MonomialSimilarity.permutation(perm)
-        b = self.block
-        block = validate_reciprocal(
-            [
-                [b[2, 2], b[2, 1], b[2, 0]],
-                [b[1, 2], b[1, 1], b[1, 0]],
-                [b[0, 2], b[0, 1], b[0, 0]],
-            ]
-        )
-        return ThreeBlockMatrix(block, self.n), sim
+        block = self.block.submatrix((2, 1, 0))
+        return ThreeBlockMatrix(block, self.n), _reverse_leading(3, self.n)
 
 
 @dataclass(frozen=True)
@@ -137,11 +135,7 @@ class ConstantBlockMatrix:
         via reversal of the block indices."""
         if self.x >= 1:
             return self, MonomialSimilarity.identity(self.n)
-        perm = list(range(self.s - 1, -1, -1)) + list(range(self.s, self.n))
-        return (
-            ConstantBlockMatrix(1 / self.x, self.s, self.n),
-            MonomialSimilarity.permutation(perm),
-        )
+        return ConstantBlockMatrix(1 / self.x, self.s, self.n), _reverse_leading(self.s, self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +165,15 @@ def three_by_three_is_efficient(B: ReciprocalMatrix, w: Sequence[Scalar]) -> boo
 
 
 # ---------------------------------------------------------------------------
-# Extending efficient block heads
+# Extending efficient block heads: every family's efficient vectors are a head
+# efficient for the block (for A_{s+1}(B) on a union route) and a tail in
+# [min(head), max(head)].  _within tests that tail, _extend draws it.
 
 
-def _head_bounds(head: Sequence[Scalar]):
-    return min(head), max(head)
+def _within(w: Sequence[Scalar], head: Sequence[Scalar], indices: Iterable[int]) -> bool:
+    """Every w[i], i in indices, lies in [min(head), max(head)]."""
+    lo, hi = min(head), max(head)
+    return all(lo <= w[i] <= hi for i in indices)
 
 
 def lcompl_membership(form: BlockPerturbedForm, w: Sequence[Scalar]) -> bool:
@@ -187,18 +185,22 @@ def lcompl_membership(form: BlockPerturbedForm, w: Sequence[Scalar]) -> bool:
     head = w[: form.s]
     if not is_efficient(form.block, head).efficient:
         raise PreconditionError("w[0:s] is not efficient for the perturbed block")
-    lo, hi = _head_bounds(head)
-    return all(lo <= w[i] <= hi for i in range(form.s, form.n))
+    return _within(w, head, range(form.s, form.n))
 
 
 @dataclass(frozen=True)
 class GeneratedVector:
-    """One generated efficient vector with its provenance."""
+    """One generated efficient vector with its provenance: the head it
+    extends and, for 3-block vectors, the tail permutation applied."""
 
     vector: Vector
     seed_head: Vector
-    tail_bounds: tuple
     permutation: Optional[tuple] = None
+
+    @property
+    def tail_bounds(self) -> tuple:
+        """The interval every tail entry was drawn from."""
+        return min(self.seed_head), max(self.seed_head)
 
 
 def _sample_in(lo, hi, rng: random.Random, exact: bool):
@@ -215,6 +217,21 @@ def _sample_in(lo, hi, rng: random.Random, exact: bool):
     return lo + (hi - lo) * rng.uniform(0.0001, 0.9999)
 
 
+def _extend(head: Vector, n: int, rng: random.Random, exact: bool) -> Vector:
+    """head followed by n - len(head) draws from [min(head), max(head)]."""
+    lo, hi = min(head), max(head)
+    return head + tuple(_sample_in(lo, hi, rng, exact) for _ in range(n - len(head)))
+
+
+def _stream(draw_head: Callable[[], Vector], n: int, rng: random.Random, exact: bool,
+            count: Optional[int]) -> Iterator[GeneratedVector]:
+    """count head-plus-tail vectors, each head from draw_head(); count=None
+    is unbounded and count <= 0 yields nothing."""
+    for _ in itertools.repeat(None) if count is None else range(count):
+        head = draw_head()
+        yield GeneratedVector(_extend(head, n, rng, exact), head)
+
+
 def two_block_sample(
     S: TwoBlockMatrix, rng: random.Random, count: Optional[int] = None
 ) -> Iterator[GeneratedVector]:
@@ -225,21 +242,11 @@ def two_block_sample(
     """
     exact = is_exact_scalar(S.x)
     one = Fraction(1) if exact else 1.0
-    made = 0
-    while count is None or made < count:
-        w2 = one
-        if S.x >= 1:
-            w1 = _sample_in(w2, S.x * w2, rng, exact)
-            lo, hi = w2, w1
-        else:
-            w1 = _sample_in(S.x * w2, w2, rng, exact)
-            lo, hi = w1, w2
-        mids = tuple(_sample_in(lo, hi, rng, exact) for _ in range(S.n - 2))
-        w = (w1, w2) + mids
-        if not two_block_is_efficient(S, w):
-            raise InternalError(f"two-block sampler produced non-chain vector {w}")
-        yield GeneratedVector(w, (w1, w2), (lo, hi))
-        made += 1
+    ends = sorted((one, S.x * one))
+    for g in _stream(lambda: (_sample_in(*ends, rng, exact), one), S.n, rng, exact, count):
+        if not two_block_is_efficient(S, g.vector):
+            raise InternalError(f"two-block sampler produced non-chain vector {g.vector}")
+        yield g
 
 
 def lcompl_sample(
@@ -254,13 +261,7 @@ def lcompl_sample(
         raise DimensionMismatch(f"head size {len(head)} != block size {form.s}")
     if not is_efficient(form.block, head).efficient:
         raise PreconditionError("head is not efficient for the perturbed block")
-    lo, hi = _head_bounds(head)
-    exact = vector_is_exact(head)
-    made = 0
-    while count is None or made < count:
-        tail = tuple(_sample_in(lo, hi, rng, exact) for _ in range(form.n - form.s))
-        yield GeneratedVector(head + tail, head, (lo, hi))
-        made += 1
+    yield from _stream(lambda: head, form.n, rng, vector_is_exact(head), count)
 
 
 def tail_permute(
@@ -292,8 +293,7 @@ def union_route_member(head_form: ReciprocalMatrix, w: Sequence[Scalar], j: int)
     sub = tuple(w[:s]) + (w[j],)
     if not is_efficient(head_form, sub).efficient:
         return False
-    lo, hi = min(sub), max(sub)
-    return all(lo <= w[i] <= hi for i in range(s, len(w)) if i != j)
+    return _within(w, sub, (i for i in range(s, len(w)) if i != j))
 
 
 def three_block_membership(
@@ -325,25 +325,17 @@ def three_block_generate(
     permutation.
     """
     A4 = block_matrix(A.block, 4)
-    t = A.n - 3
+    form = canonical_form(A.block, A.n)
     for seed in four_vectors:
         seed = check_positive_vector(seed)
         if len(seed) != 4:
             raise DimensionMismatch("seeds must be 4-vectors")
         if not is_efficient(A4, seed).efficient:
             continue
-        lo, hi = min(seed), max(seed)
-        exact = vector_is_exact(seed)
-        tail = tuple(_sample_in(lo, hi, rng, exact) for _ in range(A.n - 4))
-        perm = list(range(t))
+        w = _extend(seed, A.n, rng, vector_is_exact(seed))
+        perm = list(range(A.n - 3))
         rng.shuffle(perm)
-        base = seed[:3] + (seed[3],) + tail
-        vec = [None] * A.n
-        for i in range(3):
-            vec[i] = base[i]
-        for i in range(t):
-            vec[3 + perm[i]] = base[3 + i]
-        yield GeneratedVector(tuple(vec), seed, (lo, hi), tuple(perm))
+        yield GeneratedVector(tail_permute(form, w, perm), seed, tuple(perm))
 
 
 def two_block_full_set_check(S: TwoBlockMatrix, w: Sequence[Scalar]) -> bool:
@@ -391,16 +383,9 @@ def constant_block_class_check(M: ConstantBlockMatrix, w: Sequence[Scalar]) -> b
         head_ok = w[1] * x == w[0] if vector_is_exact(w) and is_exact_scalar(x) \
             else abs(float(w[1]) * float(x) / float(w[0]) - 1.0) <= 1e-12
     else:
-        head_ok = w[2] <= w[0] / x <= w[1] <= x * w[2]
-        for i in range(3, M.s):
-            if not head_ok:
-                break
-            head_ok = min(w[2:i]) / x <= w[i] <= w[0] / x
-    if not head_ok:
-        return False
-    head = w[: M.s]
-    lo, hi = min(head), max(head)
-    return all(lo <= w[i] <= hi for i in range(M.s, M.n))
+        head_ok = w[2] <= w[0] / x <= w[1] <= x * w[2] and all(
+            min(w[2:i]) / x <= w[i] <= w[0] / x for i in range(3, M.s))
+    return head_ok and _within(w, w[: M.s], range(M.s, M.n))
 
 
 def constant_block_sample(
@@ -416,24 +401,20 @@ def constant_block_sample(
         back = sim.inverse()
         for g in constant_block_sample(M2, rng, count):
             vec = transform_vector(back, g.vector)
-            yield GeneratedVector(vec, vec[: M.s], g.tail_bounds, g.permutation)
+            yield GeneratedVector(vec, vec[: M.s])
         return
     if M.s < 3:
         raise InputError("class sampler needs block size s >= 3")
     x = Fraction(M.x) if is_exact_scalar(M.x) else float(M.x)
     exact = is_exact_scalar(x)
     one = Fraction(1) if exact else 1.0
-    made = 0
-    while count is None or made < count:
-        w = [one]
-        u = one / x  # = w_1 / x
+    u = one / x  # = w_1 / x
+
+    def draw_head():
         w3 = _sample_in(u / x, u, rng, exact)
-        w2 = _sample_in(u, x * w3, rng, exact)
-        w += [w2, w3]
+        w = [one, _sample_in(u, x * w3, rng, exact), w3]
         for _ in range(3, M.s):
             w.append(_sample_in(min(w[2:]) / x, u, rng, exact))
-        head = tuple(w)
-        lo, hi = min(head), max(head)
-        tail = tuple(_sample_in(lo, hi, rng, exact) for _ in range(M.n - M.s))
-        yield GeneratedVector(head + tail, head, (lo, hi))
-        made += 1
+        return tuple(w)
+
+    yield from _stream(draw_head, M.n, rng, exact, count)

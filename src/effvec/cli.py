@@ -13,6 +13,7 @@ import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 from . import fixtures
 from .blockpert import (
@@ -127,10 +128,11 @@ def cmd_generate(args) -> int:
         raise InputError("--a12/--a13/--a23 are required for 3block")
     if args.family == "constant" and args.s is None:
         raise InputError("--s is required for constant")
+    if args.count < 0:
+        raise InputError(f"--count must be >= 0, got {args.count}")
     rng = random.Random(args.seed)
     A, stream = _family_stream(args, rng)
-    emitted = 0
-    for g in stream:
+    for g in islice(stream, args.count):
         # self-certify before emission
         if not is_efficient(A, g.vector).efficient:
             raise InternalError(f"generated vector failed the digraph test: {g}")
@@ -144,9 +146,6 @@ def cmd_generate(args) -> int:
                 }
             )
         )
-        emitted += 1
-        if emitted >= args.count:
-            break
     return 0
 
 

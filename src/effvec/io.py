@@ -41,7 +41,7 @@ def parse_scalar(cell, backend: Optional[str] = None) -> Scalar:
         if backend != "exact":
             return cell
         try:
-            return Fraction(cell).limit_denominator(10**12)
+            return Fraction(cell)
         except (OverflowError, ValueError) as exc:
             raise InputError(f"cannot parse cell {cell!r}: {exc}") from exc
     raise InputError(f"cannot parse cell {cell!r}")
@@ -82,9 +82,10 @@ def _matrix_row(line: str, backend: Optional[str]):
 
 def _json_entries(text: str, unit: str) -> list:
     """Entries of a JSON text: a list, or an object whose "entries" is one
-    and whose optional "n" counts them (in `unit`, for the message)."""
+    and whose optional "n" counts them (in `unit`, for the message).
+    Decimal numbers stay text, so parse_scalar reads them like CSV cells."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
     entries = obj.get("entries") if isinstance(obj, dict) else obj

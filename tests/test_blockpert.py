@@ -27,6 +27,14 @@ from effvec.fixtures import B3, canonical_form
 from conftest import rand_frac, rand_reciprocal, rand_vector
 
 
+def assert_head_plus_tail(g, s):
+    """The sampler contract: tail_bounds is [min, max] of the seed head, and
+    every entry from the block size s onward lies in it."""
+    assert g.tail_bounds == (min(g.seed_head), max(g.seed_head))
+    lo, hi = g.tail_bounds
+    assert all(lo <= v <= hi for v in g.vector[s:])
+
+
 class TestTwoBlock:
     def test_matrix_shape(self):
         A = TwoBlockMatrix(F(3), 4).matrix()
@@ -60,6 +68,9 @@ class TestTwoBlock:
         for g in two_block_sample(S, rng, 50):
             assert two_block_is_efficient(S, g.vector)
             assert is_efficient(S.matrix(), g.vector).efficient
+            assert_head_plus_tail(g, 2)
+        assert list(two_block_sample(S, rng, 0)) == []
+        assert list(two_block_sample(S, rng, -3)) == []
 
     def test_bad_sizes(self):
         with pytest.raises(InputError, match="two-block form needs n >= 3"):
@@ -119,6 +130,8 @@ class TestLcompl:
         for g in lcompl_sample(form, head, rng, count=50):
             assert g.seed_head == head
             assert is_efficient(A, g.vector).efficient
+            assert_head_plus_tail(g, 3)
+        assert list(lcompl_sample(form, head, rng, count=0)) == []
 
     def test_sampler_rejects_bad_head(self, rng):
         form = canonical_form(B3, 6)
@@ -178,6 +191,8 @@ class TestThreeBlockUnion:
         for g in out:
             assert is_efficient(M, g.vector).efficient
             assert sorted(g.permutation) == [0, 1, 2, 3]
+            assert_head_plus_tail(g, 3)
+        assert list(three_block_generate(A, [], rng)) == []  # no seeds, no vectors
 
     def test_normalize(self):
         B = rand_reciprocal(3, random.Random(7))
@@ -206,6 +221,8 @@ class TestConstantBlock:
             for g in constant_block_sample(M, rng, count=20):
                 assert constant_block_class_check(M, g.vector)
                 assert is_efficient(A, g.vector).efficient
+                assert_head_plus_tail(g, s)
+            assert list(constant_block_sample(M, rng, count=0)) == []
 
     def test_class_membership_examples(self):
         M = ConstantBlockMatrix(F(2), 3, 5)
@@ -220,6 +237,8 @@ class TestConstantBlock:
         for g in constant_block_sample(M, rng, count=20):
             assert constant_block_class_check(M, g.vector)
             assert is_efficient(A, g.vector).efficient
+            assert_head_plus_tail(g, 3)
+        assert list(constant_block_sample(M, rng, count=0)) == []
 
     def test_normalize_similarity(self):
         M = ConstantBlockMatrix(F(1, 3), 3, 5)

@@ -48,7 +48,7 @@ def reference_validate(grid):
 def reference_parse(text, backend=None):
     """parse_scalar on every cell, floats coerced per cell, then validation."""
     if text.lstrip().startswith(("{", "[")):
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=str)
         entries = obj["entries"] if isinstance(obj, dict) else obj
         rows = [[parse_scalar(c, backend) for c in row] for row in entries]
         if isinstance(obj, dict) and "n" in obj and obj["n"] != len(rows):

@@ -1,4 +1,5 @@
-"""No module imports a private name from another effvec module."""
+"""No module imports a private name from another effvec module, and every
+module-level private name is used in its own module."""
 
 import ast
 import pathlib
@@ -88,3 +89,43 @@ def test_detects_unraised_errors(tmp_path):
         "def g():\n    return Unraised('never raised')\n"
     )
     assert unraised_errors(errors, [errors, module]) == ["Unraised"]
+
+
+def unused_private_names(path):
+    """Module-level private names (`_x`) that no other top-level statement of
+    the file reads: a helper used only by itself, or not at all, is dead."""
+    tree = ast.parse(path.read_text(), str(path))
+    unused = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_") or name.endswith("__"):
+                continue
+            if not any(isinstance(n, ast.Name) and n.id == name
+                       for other in tree.body if other is not node for n in ast.walk(other)):
+                unused.append(name)
+    return unused
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.parent.name == "effvec"],
+                         ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    assert unused_private_names(path) == []
+
+
+def test_detects_unused_private_names(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "_USED = 1\n_DEAD: int = 2\n__version__ = '0'\n\n"
+        "def _helper(x):\n    return x + _USED\n\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n\n"
+        "class _Gone:\n    pass\n\n"
+        "def public(x):\n    return _helper(x)\n"
+    )
+    assert unused_private_names(probe) == ["_DEAD", "_recursive", "_Gone"]

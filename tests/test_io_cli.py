@@ -104,6 +104,20 @@ class TestParseVector:
         assert parse_vector_text('{"n": 2, "entries": [1, 2]}') == (F(1), F(2))
 
 
+@pytest.mark.parametrize("backend", [None, "exact", "float"])
+def test_json_decimals_parse_like_csv(backend):
+    """A decimal JSON number reads exactly like the same CSV cell."""
+    A_json = parse_matrix_text("[[1, 1e-13], [1e13, 1]]", backend)
+    A_csv = parse_matrix_text("1,1e-13\n1e13,1\n", backend)
+    assert A_json.exact == A_csv.exact and A_json.entries == A_csv.entries
+    w_json = parse_vector_text("[0.30000000000000004, 3]", backend)
+    w_csv = parse_vector_text("0.30000000000000004,3", backend)
+    assert w_json == w_csv and list(map(type, w_json)) == list(map(type, w_csv))
+    if backend == "exact":
+        assert A_json[0, 1] == F(1, 10**13)
+        assert w_json[0] == F(30000000000000004, 10**17)
+
+
 def test_scalar_repr_round_trip():
     assert scalar_repr(F(3, 4)) == "3/4"
     assert scalar_repr(F(5)) == 5
@@ -310,6 +324,28 @@ class TestPerronCommand:
         assert reports[1]["block_indices"] is None and reports[1]["structure_ok"] is None
 
 
+# stdout of `effvec generate FAMILY ... --n 6 --seed 0 --count 3`, recorded
+# before the samplers shared one head-plus-tail rule: a reordered or
+# dropped random draw changes these bytes.
+GENERATE_PINNED = {
+    ('2block', '--x', '3'): [
+        '{"vector": ["11891/5000", 1, 1, "52433071/25000000", "8424827/5000000", "90429497/50000000"], "seed_head": ["11891/5000", 1], "tail_bounds": [1, "11891/5000"], "permutation": null}',
+        '{"vector": ["8579/5000", 1, "33263911/25000000", "8579/5000", 1, "40615177/25000000"], "seed_head": ["8579/5000", 1], "tail_bounds": [1, "8579/5000"], "permutation": null}',
+        '{"vector": ["7431/2500", 1, "25029671/12500000", 1, 1, "5167671/2500000"], "seed_head": ["7431/2500", 1], "tail_bounds": [1, "7431/2500"], "permutation": null}',
+    ],
+    ('3block', '--a12', '2', '--a13', '8', '--a23', '2'): [
+        '{"vector": [1, "4/7", "1/3", "5437/7500", "4/5", "773/1500"], "seed_head": [1, "4/7", "1/3", "4/5"], "tail_bounds": ["1/3", 1], "permutation": [1, 2, 0]}',
+        '{"vector": [4, "4/3", "1/2", "8/7", "171/125", 4], "seed_head": [4, "4/3", "1/2", "8/7"], "tail_bounds": ["1/2", 4], "permutation": [0, 1, 2]}',
+        '{"vector": ["4/3", 1, 1, 1, "11633/10000", "32287/30000"], "seed_head": ["4/3", 1, 1, 1], "tail_bounds": [1, "4/3"], "permutation": [0, 2, 1]}',
+    ],
+    ('constant', '--s', '4', '--x', '1/2'): [
+        '{"vector": ["176451929/400000000", "16891/40000", "1/2", 1, "28376173/40000000", "304490503/400000000"], "seed_head": ["176451929/400000000", "16891/40000", "1/2", 1], "tail_bounds": ["16891/40000", 1], "permutation": null}',
+        '{"vector": ["1/2", "13579/40000", "58263911/100000000", 1, "13579/40000", "183169823/200000000"], "seed_head": ["1/2", "13579/40000", "58263911/100000000", 1], "tail_bounds": ["13579/40000", 1], "permutation": null}',
+        '{"vector": ["9931/40000", "9931/20000", "37529671/50000000", 1, "9931/40000", "26198329/40000000"], "seed_head": ["9931/40000", "9931/20000", "37529671/50000000", 1], "tail_bounds": ["9931/40000", 1], "permutation": null}',
+    ],
+}
+
+
 class TestGenerateCommand:
     def _records(self, capsys):
         return [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
@@ -341,6 +377,21 @@ class TestGenerateCommand:
         assert main(["generate", "2block", "--n", "5"]) == 2
         assert main(["generate", "3block", "--n", "5"]) == 2
         assert main(["generate", "constant", "--n", "5", "--x", "2"]) == 2
+
+    @pytest.mark.parametrize("family", GENERATE_PINNED, ids=lambda f: f[0])
+    def test_pinned_stdout(self, capsys, family):
+        argv = ["generate", *family, "--n", "6", "--seed", "0", "--count", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == GENERATE_PINNED[family]
+
+    def test_count_zero_prints_nothing(self, capsys):
+        assert main(["generate", "2block", "--n", "5", "--x", "3", "--count", "0"]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_negative_count_exit_two(self, capsys):
+        assert main(["generate", "2block", "--n", "5", "--x", "3", "--count", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
 
 
 @pytest.mark.parametrize("argv", [

@@ -73,7 +73,6 @@ from .perron import (
     perron,
     perron_efficiency_via_submatrix,
     perron_tail_structure,
-    three_block_proof_residuals,
     three_block_sufficient,
 )
 

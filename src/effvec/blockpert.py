@@ -9,6 +9,7 @@ the tests with the digraph verdict it must agree with.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,8 +52,8 @@ class TwoBlockMatrix:
     def __post_init__(self):
         if self.n < 3:
             raise InputError("two-block form needs n >= 3")
-        if not self.x > 0:
-            raise InputError("x must be positive")
+        if not 0 < self.x < math.inf:
+            raise InputError(f"x must be positive and finite, got {self.x}")
 
     def matrix(self) -> ReciprocalMatrix:
         x = Fraction(self.x) if is_exact_scalar(self.x) else float(self.x)
@@ -116,8 +117,8 @@ class ConstantBlockMatrix:
             raise InputError("constant block needs s >= 2")
         if self.n < self.s:
             raise InputError("need n >= s")
-        if not self.x > 0:
-            raise InputError("x must be positive")
+        if not 0 < self.x < math.inf:
+            raise InputError(f"x must be positive and finite, got {self.x}")
 
     def block(self) -> ReciprocalMatrix:
         x = Fraction(self.x) if is_exact_scalar(self.x) else float(self.x)
@@ -255,13 +256,14 @@ def lcompl_sample(
     rng: random.Random,
     count: Optional[int] = None,
 ) -> Iterator[GeneratedVector]:
-    """Stream of efficient extensions of an efficient block head."""
+    """Stream of efficient extensions of an efficient block head; the head
+    is checked here, before the first draw."""
     head = check_positive_vector(head)
     if len(head) != form.s:
         raise DimensionMismatch(f"head size {len(head)} != block size {form.s}")
     if not is_efficient(form.block, head).efficient:
         raise PreconditionError("head is not efficient for the perturbed block")
-    yield from _stream(lambda: head, form.n, rng, vector_is_exact(head), count)
+    return _stream(lambda: head, form.n, rng, vector_is_exact(head), count)
 
 
 def tail_permute(
@@ -391,21 +393,18 @@ def constant_block_class_check(M: ConstantBlockMatrix, w: Sequence[Scalar]) -> b
 def constant_block_sample(
     M: ConstantBlockMatrix, rng: random.Random, count: Optional[int] = None
 ) -> Iterator[GeneratedVector]:
-    """Stream of vectors from the constant-block sufficient class.
+    """Stream of vectors from the constant-block sufficient class; s >= 3 is
+    checked here, before the first draw.
 
     Every emitted vector passes constant_block_class_check and hence the
-    digraph test.
+    digraph test.  Heads are drawn for the normalized x >= 1 orientation;
+    for x < 1 the normalizing similarity reverses the head and fixes the
+    tail.
     """
-    if M.x < 1:
-        M2, sim = M.normalize()
-        back = sim.inverse()
-        for g in constant_block_sample(M2, rng, count):
-            vec = transform_vector(back, g.vector)
-            yield GeneratedVector(vec, vec[: M.s])
-        return
     if M.s < 3:
         raise InputError("class sampler needs block size s >= 3")
-    x = Fraction(M.x) if is_exact_scalar(M.x) else float(M.x)
+    Mn, _ = M.normalize()
+    x = Fraction(Mn.x) if is_exact_scalar(Mn.x) else float(Mn.x)
     exact = is_exact_scalar(x)
     one = Fraction(1) if exact else 1.0
     u = one / x  # = w_1 / x
@@ -415,6 +414,6 @@ def constant_block_sample(
         w = [one, _sample_in(u, x * w3, rng, exact), w3]
         for _ in range(3, M.s):
             w.append(_sample_in(min(w[2:]) / x, u, rng, exact))
-        return tuple(w)
+        return tuple(w) if M.x >= 1 else tuple(reversed(w))
 
-    yield from _stream(draw_head, M.n, rng, exact, count)
+    return _stream(draw_head, M.n, rng, exact, count)

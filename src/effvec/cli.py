@@ -107,31 +107,36 @@ def _three_block_seed_stream(rng):
         yield tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4))
 
 
-def _family_stream(args, rng):
-    """The family's matrix and its stream of GeneratedVector."""
-    if args.family == "2block":
-        S = TwoBlockMatrix(parse_scalar(args.x), args.n)
-        return S.matrix(), two_block_sample(S, rng)
-    if args.family == "3block":
-        a12, a13, a23 = (parse_scalar(args.a12), parse_scalar(args.a13),
-                         parse_scalar(args.a23))
-        tbm = ThreeBlockMatrix(fixtures.three_block_from_triple(a12, a13, a23), args.n)
-        return tbm.matrix(), three_block_generate(tbm, _three_block_seed_stream(rng), rng)
+def _two_block_stream(args, rng):
+    S = TwoBlockMatrix(parse_scalar(args.x), args.n)
+    return S.matrix(), two_block_sample(S, rng)
+
+
+def _three_block_stream(args, rng):
+    B = fixtures.three_block_from_triple(*map(parse_scalar, (args.a12, args.a13, args.a23)))
+    tbm = ThreeBlockMatrix(B, args.n)
+    return tbm.matrix(), three_block_generate(tbm, _three_block_seed_stream(rng), rng)
+
+
+def _constant_stream(args, rng):
     M = ConstantBlockMatrix(parse_scalar(args.x), args.s, args.n)
     return M.matrix(), constant_block_sample(M, rng)
 
 
+#: generate's families: the builder of (matrix, stream of GeneratedVector)
+#: and the parameters it reads, each required, with its argparse type
+_FAMILIES = {
+    "2block": (_two_block_stream, {"--x": str}),
+    "3block": (_three_block_stream, {"--a12": str, "--a13": str, "--a23": str}),
+    "constant": (_constant_stream, {"--s": int, "--x": str}),
+}
+
+
 def cmd_generate(args) -> int:
-    if args.family in ("2block", "constant") and args.x is None:
-        raise InputError(f"--x is required for {args.family}")
-    if args.family == "3block" and None in (args.a12, args.a13, args.a23):
-        raise InputError("--a12/--a13/--a23 are required for 3block")
-    if args.family == "constant" and args.s is None:
-        raise InputError("--s is required for constant")
     if args.count < 0:
         raise InputError(f"--count must be >= 0, got {args.count}")
     rng = random.Random(args.seed)
-    A, stream = _family_stream(args, rng)
+    A, stream = args.family_stream(args, rng)
     for g in islice(stream, args.count):
         # self-certify before emission
         if not is_efficient(A, g.vector).efficient:
@@ -191,16 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_perron)
 
     sp = sub.add_parser("generate", help="stream certified efficient vectors")
-    sp.add_argument("family", choices=["2block", "3block", "constant"])
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--x", default=None)
-    sp.add_argument("--a12", default=None)
-    sp.add_argument("--a13", default=None)
-    sp.add_argument("--a23", default=None)
-    sp.add_argument("--count", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_generate)
+    families = sp.add_subparsers(dest="family", required=True)
+    for family, (stream, params) in _FAMILIES.items():
+        # no abbreviations: `--s` must not pass for `--seed` where --s is foreign
+        fp = families.add_parser(family, allow_abbrev=False)
+        fp.add_argument("--n", type=int, required=True)
+        for option, kind in params.items():
+            fp.add_argument(option, type=kind, required=True)
+        fp.add_argument("--count", type=int, default=10)
+        fp.add_argument("--seed", type=int, default=0)
+        fp.set_defaults(func=cmd_generate, family_stream=stream)
 
     sp = sub.add_parser("reproduce", help="replay bundled fixtures")
     sp.add_argument("target", choices=["table1", "examples", "all"])

@@ -143,7 +143,10 @@ def validate_reciprocal(grid: Sequence[Sequence[Scalar]]) -> ReciprocalMatrix:
             raise InputError("grid is not square")
     if not all(is_exact_scalar(x) for r in grid for x in r):
         # float backend, on the array; errors name the first bad entry in row-major order
-        a = np.array(grid, dtype=float)
+        try:
+            a = np.array(grid, dtype=float)
+        except OverflowError as exc:
+            raise InputError(f"entry too large for a float: {exc}") from exc
         for i, j in np.argwhere(~(a > 0))[:1]:
             raise InputError(f"entry ({i},{j}) = {float(a[i, j])!r} is not positive")
         bad = np.abs(a * a.T - 1.0) > TOL_RECIP

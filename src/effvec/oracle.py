@@ -146,10 +146,9 @@ def random_pow2_instance(n: int, rng: random.Random):
     return validate_reciprocal(rows), w
 
 
-def exhaustive_small_equivalence(
-    trials: int, rng: random.Random, n: int = 3, rho: float = 2.0, m: int = 6
-) -> OracleReport:
-    """Cross-check digraph verdicts, constructed dominators, and grid search.
+def exhaustive_small_equivalence(trials: int, rng: random.Random, n: int = 3) -> OracleReport:
+    """Cross-check digraph verdicts, constructed dominators, and grid search
+    on the default lattice around w (rho = 2, m = 6).
 
     For each random instance: a digraph-inefficient verdict must carry a
     confirmed dominating vector AND the grid search must find a dominator;
@@ -161,8 +160,7 @@ def exhaustive_small_equivalence(
     for trial in range(trials):
         A, w = random_pow2_instance(n, rng)
         verdict = is_efficient(A, w)
-        g = GridSpec(w, rho, m)
-        found = grid_dominator_search(A, w, g)
+        found = grid_dominator_search(A, w, GridSpec(w))
         if verdict.efficient:
             report.efficient += 1
             if found is not None:

@@ -58,15 +58,14 @@ class TailStructure:
         return self.ok
 
 
-def perron_tail_structure(
-    form: BlockPerturbedForm, r: PerronResult, tol: float = TOL_PERRON
-) -> TailStructure:
-    """Eigenvectors of A_n(B) have equal trailing n - s entries."""
+def perron_tail_structure(form: BlockPerturbedForm, r: PerronResult) -> TailStructure:
+    """Eigenvectors of A_n(B) have equal trailing n - s entries: their
+    spread is at most 10 * TOL_PERRON relative to the largest."""
     tail = r.w[form.s :]
     if len(tail) <= 1:
         return TailStructure(True, True)
     lo, hi = min(tail), max(tail)
-    return TailStructure(bool(hi - lo <= 10 * tol * hi), False)
+    return TailStructure(bool(hi - lo <= 10 * TOL_PERRON * hi), False)
 
 
 def perron_efficiency_via_submatrix(
@@ -107,27 +106,6 @@ def three_block_sufficient(B: ReciprocalMatrix) -> ThreeBlockPerronConditions:
     else:
         matched = None
     return ThreeBlockPerronConditions(a12, a13, a23, q, matched)
-
-
-def three_block_proof_residuals(
-    B: ReciprocalMatrix, n: int, r: PerronResult
-) -> dict:
-    """Linear identities satisfied by the eigenpair of A_n(B), B 3-by-3.
-
-    Diagnostic only: all six values must vanish up to rounding.
-    """
-    a12, a13, a23 = float(B[0, 1]), float(B[0, 2]), float(B[1, 2])
-    lam = r.lam
-    w1, w2, w3, w4 = r.w[0], r.w[1], r.w[2], r.w[3]
-    m = n - 3
-    return {
-        "e1": lam * (w4 - w1) + (a12 - 1) * w2 + (a13 - 1) * w3,
-        "e2": lam * (w3 - w4) + (1 - 1 / a13) * w1 + (1 - 1 / a23) * w2,
-        "e6": lam * (w4 - w2) + (1 / a12 - 1) * w1 + (a23 - 1) * w3,
-        "e3": lam * (a12 * w2 - w1) + (a13 - a23 * a12) * w3 + (1 - a12) * m * w4,
-        "e4": lam * (a23 * w3 - w2) + (1 / a12 - a23 / a13) * w1 + (1 - a23) * m * w4,
-        "e5": lam * (a13 * w3 - w1) + (a12 - a13 / a23) * w2 + (1 - a13) * m * w4,
-    }
 
 
 def constant_block_perron_check(M: ConstantBlockMatrix) -> EfficiencyVerdict:

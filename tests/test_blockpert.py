@@ -75,6 +75,9 @@ class TestTwoBlock:
     def test_bad_sizes(self):
         with pytest.raises(InputError, match="two-block form needs n >= 3"):
             TwoBlockMatrix(F(2), 2)
+        for x in (F(0), -2, float("inf"), float("nan")):
+            with pytest.raises(InputError, match="x must be positive and finite"):
+                TwoBlockMatrix(x, 4)
         with pytest.raises(DimensionMismatch, match="vector size 3 != 4"):
             two_block_is_efficient(TwoBlockMatrix(F(2), 4), (1, 2, 3))
 
@@ -137,6 +140,16 @@ class TestLcompl:
         form = canonical_form(B3, 6)
         with pytest.raises(PreconditionError, match="head is not efficient"):
             next(lcompl_sample(form, (3, 2, 1), rng))
+
+    def test_sampler_checks_head_when_called(self, rng):
+        """The head is checked by the call itself, before any draw."""
+        form = canonical_form(B3, 5)
+        state = rng.getstate()
+        with pytest.raises(PreconditionError, match="head is not efficient"):
+            lcompl_sample(form, (3, 2, 1), rng)
+        with pytest.raises(DimensionMismatch, match="head size 2 != block size 3"):
+            lcompl_sample(form, (3, 2), rng, count=0)
+        assert rng.getstate() == state
 
 
 class TestTailPermute:
@@ -248,6 +261,23 @@ class TestConstantBlock:
         from effvec import apply_similarity
 
         assert apply_similarity(lhs, sim).entries == M2.matrix().entries
+
+    def test_sampler_checks_s_when_called(self, rng):
+        """s >= 3 is checked by the call itself, before any draw."""
+        state = rng.getstate()
+        for count in (None, 0, 1):
+            with pytest.raises(InputError, match="class sampler needs block size s >= 3"):
+                constant_block_sample(ConstantBlockMatrix(2, 2, 4), rng, count)
+        assert rng.getstate() == state
+
+    def test_bad_parameters(self):
+        with pytest.raises(InputError, match="constant block needs s >= 2"):
+            ConstantBlockMatrix(F(2), 1, 4)
+        with pytest.raises(InputError, match="need n >= s"):
+            ConstantBlockMatrix(F(2), 4, 3)
+        for x in (F(0), -2, float("inf"), float("nan")):
+            with pytest.raises(InputError, match="x must be positive and finite"):
+                ConstantBlockMatrix(x, 3, 4)
 
     def test_s2_head_is_column_multiple(self):
         M = ConstantBlockMatrix(F(3), 2, 4)

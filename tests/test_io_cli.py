@@ -374,9 +374,13 @@ class TestGenerateCommand:
         assert rc == 0 and len(recs) == 4
 
     def test_missing_params_exit_two(self, capsys):
-        assert main(["generate", "2block", "--n", "5"]) == 2
-        assert main(["generate", "3block", "--n", "5"]) == 2
-        assert main(["generate", "constant", "--n", "5", "--x", "2"]) == 2
+        for argv in (["generate", "2block", "--n", "5"],
+                     ["generate", "3block", "--n", "5"],
+                     ["generate", "constant", "--n", "5", "--x", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "the following arguments are required" in capsys.readouterr().err
 
     @pytest.mark.parametrize("family", GENERATE_PINNED, ids=lambda f: f[0])
     def test_pinned_stdout(self, capsys, family):
@@ -392,6 +396,56 @@ class TestGenerateCommand:
         assert main(["generate", "2block", "--n", "5", "--x", "3", "--count", "-5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
+
+
+# a valid set of parameters for each generate family
+GENERATE_VALID = {
+    "2block": {"--n": "5", "--x": "3"},
+    "3block": {"--n": "5", "--a12": "2", "--a13": "8", "--a23": "2"},
+    "constant": {"--n": "5", "--s": "3", "--x": "2"},
+}
+BAD_VALUES = ["0", "-2", "abc", "1/0", "1e400", "1e-400"]
+
+
+def _argv(params):
+    return [a for option, value in params.items() for a in (option, value)]
+
+
+def _bad_generate_params(family):
+    """Parameter sets that must each exit 2: every parameter missing and at
+    every bad value, and each option of another family added."""
+    valid = GENERATE_VALID[family]
+    for option in valid:
+        yield {o: v for o, v in valid.items() if o != option}
+        for value in BAD_VALUES:
+            yield {**valid, option: value}
+    for other in GENERATE_VALID.values():
+        for option in other.keys() - valid.keys():
+            yield {**valid, option: other[option]}
+
+
+def _run(argv, capsys):
+    """main's exit code and captured output; an exception other than
+    SystemExit propagates, so a traceback fails the caller."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("count", ["0", "1"])
+@pytest.mark.parametrize("family", GENERATE_VALID)
+def test_generate_bad_parameters_exit_two(capsys, family, count):
+    """A missing, malformed, out-of-range or foreign generate parameter
+    exits 2 before anything is printed, at --count 0 as at --count 1."""
+    code, _ = _run(["generate", family, *_argv(GENERATE_VALID[family]), "--count", count], capsys)
+    assert code == 0
+    for params in _bad_generate_params(family):
+        argv = ["generate", family, *_argv(params), "--count", count]
+        code, captured = _run(argv, capsys)
+        assert code == 2 and captured.out == "", argv
+        assert "usage:" in captured.err or captured.err.startswith("error:"), argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -413,16 +467,30 @@ def test_option_not_read_is_a_usage_error(capsys, argv):
     assert argv[-2] in captured.err.splitlines()[-1]  # the error line names the option
 
 
+def _leaf_parsers(parser, path=""):
+    """(command path, parser) for each parser without subcommands, e.g.
+    ("check", ...) and ("generate 2block", ...)."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for sub in subs:
+        for name, sp in sub.choices.items():
+            yield from _leaf_parsers(sp, f"{path} {name}".strip())
+
+
 def test_readme_option_table_matches_parser():
-    """Each subcommand's row of the README option table lists exactly the
-    options build_parser registers for it (besides -h/--help)."""
+    """Each command's row of the README option table lists exactly the
+    options build_parser registers for it (besides -h/--help); generate has
+    one row per family."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    rows = {name: set(re.findall(r"--[\w-]+", cell))
-            for name, cell in re.findall(r"^\| `(\w+)[^`]*` \| (.*) \|$", readme, re.M)
-            if name in sub.choices}
-    registered = {name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
-                  for name, sp in sub.choices.items()}
+    registered = {path: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+                  for path, sp in _leaf_parsers(build_parser())}
+    rows = {}
+    for command, cell in re.findall(r"^\| `([^`]*)` \| (.*) \|$", readme, re.M):
+        words = command.split()
+        path = next((p for p in (" ".join(words[:2]), words[0]) if p in registered), None)
+        if path:
+            rows[path] = set(re.findall(r"--[\w-]+", cell))
     assert rows == registered
 
 

@@ -70,6 +70,10 @@ class TestValidate:
         A = validate_reciprocal([[1, 0.5], [2, 1]])
         assert not A.exact
 
+    def test_mixed_exact_entry_beyond_floats(self):
+        with pytest.raises(InputError, match="entry too large for a float"):
+            validate_reciprocal([[1, 5e-324], [1 / F(5e-324), 1]])
+
 
 class TestConsistency:
     def test_all_ones(self):

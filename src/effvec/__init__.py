@@ -35,7 +35,6 @@ from .efficiency import (
     construct_dominating_vector,
     dominance_compare,
     equal_tail_reduce,
-    extend_one,
     extension_interval,
     is_efficient,
     is_strongly_connected,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch, InputError, InternalError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError
 from .efficiency import is_efficient
 from .matrix import (
     BlockPerturbedForm,
@@ -26,10 +26,10 @@ from .matrix import (
     block_matrix,
     canonical_form,
     check_positive_vector,
+    float_view,
     is_exact_scalar,
     transform_vector,
     validate_reciprocal,
-    vector_is_exact,
 )
 
 
@@ -145,9 +145,7 @@ class ConstantBlockMatrix:
 
 def two_block_is_efficient(S: TwoBlockMatrix, w: Sequence[Scalar]) -> bool:
     """Chain test: w_2 <= w_3..w_n <= w_1 <= x*w_2, or all reversed."""
-    if len(w) != S.n:
-        raise DimensionMismatch(f"vector size {len(w)} != {S.n}")
-    w = check_positive_vector(w)
+    w = check_positive_vector(w, S.n)
     x = S.x
     asc = all(w[1] <= w[i] <= w[0] for i in range(2, S.n)) and w[0] <= x * w[1]
     desc = all(w[1] >= w[i] >= w[0] for i in range(2, S.n)) and w[0] >= x * w[1]
@@ -156,9 +154,9 @@ def two_block_is_efficient(S: TwoBlockMatrix, w: Sequence[Scalar]) -> bool:
 
 def three_by_three_is_efficient(B: ReciprocalMatrix, w: Sequence[Scalar]) -> bool:
     """Chain test for an arbitrary 3-by-3 reciprocal matrix."""
-    if B.n != 3 or len(w) != 3:
-        raise DimensionMismatch("need a 3-by-3 matrix and 3-vector")
-    w = check_positive_vector(w)
+    if B.n != 3:
+        raise InputError("need a 3-by-3 matrix")
+    w = check_positive_vector(w, 3)
     a12, a13, a23 = B[0, 1], B[0, 2], B[1, 2]
     asc = a23 * w[2] <= w[1] <= w[0] / a12 <= (a13 / a12) * w[2]
     desc = a23 * w[2] >= w[1] >= w[0] / a12 >= (a13 / a12) * w[2]
@@ -180,9 +178,7 @@ def _within(w: Sequence[Scalar], head: Sequence[Scalar], indices: Iterable[int])
 def lcompl_membership(form: BlockPerturbedForm, w: Sequence[Scalar]) -> bool:
     """Given w[0:s] efficient for the block, w is efficient for A_n(B) iff
     every tail entry lies in [min(head), max(head)]."""
-    if len(w) != form.n:
-        raise DimensionMismatch(f"vector size {len(w)} != {form.n}")
-    w = check_positive_vector(w)
+    w = check_positive_vector(w, form.n)
     head = w[: form.s]
     if not is_efficient(form.block, head).efficient:
         raise PreconditionError("w[0:s] is not efficient for the perturbed block")
@@ -258,21 +254,17 @@ def lcompl_sample(
 ) -> Iterator[GeneratedVector]:
     """Stream of efficient extensions of an efficient block head; the head
     is checked here, before the first draw."""
-    head = check_positive_vector(head)
-    if len(head) != form.s:
-        raise DimensionMismatch(f"head size {len(head)} != block size {form.s}")
+    head = check_positive_vector(head, form.s)
     if not is_efficient(form.block, head).efficient:
         raise PreconditionError("head is not efficient for the perturbed block")
-    return _stream(lambda: head, form.n, rng, vector_is_exact(head), count)
+    return _stream(lambda: head, form.n, rng, is_exact_scalar(head[0]), count)
 
 
 def tail_permute(
     form: BlockPerturbedForm, w: Sequence[Scalar], perm: Sequence[int]
 ) -> Vector:
     """Permute the tail entries; efficiency for A_n(B) is preserved."""
-    w = check_positive_vector(w)
-    if len(w) != form.n:
-        raise DimensionMismatch(f"vector size {len(w)} != {form.n}")
+    w = check_positive_vector(w, form.n)
     t = form.n - form.s
     if sorted(perm) != list(range(t)):
         raise InputError(f"{perm!r} is not a permutation of the {t} tail positions")
@@ -305,9 +297,7 @@ def three_block_membership(
     (0-based) the 4-subvector (w_0, w_1, w_2, w_j) is efficient for the
     4-by-4 leading form and all other tail entries lie within its min/max.
     Returns the smallest witness j."""
-    if len(w) != A.n:
-        raise DimensionMismatch(f"vector size {len(w)} != {A.n}")
-    w = check_positive_vector(w)
+    w = check_positive_vector(w, A.n)
     A4 = block_matrix(A.block, 4)
     for j in range(3, A.n):
         if union_route_member(A4, w, j):
@@ -329,12 +319,10 @@ def three_block_generate(
     A4 = block_matrix(A.block, 4)
     form = canonical_form(A.block, A.n)
     for seed in four_vectors:
-        seed = check_positive_vector(seed)
-        if len(seed) != 4:
-            raise DimensionMismatch("seeds must be 4-vectors")
+        seed = check_positive_vector(seed, 4)
         if not is_efficient(A4, seed).efficient:
             continue
-        w = _extend(seed, A.n, rng, vector_is_exact(seed))
+        w = _extend(seed, A.n, rng, is_exact_scalar(seed[0]))
         perm = list(range(A.n - 3))
         rng.shuffle(perm)
         yield GeneratedVector(tail_permute(form, w, perm), seed, tuple(perm))
@@ -348,9 +336,7 @@ def two_block_full_set_check(S: TwoBlockMatrix, w: Sequence[Scalar]) -> bool:
     """
     if S.n < 4:
         raise InputError("full-set cross-check needs n >= 4")
-    w = check_positive_vector(w)
-    if len(w) != S.n:
-        raise DimensionMismatch(f"vector size {len(w)} != {S.n}")
+    w = check_positive_vector(w, S.n)
     chain = two_block_is_efficient(S, w)
     S3 = TwoBlockMatrix(S.x, 3).matrix()
     for j in range(2, S.n):
@@ -373,17 +359,18 @@ def constant_block_class_check(M: ConstantBlockMatrix, w: Sequence[Scalar]) -> b
     then (1/x)*min(w_3..w_{i-1}) <= w_i <= w_1/x for i = 4..s, and the tail
     entries within [min, max] of the head.
     """
-    w = check_positive_vector(w)
-    if len(w) != M.n:
-        raise DimensionMismatch(f"vector size {len(w)} != {M.n}")
+    w = check_positive_vector(w, M.n)
     if M.x < 1:
         M2, sim = M.normalize()
         return constant_block_class_check(M2, transform_vector(sim, w))
     x = M.x
     if M.s == 2:
         # 2-by-2 block is consistent; efficient heads are column multiples
-        head_ok = w[1] * x == w[0] if vector_is_exact(w) and is_exact_scalar(x) \
-            else abs(float(w[1]) * float(x) / float(w[0]) - 1.0) <= 1e-12
+        if is_exact_scalar(w[0]) and is_exact_scalar(x):
+            head_ok = w[1] * x == w[0]
+        else:
+            w0, w1, xf = float_view((w[0], w[1], x), "w_1, w_2 or x").tolist()
+            head_ok = abs(w1 * xf / w0 - 1.0) <= 1e-12
     else:
         head_ok = w[2] <= w[0] / x <= w[1] <= x * w[2] and all(
             min(w[2:i]) / x <= w[i] <= w[0] / x for i in range(3, M.s))

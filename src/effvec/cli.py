@@ -66,7 +66,7 @@ def cmd_check(args) -> int:
 def cmd_perron(args) -> int:
     A = load_matrix(args.matrix, args.backend)
     r = perron(A)
-    verdict = is_efficient(A.to_float(), r.w)
+    verdict = is_efficient(A, r.w)
     out = {
         "lambda": r.lam,
         "vector": list(r.w),

@@ -10,23 +10,21 @@ vector that strictly dominates w.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, PreconditionError
+from .errors import PreconditionError
 from .io import scalar_repr
 from .matrix import (
     ReciprocalMatrix,
     Scalar,
     Vector,
-    as_float_vector,
     block_matrix,
     check_positive_vector,
-    vector_is_exact,
+    float_view,
 )
 
 #: one-sided relative tolerance for the edge rule on the float backend;
@@ -73,17 +71,14 @@ class ComparisonDigraph:
 
 def build_digraph(A: ReciprocalMatrix, w: Sequence[Scalar]) -> ComparisonDigraph:
     """Edge i->j iff w_i/w_j >= a_ij (float backend: >= a_ij*(1 - TOL_EDGE))."""
-    if len(w) != A.n:
-        raise DimensionMismatch(f"matrix size {A.n} vs vector size {len(w)}")
     n = A.n
-    w = check_positive_vector(w)
-    if A.exact and vector_is_exact(w):
+    w = A.weights(w)
+    if isinstance(w, tuple):
         adj = np.array([[i != j and w[i] >= A[i, j] * w[j] for j in range(n)]
                         for i in range(n)], dtype=bool)
     else:
-        wf = as_float_vector(w)
         with np.errstate(over="ignore"):  # w_i/w_j = inf is an edge, as it should be
-            adj = wf[:, None] / wf[None, :] >= A.array * (1.0 - TOL_EDGE)
+            adj = w[:, None] / w[None, :] >= A.array * (1.0 - TOL_EDGE)
         np.fill_diagonal(adj, False)
     adj.flags.writeable = False
     return ComparisonDigraph(adj)
@@ -155,26 +150,24 @@ def construct_dominating_vector(
     """
     S = frozenset(source_set)
     n = A.n
-    if len(w) != n:
-        raise DimensionMismatch(f"matrix size {n} vs vector size {len(w)}")
+    w = A.weights(w)
     if not S or len(S) >= n:
         raise PreconditionError(f"source set {sorted(S)!r} must be nonempty and proper")
-    exact = A.exact and vector_is_exact(w)
+    exact = isinstance(w, tuple)
     if exact:
         t, i, j = max((A[i, j] * w[j] / w[i], i, j) for i in S for j in range(n) if j not in S)
     else:
-        wf = as_float_vector(w)
         inside = np.array(sorted(S))
         outside = np.delete(np.arange(n), inside)
-        cand = A.array[np.ix_(inside, outside)] * wf[outside] / wf[inside, None]
+        cand = A.array[np.ix_(inside, outside)] * w[outside] / w[inside, None]
         p, q = np.unravel_index(np.argmax(cand), cand.shape)
         t, i, j = cand[p, q], inside[p], outside[q]
     if not t < 1:
         raise PreconditionError(f"edge {j}->{i} enters the claimed source set (ratio {t})")
     if exact:
         return tuple(w[i] * t if i in S else w[i] for i in range(n))
-    wf[inside] *= t
-    return tuple(wf.tolist())
+    w[inside] *= t
+    return tuple(w.tolist())
 
 
 def is_efficient(A: ReciprocalMatrix, w: Sequence[Scalar]) -> EfficiencyVerdict:
@@ -199,13 +192,9 @@ def dominance_compare(
     last bit, and a ratio far above a_ij carries that rounding into the error.
     """
     n = A.n
-    if len(w) != n or len(v) != n:
-        raise DimensionMismatch("vector sizes do not match the matrix")
-    w = check_positive_vector(w)
-    v = check_positive_vector(v)
+    w, v = A.weights(w), A.weights(v)
     v_le = w_le = True
-    if A.exact and vector_is_exact(w) and vector_is_exact(v):
-        w, v = tuple(map(Fraction, w)), tuple(map(Fraction, v))  # int / int is a float
+    if isinstance(w, tuple) and isinstance(v, tuple):
         if all(a * w[0] == b * v[0] for a, b in zip(v, w)):
             return EQUAL
         for i, row in enumerate(A.entries):
@@ -215,7 +204,7 @@ def dominance_compare(
                     v_le = v_le and gap <= 0
                     w_le = w_le and gap >= 0
     else:
-        w, v = as_float_vector(w), as_float_vector(v)
+        w, v = float_view(w, "vector entry"), float_view(v, "vector entry")
         if (np.abs(v * w[0] / (w * v[0]) - 1.0) <= 1e-12).all():
             return EQUAL
         step = max(1, 2**16 // n)  # row blocks of ~64k cells; the diagonal has gap 0
@@ -256,8 +245,7 @@ def extension_interval(
     lo <= w_k <= hi with lo/hi the min/max of w_i / a_ik over i != k.
     """
     n = A.n
-    if len(w_minus_k) != n - 1:
-        raise DimensionMismatch(f"subvector size {len(w_minus_k)} != {n - 1}")
+    w_minus_k = check_positive_vector(w_minus_k, n - 1)
     if not is_efficient(A.delete(k), w_minus_k).efficient:
         raise PreconditionError(
             f"subvector is not efficient for A({k}); the interval rule does not apply"
@@ -267,24 +255,14 @@ def extension_interval(
     return ExtensionInterval(min(ratios), max(ratios), k)
 
 
-def extend_one(
-    A: ReciprocalMatrix, w_minus_k: Sequence[Scalar], k: int, w_k: Scalar
-) -> bool:
-    iv = extension_interval(A, w_minus_k, k)
-    return iv.lo <= w_k <= iv.hi
-
-
 def subvector_efficiency_profile(
     A: ReciprocalMatrix, w: Sequence[Scalar]
 ) -> frozenset:
     """Indices i with w(i) efficient for A(i).  Every efficient w with
     n >= 4 has at least two."""
-    if len(w) != A.n:
-        raise DimensionMismatch("vector size does not match the matrix")
+    w = check_positive_vector(w, A.n)
     return frozenset(
-        i
-        for i in range(A.n)
-        if is_efficient(A.delete(i), tuple(w[j] for j in range(A.n) if j != i)).efficient
+        i for i in range(A.n) if is_efficient(A.delete(i), w[:i] + w[i + 1 :]).efficient
     )
 
 
@@ -294,9 +272,7 @@ def equal_tail_reduce(form, w: Sequence[Scalar]):
     Efficiency of the reduced pair is equivalent to that of the original.
     Returns (A, w) unchanged when the tail has no equal pair.
     """
-    w = check_positive_vector(w)
-    if len(w) != form.n:
-        raise DimensionMismatch(f"vector size {len(w)} != {form.n}")
+    w = check_positive_vector(w, form.n)
     for p in range(form.s, form.n):
         for q in range(p + 1, form.n):
             if w[p] == w[q]:

@@ -17,8 +17,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InputError
-from .matrix import (ReciprocalMatrix, Scalar, Vector, check_positive_vector,
-                     validate_reciprocal, vector_is_exact)
+from .matrix import (ReciprocalMatrix, Scalar, Vector, check_positive_vector, float_view,
+                     is_exact_scalar, validate_reciprocal)
 
 
 def parse_scalar(cell, backend: Optional[str] = None) -> Scalar:
@@ -50,13 +50,6 @@ def parse_scalar(cell, backend: Optional[str] = None) -> Scalar:
 #: bytes.translate arguments reducing a CSV line to its "," "/" and "." marks ("e", "E" -> ".")
 _MARKS = bytes.maketrans(b"eE", b"..")
 _NOT_MARKS = bytes(b for b in range(256) if b not in b",./eE")
-
-
-def _float_row(vals) -> np.ndarray:
-    try:
-        return np.asarray(vals, dtype=float)
-    except OverflowError as exc:
-        raise InputError(f"cell too large for a float: {exc}") from exc
 
 
 def _csv_lines(text: str) -> list:
@@ -108,8 +101,8 @@ def parse_matrix_text(
     else:
         rows = [_matrix_row(line, backend) for line in _csv_lines(text)]
     if backend == "float" or not all(
-            isinstance(r, list) and vector_is_exact(r) for r in rows):
-        rows = [_float_row(r) for r in rows]
+            isinstance(r, list) and all(map(is_exact_scalar, r)) for r in rows):
+        rows = [r if isinstance(r, np.ndarray) else float_view(r, "cell") for r in rows]
     return validate_reciprocal(rows)
 
 
@@ -126,8 +119,8 @@ def parse_vector_text(text: str, backend: Optional[str] = None) -> Vector:
         else:
             raise InputError("vector file must be a single CSV row or column")
     if backend == "float":
-        vals = _float_row(vals).tolist()
-    return check_positive_vector(vals)
+        vals = float_view(vals, "cell").tolist()
+    return check_positive_vector(vals, len(vals))
 
 
 def load_matrix(path: Union[str, Path], backend: Optional[str] = None) -> ReciprocalMatrix:

@@ -34,28 +34,44 @@ def is_exact_scalar(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-def check_positive_vector(w: Sequence[Scalar]) -> Vector:
-    if len(w) == 0:
+def float_view(values, label: str) -> np.ndarray:
+    """values (a vector or a grid) as a float64 array.  A nonzero value that
+    overflows or rounds to 0.0 as a float is an InputError naming the first
+    such value in row-major order as label.format(*its index)."""
+    try:
+        if len(values) and isinstance(values[0], (tuple, list)):
+            # rows of Python numbers: numpy's nested-sequence reader is slow on Fractions
+            a = np.fromiter(chain.from_iterable(values), float).reshape(len(values), -1)
+        else:
+            a = np.asarray(values, dtype=float)
+        if a.all():
+            return a
+    except OverflowError:
+        pass
+    for index, x in np.ndenumerate(np.array(values, dtype=object)):
+        try:
+            zero = float(x) == 0.0 != x
+        except OverflowError as exc:
+            raise InputError(f"{label.format(*index)} too large for a float: {exc}") from exc
+        if zero:
+            raise InputError(f"{label.format(*index)} rounds to 0.0 as a float")
+    return a
+
+
+def check_positive_vector(w: Sequence[Scalar], n: int) -> Vector:
+    """The one weight-vector check: n entries, each positive and finite.
+    A vector of ints and Fractions comes back as Fractions, any other as
+    floats."""
+    if len(w) != n:
+        raise DimensionMismatch(f"vector size {len(w)} != {n}")
+    if n == 0:
         raise InputError("empty vector")
     for x in w:
         if not 0 < x < math.inf:
             raise InputError(f"vector entry {x!r} is not positive and finite")
-    return tuple(w)
-
-
-def vector_is_exact(w: Sequence[Scalar]) -> bool:
-    return all(is_exact_scalar(x) for x in w)
-
-
-def as_float_vector(w: Sequence[Scalar]) -> np.ndarray:
-    """w as a float64 array; entries must stay positive and finite as floats."""
-    try:
-        wf = np.array(check_positive_vector(w), dtype=float)
-    except OverflowError as exc:
-        raise InputError(f"vector entry too large for a float: {exc}") from exc
-    if not wf.all():
-        raise InputError("vector entry rounds to 0.0 as a float")
-    return wf
+    if all(map(is_exact_scalar, w)):
+        return tuple(x if type(x) is Fraction else Fraction(x) for x in w)
+    return tuple(float_view(w, "vector entry").tolist())
 
 
 @dataclass(frozen=True)
@@ -108,23 +124,18 @@ class ReciprocalMatrix:
     def array(self) -> np.ndarray:
         """The entries as a read-only float64 array, built at most once.
         An exact entry outside the positive floats is an InputError."""
-        n = self.n
-        try:
-            cells = map(float, chain.from_iterable(self.entries))
-            a = np.fromiter(cells, float, n * n).reshape(n, n)
-        except OverflowError:
-            a = None
-        if a is None or not a.all():
-            for i, r in enumerate(self.entries):
-                for j, x in enumerate(r):
-                    try:
-                        zero = float(x) == 0.0
-                    except OverflowError as exc:
-                        raise InputError(f"entry ({i},{j}) too large for a float: {exc}") from exc
-                    if zero:
-                        raise InputError(f"entry ({i},{j}) rounds to 0.0 as a float")
+        a = float_view(self.entries, "entry ({},{})")
         a.flags.writeable = False
         return a
+
+    def weights(self, w: Sequence[Scalar]):
+        """w through check_positive_vector(w, n), on the backend the kernels
+        use for the pair: Fractions when A and w are exact, else a float64
+        array."""
+        w = check_positive_vector(w, self.n)
+        if self.exact and type(w[0]) is Fraction:
+            return w
+        return float_view(w, "vector entry")
 
 
 def validate_reciprocal(grid: Sequence[Sequence[Scalar]]) -> ReciprocalMatrix:
@@ -143,10 +154,7 @@ def validate_reciprocal(grid: Sequence[Sequence[Scalar]]) -> ReciprocalMatrix:
             raise InputError("grid is not square")
     if not all(is_exact_scalar(x) for r in grid for x in r):
         # float backend, on the array; errors name the first bad entry in row-major order
-        try:
-            a = np.array(grid, dtype=float)
-        except OverflowError as exc:
-            raise InputError(f"entry too large for a float: {exc}") from exc
+        a = float_view(grid, "entry")
         for i, j in np.argwhere(~(a > 0))[:1]:
             raise InputError(f"entry ({i},{j}) = {float(a[i, j])!r} is not positive")
         bad = np.abs(a * a.T - 1.0) > TOL_RECIP
@@ -179,9 +187,7 @@ def validate_reciprocal(grid: Sequence[Sequence[Scalar]]) -> ReciprocalMatrix:
 
 def consistent_from_vector(w: Sequence[Scalar]) -> ReciprocalMatrix:
     """The consistent matrix w * w^(-T), i.e. a_ij = w_i / w_j."""
-    w = check_positive_vector(w)
-    if vector_is_exact(w):
-        w = tuple(Fraction(x) for x in w)
+    w = check_positive_vector(w, len(w))
     return validate_reciprocal([[wi / wj for wj in w] for wi in w])
 
 
@@ -266,8 +272,7 @@ def apply_similarity(A: ReciprocalMatrix, M: MonomialSimilarity) -> ReciprocalMa
 
 def transform_vector(M: MonomialSimilarity, w: Sequence[Scalar]) -> Vector:
     """P D w, the vector matching apply_similarity on the matrix side."""
-    if M.n != len(w):
-        raise DimensionMismatch(f"vector size {len(w)} vs similarity size {M.n}")
+    w = check_positive_vector(w, M.n)
     out = [None] * M.n
     for i in range(M.n):
         out[M.perm[i]] = M.diag[i] * w[i]
@@ -427,7 +432,5 @@ def geometric_mean_vector(A: ReciprocalMatrix, cols: Iterable[int]) -> Vector:
         raise InputError(f"column subset {cols!r} out of range for n = {A.n}")
     if len(cols) == 1:
         return A.column(cols[0])
-    k = len(cols)
-    return tuple(
-        math.exp(sum(math.log(float(A[i, j])) for j in cols) / k) for i in range(A.n)
-    )
+    a, k = A.array, len(cols)
+    return tuple(math.exp(sum(math.log(a[i, j]) for j in cols) / k) for i in range(A.n))

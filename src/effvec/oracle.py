@@ -18,15 +18,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .efficiency import V_DOMINATES, dominance_compare, is_efficient
-from .errors import DimensionMismatch, InputError
+from .errors import InputError
 from .matrix import (
     ReciprocalMatrix,
     Scalar,
     Vector,
-    as_float_vector,
     check_positive_vector,
+    float_view,
     validate_reciprocal,
-    vector_is_exact,
 )
 
 GRID_GUARD = 10_000_000
@@ -46,7 +45,7 @@ class GridSpec:
     m: int = 6
 
     def __post_init__(self):
-        check_positive_vector(self.base)
+        check_positive_vector(self.base, len(self.base))
         if not self.rho > 1:
             raise InputError(f"rho must exceed 1, got {self.rho}")
         if self.m < 1:
@@ -71,17 +70,16 @@ def grid_dominator_search(
     produce one.
     """
     n = A.n
-    if len(w) != n or len(g.base) != n:
-        raise DimensionMismatch("grid base and vector must match the matrix size")
+    w_kernel = A.weights(w)
+    exact = isinstance(w_kernel, tuple)
+    w_arr = float_view(w_kernel, "vector entry")
+    wf = float_view(check_positive_vector(g.base, n), "vector entry")
     if g.candidate_count > GRID_GUARD:
         raise InputError(
             f"{g.candidate_count} candidates exceed the {GRID_GUARD} guard"
         )
-    exact = A.exact and vector_is_exact(w)
-    Af = A.to_float().array
-    wf = as_float_vector(g.base)
+    Af = A.array
     off = ~np.eye(n, dtype=bool)
-    w_arr = as_float_vector(w)
     err_w = np.abs(Af - w_arr[:, None] / w_arr[None, :])
     budget = err_w * (1 + 1e-9) + 1e-15
     factors = g.factor_values()

@@ -14,7 +14,7 @@ import numpy as np
 
 from .blockpert import ConstantBlockMatrix
 from .efficiency import EfficiencyVerdict, is_efficient
-from .errors import InternalError, NoConvergence, PreconditionError
+from .errors import InputError, InternalError, NoConvergence, PreconditionError
 from .matrix import BlockPerturbedForm, ReciprocalMatrix, block_matrix, canonical_form
 
 TOL_PERRON = 1e-12
@@ -33,7 +33,7 @@ class PerronResult:
 def perron(A: ReciprocalMatrix) -> PerronResult:
     """Dominant eigenpair by power iteration from the all-ones vector,
     to relative residual TOL_PERRON."""
-    M = A.to_float().array
+    M = A.array
     n = A.n
     v = np.ones(n)
     lam_prev = 0.0
@@ -75,8 +75,7 @@ def perron_efficiency_via_submatrix(
     structure it equals the full-matrix verdict."""
     if not perron_tail_structure(form, r):
         raise PreconditionError("Perron tail entries are not equal within tolerance")
-    sub = block_matrix(form.block, form.s + 1).to_float()
-    return is_efficient(sub, r.w[: form.s + 1])
+    return is_efficient(block_matrix(form.block, form.s + 1), r.w[: form.s + 1])
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ def three_block_sufficient(B: ReciprocalMatrix) -> ThreeBlockPerronConditions:
     """Sufficient conditions (on a13-normalized blocks) for the Perron
     eigenvector of A_n(B) to be efficient, every n >= 4."""
     if B.n != 3:
-        raise PreconditionError("need a 3-by-3 block")
+        raise InputError("need a 3-by-3 block")
     a12, a13, a23 = B[0, 1], B[0, 2], B[1, 2]
     if a13 < 1:
         raise PreconditionError("a13 < 1; apply the block reversal similarity first")

@@ -147,7 +147,7 @@ class TestLcompl:
         state = rng.getstate()
         with pytest.raises(PreconditionError, match="head is not efficient"):
             lcompl_sample(form, (3, 2, 1), rng)
-        with pytest.raises(DimensionMismatch, match="head size 2 != block size 3"):
+        with pytest.raises(DimensionMismatch, match="vector size 2 != 3"):
             lcompl_sample(form, (3, 2), rng, count=0)
         assert rng.getstate() == state
 

@@ -129,3 +129,40 @@ def test_detects_unused_private_names(tmp_path):
         "def public(x):\n    return _helper(x)\n"
     )
     assert unused_private_names(probe) == ["_DEAD", "_recursive", "_Gone"]
+
+
+def outside_intake(path):
+    """(line, name) of each `.to_float()` call in the file and, unless the
+    file is matrix.py, of each `raise DimensionMismatch`: matrix.py owns the
+    intake of numbers, so only it checks sizes or builds float copies."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "to_float":
+            found.append((node.lineno, "to_float"))
+        elif isinstance(node, ast.Raise) and path.name != "matrix.py":
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "DimensionMismatch":
+                found.append((node.lineno, "DimensionMismatch"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.parent.name == "effvec"],
+                         ids=lambda p: p.name)
+def test_intake_stays_in_matrix(path):
+    assert outside_intake(path) == []
+
+
+def test_detects_intake_outside_matrix(tmp_path):
+    text = (
+        "def f(A, w):\n"
+        "    if len(w) != A.n:\n        raise DimensionMismatch('size')\n"
+        "    return A.to_float().array\n\n"
+        "def to_float(self):\n    raise DimensionMismatch\n"
+    )
+    probe, matrix = tmp_path / "probe.py", tmp_path / "matrix.py"
+    probe.write_text(text)
+    matrix.write_text(text)
+    assert outside_intake(probe) == [(3, "DimensionMismatch"), (4, "to_float"),
+                                     (7, "DimensionMismatch")]
+    assert outside_intake(matrix) == [(4, "to_float")]

@@ -1,0 +1,151 @@
+"""Every public function that takes a weight vector checks it through
+matrix.check_positive_vector, on both backends: a wrong length is a
+DimensionMismatch worded "vector size a != b", and an entry that is not
+positive and finite is an InputError.  Values beyond the floats are
+InputErrors too, never a bare OverflowError."""
+
+import math
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from effvec import (
+    ConstantBlockMatrix,
+    GridSpec,
+    MonomialSimilarity,
+    ThreeBlockMatrix,
+    TwoBlockMatrix,
+    build_digraph,
+    constant_block_class_check,
+    construct_dominating_vector,
+    dominance_compare,
+    equal_tail_reduce,
+    extension_interval,
+    geometric_mean_vector,
+    grid_dominator_search,
+    is_efficient,
+    lcompl_membership,
+    lcompl_sample,
+    subvector_efficiency_profile,
+    tail_permute,
+    three_block_generate,
+    three_block_membership,
+    three_block_sufficient,
+    three_by_three_is_efficient,
+    transform_vector,
+    two_block_full_set_check,
+    two_block_is_efficient,
+    validate_reciprocal,
+)
+from effvec.errors import DimensionMismatch, InputError
+from effvec.fixtures import B3, CC, canonical_form
+
+
+def backend(exact):
+    """(A, x, B) on one backend: the 4-by-4 CC, a 2-block parameter and the
+    3-by-3 leading block of CC."""
+    if exact:
+        return CC, F(2), B3
+    return validate_reciprocal(CC.array.tolist()), 2.0, validate_reciprocal(B3.array.tolist())
+
+
+def rng():
+    return random.Random(0)
+
+
+# name -> (size the function needs, call(w)) for a backend
+def calls(exact):
+    A, x, B = backend(exact)
+    form = canonical_form(B, 5)
+    tbm = ThreeBlockMatrix(B, 5)
+    ones = (1,) * A.n
+    return {
+        "build_digraph": (4, lambda w: build_digraph(A, w)),
+        "is_efficient": (4, lambda w: is_efficient(A, w)),
+        "construct_dominating_vector": (4, lambda w: construct_dominating_vector(A, w, [0])),
+        "dominance_compare-w": (4, lambda w: dominance_compare(A, w, ones)),
+        "dominance_compare-v": (4, lambda w: dominance_compare(A, ones, w)),
+        "extension_interval": (3, lambda w: extension_interval(A, w, 3)),
+        "subvector_efficiency_profile": (4, lambda w: subvector_efficiency_profile(A, w)),
+        "equal_tail_reduce": (5, lambda w: equal_tail_reduce(form, w)),
+        "transform_vector": (4, lambda w: transform_vector(
+            MonomialSimilarity.scaling((x,) * 4), w)),
+        "two_block_is_efficient": (4, lambda w: two_block_is_efficient(TwoBlockMatrix(x, 4), w)),
+        "three_by_three_is_efficient": (3, lambda w: three_by_three_is_efficient(B, w)),
+        "two_block_full_set_check": (4, lambda w: two_block_full_set_check(
+            TwoBlockMatrix(x, 4), w)),
+        "lcompl_membership": (5, lambda w: lcompl_membership(form, w)),
+        "three_block_membership": (5, lambda w: three_block_membership(tbm, w)),
+        "constant_block_class_check-s2": (4, lambda w: constant_block_class_check(
+            ConstantBlockMatrix(x, 2, 4), w)),
+        "constant_block_class_check-s3": (4, lambda w: constant_block_class_check(
+            ConstantBlockMatrix(x, 3, 4), w)),
+        "tail_permute": (5, lambda w: tail_permute(form, w, (1, 0))),
+        "lcompl_sample-head": (3, lambda w: lcompl_sample(form, w, rng())),
+        "three_block_generate-seed": (4, lambda w: next(three_block_generate(tbm, [w], rng()))),
+        "grid_dominator_search-w": (4, lambda w: grid_dominator_search(A, w, GridSpec(ones))),
+        "grid_dominator_search-base": (4, lambda w: grid_dominator_search(A, ones, GridSpec(w))),
+    }
+
+
+NAMES = list(calls(True))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("name", NAMES)
+class TestWeightVectorIntake:
+    def test_wrong_length(self, name, exact):
+        n, call = calls(exact)[name]
+        one = 1 if exact else 1.0
+        for size in (n - 1, n + 1):
+            with pytest.raises(DimensionMismatch, match=rf"^vector size {size} != {n}$"):
+                call((one,) * size)
+
+    @pytest.mark.parametrize("bad", [0, -1, float("inf")], ids=["zero", "negative", "inf"])
+    def test_bad_entry(self, name, exact, bad):
+        n, call = calls(exact)[name]
+        w = (1 if exact else 1.0,) * n
+        for k in (0, n - 1):
+            with pytest.raises(InputError, match="is not positive and finite"):
+                call(w[:k] + (bad,) + w[k + 1:])
+
+
+class TestDominatorInput:
+    @pytest.mark.parametrize("w", [(-3, 2, 1, 2), (0, 2, 1, 2)])
+    def test_non_positive_exact_weight(self, w):
+        with pytest.raises(InputError, match="is not positive and finite"):
+            construct_dominating_vector(CC, w, [0])
+
+
+BIG = 10 ** 400  # an exact value beyond the floats
+
+
+class TestBeyondFloats:
+    def test_geometric_mean(self):
+        A = validate_reciprocal([[1, BIG, 1], [F(1, BIG), 1, 1], [1, 1, 1]])
+        with pytest.raises(InputError, match=r"entry \(0,1\) too large for a float"):
+            geometric_mean_vector(A, [0, 1])
+
+    def test_geometric_mean_arithmetic(self):
+        expected = tuple(math.exp((math.log(float(CC[i, 0])) + math.log(float(CC[i, 2]))) / 2)
+                         for i in range(4))
+        assert geometric_mean_vector(CC, [0, 2]) == expected
+
+    @pytest.mark.parametrize("x, w", [(BIG, (1.0, 2.0, 1.5)), (2.0, (BIG, 2, 1)),
+                                      (2.0, (F(1, BIG), 2, 1))],
+                             ids=["x", "vector-overflow", "vector-underflow"])
+    def test_constant_block_two_by_two(self, x, w):
+        with pytest.raises(InputError, match="for a float|rounds to 0.0"):
+            constant_block_class_check(ConstantBlockMatrix(x, 2, 3), w)
+
+
+class TestBlockShape:
+    def test_one_role(self):
+        B2 = validate_reciprocal([[1, 2], [F(1, 2), 1]])
+        with pytest.raises(InputError, match="3-by-3"):
+            ThreeBlockMatrix(B2, 5)
+        with pytest.raises(InputError, match="3-by-3"):
+            three_by_three_is_efficient(B2, (1, 1, 1))
+        with pytest.raises(InputError, match="3-by-3"):
+            three_block_sufficient(B2)

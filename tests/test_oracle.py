@@ -32,7 +32,7 @@ class TestGridSpec:
         ones = validate_reciprocal([[1] * 10] * 10)
         with pytest.raises(InputError, match="candidates exceed the 10000000 guard"):
             grid_dominator_search(ones, (1,) * 10, GridSpec((1,) * 10))
-        with pytest.raises(DimensionMismatch, match="must match the matrix size"):
+        with pytest.raises(DimensionMismatch, match="vector size 10 != 4"):
             grid_dominator_search(CC, (1, 1, 1, 1), GridSpec((1,) * 10))
         with pytest.raises(InputError, match="rho must exceed 1"):
             GridSpec((1, 1), rho=0.5)

@@ -31,7 +31,7 @@ for triple in [(F(2), F(17, 2), F(2)), (F(2), F(8), F(2))]:
     ts = perron_tail_structure(form, r)
     verdict = perron_efficiency_via_submatrix(form, r)
     print(f"  {tuple(map(str, triple))}: lambda={r.lam:.6f}, "
-          f"equal tail={bool(ts)}, Perron vector {verdict.status}")
+          f"equal tail={ts.ok}, Perron vector {verdict.status}")
 
 # --- sufficient conditions read off the block --------------------------------
 B = three_block_from_triple(F(2), F(4), F(3))

@@ -9,7 +9,6 @@ the tests with the digraph verdict it must agree with.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +24,7 @@ from .matrix import (
     Vector,
     block_matrix,
     canonical_form,
+    check_positive_scalar,
     check_positive_vector,
     float_view,
     is_exact_scalar,
@@ -52,12 +52,10 @@ class TwoBlockMatrix:
     def __post_init__(self):
         if self.n < 3:
             raise InputError("two-block form needs n >= 3")
-        if not 0 < self.x < math.inf:
-            raise InputError(f"x must be positive and finite, got {self.x}")
+        object.__setattr__(self, "x", check_positive_scalar(self.x, "x"))
 
     def matrix(self) -> ReciprocalMatrix:
-        x = Fraction(self.x) if is_exact_scalar(self.x) else float(self.x)
-        return block_matrix(validate_reciprocal([[x ** 0, x], [1 / x, x ** 0]]), self.n)
+        return block_matrix(validate_reciprocal([[1, self.x], [1 / self.x, 1]]), self.n)
 
 
 @dataclass(frozen=True)
@@ -117,13 +115,11 @@ class ConstantBlockMatrix:
             raise InputError("constant block needs s >= 2")
         if self.n < self.s:
             raise InputError("need n >= s")
-        if not 0 < self.x < math.inf:
-            raise InputError(f"x must be positive and finite, got {self.x}")
+        object.__setattr__(self, "x", check_positive_scalar(self.x, "x"))
 
     def block(self) -> ReciprocalMatrix:
-        x = Fraction(self.x) if is_exact_scalar(self.x) else float(self.x)
         rows = [
-            [x if j > i else (1 / x if j < i else x ** 0) for j in range(self.s)]
+            [self.x if j > i else (1 / self.x if j < i else 1) for j in range(self.s)]
             for i in range(self.s)
         ]
         return validate_reciprocal(rows)
@@ -200,7 +196,7 @@ class GeneratedVector:
         return min(self.seed_head), max(self.seed_head)
 
 
-def _sample_in(lo, hi, rng: random.Random, exact: bool):
+def _sample_in(lo, hi, rng: random.Random):
     # endpoints drawn with positive probability so boundary ties are exercised
     if lo == hi:
         return lo
@@ -209,24 +205,24 @@ def _sample_in(lo, hi, rng: random.Random, exact: bool):
         return lo
     if u < 0.2:
         return hi
-    if exact:
+    if isinstance(lo, Fraction):
         return lo + (hi - lo) * Fraction(rng.randint(1, 9999), 10000)
     return lo + (hi - lo) * rng.uniform(0.0001, 0.9999)
 
 
-def _extend(head: Vector, n: int, rng: random.Random, exact: bool) -> Vector:
+def _extend(head: Vector, n: int, rng: random.Random) -> Vector:
     """head followed by n - len(head) draws from [min(head), max(head)]."""
     lo, hi = min(head), max(head)
-    return head + tuple(_sample_in(lo, hi, rng, exact) for _ in range(n - len(head)))
+    return head + tuple(_sample_in(lo, hi, rng) for _ in range(n - len(head)))
 
 
-def _stream(draw_head: Callable[[], Vector], n: int, rng: random.Random, exact: bool,
+def _stream(draw_head: Callable[[], Vector], n: int, rng: random.Random,
             count: Optional[int]) -> Iterator[GeneratedVector]:
     """count head-plus-tail vectors, each head from draw_head(); count=None
     is unbounded and count <= 0 yields nothing."""
     for _ in itertools.repeat(None) if count is None else range(count):
         head = draw_head()
-        yield GeneratedVector(_extend(head, n, rng, exact), head)
+        yield GeneratedVector(_extend(head, n, rng), head)
 
 
 def two_block_sample(
@@ -237,10 +233,9 @@ def two_block_sample(
     w_1 is drawn between w_2 and x*w_2 and the tail between w_1 and w_2, so
     every emitted vector passes two_block_is_efficient.
     """
-    exact = is_exact_scalar(S.x)
-    one = Fraction(1) if exact else 1.0
-    ends = sorted((one, S.x * one))
-    for g in _stream(lambda: (_sample_in(*ends, rng, exact), one), S.n, rng, exact, count):
+    one = S.x ** 0
+    ends = sorted((one, S.x))
+    for g in _stream(lambda: (_sample_in(*ends, rng), one), S.n, rng, count):
         if not two_block_is_efficient(S, g.vector):
             raise InternalError(f"two-block sampler produced non-chain vector {g.vector}")
         yield g
@@ -257,7 +252,7 @@ def lcompl_sample(
     head = check_positive_vector(head, form.s)
     if not is_efficient(form.block, head).efficient:
         raise PreconditionError("head is not efficient for the perturbed block")
-    return _stream(lambda: head, form.n, rng, is_exact_scalar(head[0]), count)
+    return _stream(lambda: head, form.n, rng, count)
 
 
 def tail_permute(
@@ -322,7 +317,7 @@ def three_block_generate(
         seed = check_positive_vector(seed, 4)
         if not is_efficient(A4, seed).efficient:
             continue
-        w = _extend(seed, A.n, rng, is_exact_scalar(seed[0]))
+        w = _extend(seed, A.n, rng)
         perm = list(range(A.n - 3))
         rng.shuffle(perm)
         yield GeneratedVector(tail_permute(form, w, perm), seed, tuple(perm))
@@ -390,17 +385,15 @@ def constant_block_sample(
     """
     if M.s < 3:
         raise InputError("class sampler needs block size s >= 3")
-    Mn, _ = M.normalize()
-    x = Fraction(Mn.x) if is_exact_scalar(Mn.x) else float(Mn.x)
-    exact = is_exact_scalar(x)
-    one = Fraction(1) if exact else 1.0
+    x = M.normalize()[0].x
+    one = x ** 0
     u = one / x  # = w_1 / x
 
     def draw_head():
-        w3 = _sample_in(u / x, u, rng, exact)
-        w = [one, _sample_in(u, x * w3, rng, exact), w3]
+        w3 = _sample_in(u / x, u, rng)
+        w = [one, _sample_in(u, x * w3, rng), w3]
         for _ in range(3, M.s):
-            w.append(_sample_in(min(w[2:]) / x, u, rng, exact))
+            w.append(_sample_in(min(w[2:]) / x, u, rng))
         return tuple(w) if M.x >= 1 else tuple(reversed(w))
 
-    return _stream(draw_head, M.n, rng, exact, count)
+    return _stream(draw_head, M.n, rng, count)

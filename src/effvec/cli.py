@@ -87,8 +87,7 @@ def cmd_perron(args) -> int:
         out["structure_ok"] = perron_tail_structure(form, r_can).ok
         out["block_indices"] = [i + 1 for i in detected.K]
         if form.s == 3:
-            norm, _ = ThreeBlockMatrix(form.block, form.n).normalize()
-            out["sufficient_condition"] = three_block_sufficient(norm.block).matched
+            out["sufficient_condition"] = three_block_sufficient(form.block).matched
     out["verdict"] = verdict.to_dict()
     if args.format == "table":
         print(f"lambda   = {r.lam:.12g}")

@@ -71,8 +71,11 @@ class ComparisonDigraph:
 
 def build_digraph(A: ReciprocalMatrix, w: Sequence[Scalar]) -> ComparisonDigraph:
     """Edge i->j iff w_i/w_j >= a_ij (float backend: >= a_ij*(1 - TOL_EDGE))."""
+    return _digraph(A, A.weights(w))
+
+
+def _digraph(A: ReciprocalMatrix, w) -> ComparisonDigraph:
     n = A.n
-    w = A.weights(w)
     if isinstance(w, tuple):
         adj = np.array([[i != j and w[i] >= A[i, j] * w[j] for j in range(n)]
                         for i in range(n)], dtype=bool)
@@ -111,11 +114,18 @@ def is_strongly_connected(G: ComparisonDigraph):
 
 @dataclass(frozen=True)
 class EfficiencyVerdict:
-    efficient: bool
-    components: tuple
+    components: tuple  # strong components of digraph, sink first
     digraph: ComparisonDigraph
-    source_set: Optional[tuple] = None
     dominator: Optional[Vector] = None
+
+    @property
+    def efficient(self) -> bool:
+        return len(self.components) == 1
+
+    @property
+    def source_set(self) -> Optional[tuple]:
+        """The source component of the condensation, or None when efficient."""
+        return None if self.efficient else self.components[-1]
 
     @property
     def status(self) -> str:
@@ -148,9 +158,12 @@ def construct_dominating_vector(
     and v = w with S scaled by t leaves within-group errors unchanged and
     strictly shrinks every cross error.
     """
+    return _dominator(A, A.weights(w), source_set)
+
+
+def _dominator(A: ReciprocalMatrix, w, source_set: Iterable[int]) -> Vector:
     S = frozenset(source_set)
     n = A.n
-    w = A.weights(w)
     if not S or len(S) >= n:
         raise PreconditionError(f"source set {sorted(S)!r} must be nonempty and proper")
     exact = isinstance(w, tuple)
@@ -172,12 +185,12 @@ def construct_dominating_vector(
 
 def is_efficient(A: ReciprocalMatrix, w: Sequence[Scalar]) -> EfficiencyVerdict:
     """Full verdict: strong connectivity witness, or source set + dominator."""
-    G = build_digraph(A, w)
-    connected, comps, source = is_strongly_connected(G)
-    if connected:
-        return EfficiencyVerdict(True, tuple(comps), G)
-    dom = construct_dominating_vector(A, w, source)
-    return EfficiencyVerdict(False, tuple(comps), G, tuple(source), dom)
+    w = A.weights(w)
+    G = _digraph(A, w)
+    comps = tuple(strongly_connected_components(G))
+    if len(comps) == 1:
+        return EfficiencyVerdict(comps, G)
+    return EfficiencyVerdict(comps, G, _dominator(A, w, comps[-1]))
 
 
 def dominance_compare(
@@ -233,7 +246,6 @@ def dominance_compare(
 class ExtensionInterval:
     lo: Scalar
     hi: Scalar
-    k: int
 
 
 def extension_interval(
@@ -252,7 +264,7 @@ def extension_interval(
         )
     others = [i for i in range(n) if i != k]
     ratios = [w_minus_k[p] / A[i, k] for p, i in enumerate(others)]
-    return ExtensionInterval(min(ratios), max(ratios), k)
+    return ExtensionInterval(min(ratios), max(ratios))
 
 
 def subvector_efficiency_profile(

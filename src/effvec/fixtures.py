@@ -9,19 +9,18 @@ the constant-block extension intervals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction as F
 
 from .blockpert import (ConstantBlockMatrix, ThreeBlockMatrix, three_block_membership,
                         union_route_member)
 from .efficiency import extension_interval, is_efficient, subvector_efficiency_profile
-from .errors import InputError
 from .matrix import (
     MonomialSimilarity,
     ReciprocalMatrix,
     block_matrix,
     canonical_form,
+    check_positive_scalar,
     detect_minimal_block,
     validate_reciprocal,
 )
@@ -101,8 +100,7 @@ TABLE1_N = 6
 def three_block_from_triple(a12, a13, a23) -> ReciprocalMatrix:
     """The 3-by-3 reciprocal block with above-diagonal entries a12, a13, a23."""
     for name, a in (("a12", a12), ("a13", a13), ("a23", a23)):
-        if not 0 < a < math.inf:
-            raise InputError(f"{name} must be positive and finite, got {a}")
+        check_positive_scalar(a, name)
     return validate_reciprocal(
         [[1, a12, a13], [1 / F(a12), 1, a23], [1 / F(a13), 1 / F(a23), 1]]
     )

@@ -58,6 +58,13 @@ def float_view(values, label: str) -> np.ndarray:
     return a
 
 
+def check_positive_scalar(x: Scalar, name: str) -> Scalar:
+    """The one parameter check: x positive and finite, as a Fraction if exact, else a float."""
+    if not 0 < x < math.inf:
+        raise InputError(f"{name} must be positive and finite, got {x}")
+    return Fraction(x) if is_exact_scalar(x) else float(x)
+
+
 def check_positive_vector(w: Sequence[Scalar], n: int) -> Vector:
     """The one weight-vector check: n entries, each positive and finite.
     A vector of ints and Fractions comes back as Fractions, any other as
@@ -292,21 +299,21 @@ class BlockPerturbedForm:
     """
 
     block: ReciprocalMatrix
-    s: int
     n: int
     back_map: MonomialSimilarity
+
+    @property
+    def s(self) -> int:
+        return self.block.n
 
     def matrix(self) -> ReciprocalMatrix:
         """The canonical matrix A_n(B)."""
         return block_matrix(self.block, self.n)
 
-    def original(self) -> ReciprocalMatrix:
-        return apply_similarity(self.matrix(), self.back_map)
-
 
 def canonical_form(B: ReciprocalMatrix, n: int) -> BlockPerturbedForm:
     """Wrap an already-canonical A_n(B) (identity back map)."""
-    return BlockPerturbedForm(B, B.n, n, MonomialSimilarity.identity(n))
+    return BlockPerturbedForm(B, n, MonomialSimilarity.identity(n))
 
 
 def block_matrix(B: ReciprocalMatrix, n: int) -> ReciprocalMatrix:
@@ -359,13 +366,17 @@ def is_block_perturbation(
             rows[p][q], rows[q][p] = x, 1 / x
     fwd = MonomialSimilarity(tuple(1 / x for x in col_r), tuple(perm))
     block = ReciprocalMatrix(tuple(map(tuple, rows)), A.exact)
-    return BlockPerturbedForm(block=block, s=s, n=n, back_map=fwd.inverse())
+    return BlockPerturbedForm(block, n, fwd.inverse())
 
 
 @dataclass(frozen=True)
 class DetectedBlock:
-    K: tuple
     form: BlockPerturbedForm
+
+    @property
+    def K(self) -> tuple:
+        """The input indices that the back map sends to the block, ascending."""
+        return self.form.back_map.perm[: self.form.s]
 
 
 def _reference_block(A: ReciprocalMatrix, r: int, limit: int) -> Optional[set]:
@@ -412,7 +423,7 @@ def detect_minimal_block(A: ReciprocalMatrix) -> Optional[DetectedBlock]:
         r += 1
     K = tuple(best) or (0,)
     form = is_block_perturbation(A, K)
-    return None if form is None else DetectedBlock(K, form)
+    return None if form is None else DetectedBlock(form)
 
 
 # ---------------------------------------------------------------------------

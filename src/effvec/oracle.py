@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -115,14 +115,7 @@ class OracleReport:
     runtime_ms: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "n": self.n,
-            "efficient": self.efficient,
-            "inefficient": self.inefficient,
-            "contradictions": self.contradictions,
-            "runtime_ms": self.runtime_ms,
-        }
+        return asdict(self)
 
 
 def random_pow2_instance(n: int, rng: random.Random):

@@ -52,20 +52,14 @@ def perron(A: ReciprocalMatrix) -> PerronResult:
 @dataclass(frozen=True)
 class TailStructure:
     ok: bool
-    vacuous: bool  # n == s + 1: no pair of tail entries to compare
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def perron_tail_structure(form: BlockPerturbedForm, r: PerronResult) -> TailStructure:
-    """Eigenvectors of A_n(B) have equal trailing n - s entries: their
-    spread is at most 10 * TOL_PERRON relative to the largest."""
+    """Eigenvectors of A_n(B) have equal trailing n - s entries: their spread is
+    at most 10 * TOL_PERRON relative to the largest (vacuous for n <= s + 1)."""
     tail = r.w[form.s :]
-    if len(tail) <= 1:
-        return TailStructure(True, True)
-    lo, hi = min(tail), max(tail)
-    return TailStructure(bool(hi - lo <= 10 * TOL_PERRON * hi), False)
+    hi = max(tail, default=0.0)
+    return TailStructure(bool(hi - min(tail, default=hi) <= 10 * TOL_PERRON * hi))
 
 
 def perron_efficiency_via_submatrix(
@@ -73,7 +67,7 @@ def perron_efficiency_via_submatrix(
 ) -> EfficiencyVerdict:
     """Verdict from the leading (s+1)-by-(s+1) pair only; by the equal-tail
     structure it equals the full-matrix verdict."""
-    if not perron_tail_structure(form, r):
+    if not perron_tail_structure(form, r).ok:
         raise PreconditionError("Perron tail entries are not equal within tolerance")
     return is_efficient(block_matrix(form.block, form.s + 1), r.w[: form.s + 1])
 
@@ -88,13 +82,13 @@ class ThreeBlockPerronConditions:
 
 
 def three_block_sufficient(B: ReciprocalMatrix) -> ThreeBlockPerronConditions:
-    """Sufficient conditions (on a13-normalized blocks) for the Perron
-    eigenvector of A_n(B) to be efficient, every n >= 4."""
+    """Sufficient conditions for the Perron eigenvector of A_n(B) to be efficient, every
+    n >= 4.  They read B on its a13 >= 1 orientation: reversed, B[(2, 1, 0)], if a13 < 1."""
     if B.n != 3:
         raise InputError("need a 3-by-3 block")
+    if B[0, 2] < 1:
+        B = B.submatrix((2, 1, 0))
     a12, a13, a23 = B[0, 1], B[0, 2], B[1, 2]
-    if a13 < 1:
-        raise PreconditionError("a13 < 1; apply the block reversal similarity first")
     q = a13 - a23 * a12
     if a12 >= 1 and a23 >= 1 and q <= 0:
         matched = "cond1"

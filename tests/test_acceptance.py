@@ -237,7 +237,7 @@ def test_constant_block_perron_and_class(capsys):
         Mn, _ = M.normalize()
         form = canonical_form(Mn.block(), n)
         r = perron(form.matrix())
-        if not perron_tail_structure(form, r):
+        if not perron_tail_structure(form, r).ok:
             tail_fail += 1
 
     class_fail = 0

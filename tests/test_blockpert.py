@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -20,9 +21,10 @@ from effvec import (
     two_block_full_set_check,
     two_block_is_efficient,
     two_block_sample,
+    validate_reciprocal,
 )
 from effvec.errors import DimensionMismatch, InputError, PreconditionError
-from effvec.fixtures import B3, canonical_form
+from effvec.fixtures import B3, canonical_form, three_block_from_triple
 
 from conftest import rand_frac, rand_reciprocal, rand_vector
 
@@ -283,3 +285,58 @@ class TestConstantBlock:
         M = ConstantBlockMatrix(F(3), 2, 4)
         assert constant_block_class_check(M, (3, 1, 2, 2))
         assert not constant_block_class_check(M, (3, 2, 2, 2))
+
+
+#: float library streams, seed 0, three vectors each: the float counterpart
+#: of test_io_cli.GENERATE_PINNED, which pins exact streams through the CLI
+FLOAT_STREAMS_PINNED = {
+    "2block": [
+        (2.1368542180895718, 1.0, 1.2944054150064679,
+         1.460372697414333, 1.3448670729944758, 1.6632013736674955),
+        (1.7570288776693401, 1.0, 1.5721268781769968,
+         1.1896783092315377, 1.7439238894050968, 1.6829047866851512),
+        (2.094678672865715, 1.0, 1.7487023421933854,
+         1.1103228855785787, 1.6687006642394286, 2.0580212190469593),
+    ],
+    "constant": [
+        (0.24335907593251782, 0.3418966748943315, 0.5177621660025872,
+         1.0, 0.47288766160244294, 0.6847571832974682, 0.6252250956295169),
+        (0.3954394353751267, 0.3413807303959342, 0.5136151845838481,
+         1.0, 0.9355116348872023, 0.8220317090452444, 0.7918414929824278),
+        (0.3890723693125594, 0.1841874562784205, 0.43693816386616047,
+         1.0, 0.8900585446770539, 0.8408894864950777, 0.1957221415827509),
+    ],
+    "lcompl": [
+        (1.0, 0.5, 0.3333333333333333,
+         0.8386018747064763, 0.5059766446286031, 0.6033021004152828),
+        (1.0, 0.5, 0.3333333333333333,
+         0.5355680423558078, 0.7222435753647601, 0.6697906122974846),
+        (1.0, 0.5, 0.3333333333333333,
+         0.8371686955442617, 0.5003708267294453, 0.9884592792949638),
+    ],
+    "3block": [
+        (1.0, 0.5714285714285714, 0.3333333333333333, 1.0, 0.8, 0.4444318641043443),
+        (4.0, 1.3333333333333333, 0.5, 1.1428571428571428, 3.3942241732155107, 4.0),
+        (1.3333333333333333, 1.0, 1.0, 1.0, 1.1180290163471922, 1.0465350642037918),
+    ],
+}
+
+
+def float_streams():
+    B = validate_reciprocal(B3.array.tolist())
+    rng = random.Random(0)
+    seeds = iter(lambda: tuple(rng.randint(1, 9) / rng.randint(1, 9) for _ in range(4)), None)
+    tbm = ThreeBlockMatrix(three_block_from_triple(2.0, 8.0, 2.0), 6)
+    return {
+        "2block": two_block_sample(TwoBlockMatrix(2.5, 6), random.Random(0), 3),
+        "constant": constant_block_sample(ConstantBlockMatrix(0.4, 4, 7), random.Random(0), 3),
+        "lcompl": lcompl_sample(canonical_form(B, 6), B.column(0), random.Random(0), 3),
+        "3block": islice(three_block_generate(tbm, seeds, rng), 3),
+    }
+
+
+@pytest.mark.parametrize("name", FLOAT_STREAMS_PINNED)
+def test_float_stream_pinned(name):
+    got = [g.vector for g in float_streams()[name]]
+    assert got == FLOAT_STREAMS_PINNED[name]
+    assert all(type(v) is float for w in got for v in w)

@@ -133,13 +133,19 @@ def test_detects_unused_private_names(tmp_path):
 
 def outside_intake(path):
     """(line, name) of each `.to_float()` call in the file and, unless the
-    file is matrix.py, of each `raise DimensionMismatch`: matrix.py owns the
-    intake of numbers, so only it checks sizes or builds float copies."""
+    file is matrix.py, of each `raise DimensionMismatch` and each
+    `0 < ... < math.inf` test: matrix.py owns the intake of numbers, so only
+    it checks sizes or signs or builds float copies."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
                 and node.func.attr == "to_float":
             found.append((node.lineno, "to_float"))
+        elif isinstance(node, ast.Compare) and path.name != "matrix.py" \
+                and [type(op) for op in node.ops] == [ast.Lt, ast.Lt] \
+                and ast.unparse(node.left) == "0" \
+                and ast.unparse(node.comparators[1]) == "math.inf":
+            found.append((node.lineno, "positive_finite"))
         elif isinstance(node, ast.Raise) and path.name != "matrix.py":
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name) and exc.id == "DimensionMismatch":
@@ -158,11 +164,12 @@ def test_detects_intake_outside_matrix(tmp_path):
         "def f(A, w):\n"
         "    if len(w) != A.n:\n        raise DimensionMismatch('size')\n"
         "    return A.to_float().array\n\n"
-        "def to_float(self):\n    raise DimensionMismatch\n"
+        "def to_float(self):\n    raise DimensionMismatch\n\n"
+        "def g(x):\n    return 0 < x < math.inf and 0 < x < 1 and x < math.inf\n"
     )
     probe, matrix = tmp_path / "probe.py", tmp_path / "matrix.py"
     probe.write_text(text)
     matrix.write_text(text)
     assert outside_intake(probe) == [(3, "DimensionMismatch"), (4, "to_float"),
-                                     (7, "DimensionMismatch")]
+                                     (7, "DimensionMismatch"), (10, "positive_finite")]
     assert outside_intake(matrix) == [(4, "to_float")]

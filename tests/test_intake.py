@@ -38,6 +38,7 @@ from effvec import (
     two_block_is_efficient,
     validate_reciprocal,
 )
+from effvec import matrix
 from effvec.errors import DimensionMismatch, InputError
 from effvec.fixtures import B3, CC, canonical_form
 
@@ -109,6 +110,31 @@ class TestWeightVectorIntake:
         for k in (0, n - 1):
             with pytest.raises(InputError, match="is not positive and finite"):
                 call(w[:k] + (bad,) + w[k + 1:])
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("w, efficient", [((3, 2, 1, 2), True), ((1, 1, 1, 8), False)],
+                         ids=["efficient", "inefficient"])
+def test_one_check_per_verdict(monkeypatch, exact, w, efficient):
+    """is_efficient checks w once and hands the result to the digraph and
+    dominator kernels."""
+    check, seen = matrix.check_positive_vector, []
+
+    def counting(w, n):
+        seen.append(n)
+        return check(w, n)
+
+    monkeypatch.setattr(matrix, "check_positive_vector", counting)
+    A = backend(exact)[0]
+    assert is_efficient(A, w if exact else tuple(map(float, w))).efficient == efficient
+    assert seen == [4]
+
+
+@pytest.mark.parametrize("x, kept", [(3, F(3)), (F(1, 3), F(1, 3)), (2.5, 2.5)])
+def test_family_parameter_intake(x, kept):
+    """Family parameters are stored as check_positive_scalar returns them."""
+    for M in (TwoBlockMatrix(x, 4), ConstantBlockMatrix(x, 3, 4)):
+        assert M.x == kept and type(M.x) is type(kept)
 
 
 class TestDominatorInput:

@@ -47,14 +47,13 @@ class TestTailStructure:
         for _ in range(10):
             form = canonical_form(rand_reciprocal(3, rng), 7)
             r = perron(form.matrix())
-            ts = perron_tail_structure(form, r)
-            assert ts and not ts.vacuous
+            assert perron_tail_structure(form, r).ok and form.n > form.s + 1
 
     def test_vacuous(self):
-        form = canonical_form(B3, 4)
-        r = perron(form.matrix())
-        ts = perron_tail_structure(form, r)
-        assert ts and ts.vacuous
+        """A tail of one entry, or of none, has no pair to compare."""
+        for n in (3, 4):
+            form = canonical_form(B3, n)
+            assert perron_tail_structure(form, perron(form.matrix())).ok and form.n <= form.s + 1
 
 
 class TestSubmatrixVerdict:
@@ -69,10 +68,19 @@ class TestSubmatrixVerdict:
 
 
 class TestThreeBlockConditions:
-    def test_requires_normalization(self):
-        B = three_block_from_triple(F(1, 2), F(1, 3), F(2))
-        with pytest.raises(PreconditionError, match="a13 < 1"):
-            three_block_sufficient(B)
+    def test_either_orientation(self):
+        """A block with a13 < 1 gives the result of its reversal, which has a13 > 1:
+        the reversals of a cond1, cond2, cond3 and unmatched block, and a float one."""
+        cases = [((F(1, 3), F(1, 4), F(1, 2)), "cond1"), ((2, F(1, 8), F(1, 2)), "cond2"),
+                 ((F(1, 2), F(1, 3), 2), "cond3"), ((F(1, 2), F(2, 17), F(1, 2)), None),
+                 ((0.5, 0.25, 3.0), "cond3")]
+        for triple, matched in cases:
+            B = three_block_from_triple(*triple)
+            rev = B.submatrix((2, 1, 0))
+            assert B[0, 2] < 1 < rev[0, 2]
+            assert three_block_sufficient(B) == three_block_sufficient(rev)
+            assert three_block_sufficient(B).a13 == rev[0, 2]
+            assert three_block_sufficient(B).matched == matched
 
     def test_condition_labels(self):
         assert three_block_sufficient(three_block_from_triple(2, 4, 3)).matched == "cond1"

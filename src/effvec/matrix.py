@@ -11,7 +11,7 @@ matrix to the float backend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -59,10 +59,17 @@ def float_view(values, label: str) -> np.ndarray:
 
 
 def check_positive_scalar(x: Scalar, name: str) -> Scalar:
-    """The one parameter check: x positive and finite, as a Fraction if exact, else a float."""
+    """The one parameter check: x positive and finite, as a Fraction if exact,
+    else a float whose reciprocal is finite too (the matrices built from x
+    hold 1/x)."""
     if not 0 < x < math.inf:
         raise InputError(f"{name} must be positive and finite, got {x}")
-    return Fraction(x) if is_exact_scalar(x) else float(x)
+    if is_exact_scalar(x):
+        return Fraction(x)
+    x = float(x)
+    if 1 / x == math.inf:
+        raise InputError(f"{name} must have a finite reciprocal, got {x}")
+    return x
 
 
 def check_positive_vector(w: Sequence[Scalar], n: int) -> Vector:
@@ -88,10 +95,14 @@ class ReciprocalMatrix:
     Outside input goes through validate_reciprocal.  Derived matrices
     (submatrix, delete, to_float, block_matrix, the blocks of canonical
     forms) are built from validated parts and are not checked again.
+    block_matrix records B on the A_n(B) it returns, and the float view
+    is built from B's; B takes no part in equality, hash or repr.
     """
 
     entries: tuple
     exact: bool
+    _block: Optional["ReciprocalMatrix"] = field(
+        default=None, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -130,8 +141,15 @@ class ReciprocalMatrix:
     @cached_property
     def array(self) -> np.ndarray:
         """The entries as a read-only float64 array, built at most once.
-        An exact entry outside the positive floats is an InputError."""
-        a = float_view(self.entries, "entry ({},{})")
+        An exact entry outside the positive floats is an InputError.  An
+        A_n(B) from block_matrix is ones with B's view in the leading
+        corner: s^2 conversions, not n^2."""
+        if self._block is None:
+            a = float_view(self.entries, "entry ({},{})")
+        else:
+            s = self._block.n
+            a = np.ones((self.n, self.n))
+            a[:s, :s] = self._block.array
         a.flags.writeable = False
         return a
 
@@ -319,7 +337,9 @@ def canonical_form(B: ReciprocalMatrix, n: int) -> BlockPerturbedForm:
 def block_matrix(B: ReciprocalMatrix, n: int) -> ReciprocalMatrix:
     """Build A_n(B): B as leading principal block, all other entries 1.
 
-    B is already validated, so no entry is checked again: O(n^2)."""
+    B is already validated, so no entry is checked again.  The rows share
+    one tail and one all-ones row: O(s*n) references.  The matrix records B
+    for its float view."""
     s = B.n
     if n < s:
         raise InputError(f"n = {n} smaller than block size {s}")
@@ -328,7 +348,9 @@ def block_matrix(B: ReciprocalMatrix, n: int) -> ReciprocalMatrix:
     one = Fraction(1) if B.exact else 1.0
     tail = (one,) * (n - s)
     rows = tuple(B.row(i) + tail for i in range(s)) + ((one,) * n,) * (n - s)
-    return ReciprocalMatrix(rows, B.exact)
+    A = ReciprocalMatrix(rows, B.exact)
+    object.__setattr__(A, "_block", B)
+    return A
 
 
 def is_block_perturbation(
@@ -382,17 +404,19 @@ class DetectedBlock:
 def _reference_block(A: ReciprocalMatrix, r: int, limit: int) -> Optional[set]:
     """K_r: endpoints of the pairs (i, j) with a_ij != a_ir * a_rj, or None
     once it grows past `limit` members.  Pairs through r hold exactly on
-    both backends (a_rr = 1), so r is never a member."""
+    both backends (a_rr = 1), so r is never a member.  On floats a product
+    a_ir * a_rj that underflows to 0 is a bad pair, as one that overflows is."""
     n = A.n
     row_r = A.row(r)
     K: set = set()
     for i in range(n):
         row_i, a_ir = A.row(i), A[i, r]
         for j in range(i + 1, n):
+            p = a_ir * row_r[j]
             if A.exact:
-                bad = row_i[j] != a_ir * row_r[j]
+                bad = row_i[j] != p
             else:
-                bad = abs(row_i[j] / (a_ir * row_r[j]) - 1.0) > TOL_CONS
+                bad = p == 0.0 or abs(row_i[j] / p - 1.0) > TOL_CONS
             if bad:
                 K.add(i)
                 K.add(j)

@@ -16,6 +16,7 @@ from effvec import (
     MonomialSimilarity,
     ThreeBlockMatrix,
     TwoBlockMatrix,
+    block_matrix,
     build_digraph,
     constant_block_class_check,
     construct_dominating_vector,
@@ -137,6 +138,14 @@ def test_family_parameter_intake(x, kept):
         assert M.x == kept and type(M.x) is type(kept)
 
 
+@pytest.mark.parametrize("x", [5e-324, 1e-310])
+def test_family_parameter_reciprocal_finite(x):
+    """A float parameter whose reciprocal overflows is rejected by name."""
+    for make in (lambda: TwoBlockMatrix(x, 4), lambda: ConstantBlockMatrix(x, 3, 4)):
+        with pytest.raises(InputError, match=f"^x must have a finite reciprocal, got {x}$"):
+            make()
+
+
 class TestDominatorInput:
     @pytest.mark.parametrize("w", [(-3, 2, 1, 2), (0, 2, 1, 2)])
     def test_non_positive_exact_weight(self, w):
@@ -157,6 +166,22 @@ class TestBeyondFloats:
         expected = tuple(math.exp((math.log(float(CC[i, 0])) + math.log(float(CC[i, 2]))) / 2)
                          for i in range(4))
         assert geometric_mean_vector(CC, [0, 2]) == expected
+
+    @pytest.mark.parametrize("entry, message", [(BIG, "too large for a float"),
+                                                (F(1, BIG), "rounds to 0.0")],
+                             ids=["overflow", "underflow"])
+    def test_block_matrix(self, entry, message):
+        """An exact A_n(B) with an entry beyond the floats builds and gets an
+        exact verdict; its float view raises as the entry-wise conversion does."""
+        B = validate_reciprocal([[1, entry, 1], [1 / F(entry), 1, 1], [1, 1, 1]])
+        A = block_matrix(B, 6)
+        assert A.exact and is_efficient(A, A.column(0)).efficient
+        assert not is_efficient(A, (1, 1, 1, 1, 1, 2)).efficient
+        with pytest.raises(InputError) as expected:
+            matrix.float_view(A.entries, "entry ({},{})")
+        with pytest.raises(InputError, match=rf"^entry \(0,1\) {message}") as raised:
+            A.array
+        assert str(raised.value) == str(expected.value)
 
     @pytest.mark.parametrize("x, w", [(BIG, (1.0, 2.0, 1.5)), (2.0, (BIG, 2, 1)),
                                       (2.0, (F(1, BIG), 2, 1))],

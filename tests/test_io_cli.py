@@ -448,6 +448,20 @@ def test_generate_bad_parameters_exit_two(capsys, family, count):
         assert "usage:" in captured.err or captured.err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["generate", "2block", "--x", "5e-324", "--n", "5"], "x"),
+    (["generate", "constant", "--s", "3", "--x", "1e-310", "--n", "5"], "x"),
+    (["generate", "3block", "--n", "5", "--a12", "5e-324", "--a13", "8", "--a23", "2"], "a12"),
+], ids=["2block", "constant", "3block"])
+def test_generate_parameter_without_finite_reciprocal(capsys, argv, name):
+    """A float parameter whose reciprocal overflows is an input error that
+    names the parameter, not the matrix built from it."""
+    code, captured = _run(argv, capsys)
+    value = float(argv[argv.index(f"--{name}") + 1])
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {name} must have a finite reciprocal, got {value}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["reproduce", "all", "--seed", "1"],
     ["check", "m", "v", "--tol-perron", "1e-6"],

@@ -10,6 +10,7 @@ from effvec import (
     TOL_CONS,
     BlockPerturbedForm,
     MonomialSimilarity,
+    ReciprocalMatrix,
     apply_similarity,
     block_matrix,
     consistent_from_vector,
@@ -21,6 +22,7 @@ from effvec import (
     transform_vector,
     validate_reciprocal,
 )
+from effvec import matrix
 from effvec.errors import InputError
 from effvec.fixtures import B3, B_SCALED, CC, D_SCALED, EX20
 
@@ -305,6 +307,59 @@ class TestDetectMinimalBlock:
             d = detect_minimal_block(A)
             assert d is not None and d.K == brute_force_block(A)
             assert d.form == is_block_perturbation(A, d.K)
+
+
+def test_reference_block_underflow_is_a_bad_pair():
+    """A float product a_ir * a_rj that underflows to 0 marks its pair."""
+    A = validate_reciprocal([[1, 1e200, 1e-200], [1e-200, 1, 0.5], [1e200, 2, 1]])
+    assert matrix._reference_block(A, 0, 2) == {1, 2}
+    assert not is_consistent(A)
+
+
+class TestBlockMatrixView:
+    """block_matrix(B, n).array is ones with B.array in the leading corner."""
+
+    @staticmethod
+    def blocks():
+        rng = random.Random(43)
+        for s in (2, 3, 5):
+            B = rand_reciprocal(s, rng)
+            yield B
+            yield B.to_float()
+
+    @pytest.mark.parametrize("extra", [0, 1, None], ids=["n=s", "n=s+1", "n=64"])
+    def test_bit_identical(self, extra):
+        for B in self.blocks():
+            A = block_matrix(B, 64 if extra is None else B.n + extra)
+            ref = matrix.float_view(A.entries, "entry ({},{})")
+            assert A.array.dtype == ref.dtype and A.array.shape == ref.shape
+            assert A.array.tobytes() == ref.tobytes()
+            assert not A.array.flags.writeable
+
+    def test_equality_hash_repr(self):
+        for B in self.blocks():
+            A = block_matrix(B, 7)
+            plain = ReciprocalMatrix(A.entries, A.exact)
+            assert A == plain and hash(A) == hash(plain) and repr(A) == repr(plain)
+            assert A != block_matrix(B, 8)
+
+    def test_to_float(self):
+        for B in self.blocks():
+            A = block_matrix(B, 9)
+            assert A.to_float().entries == tuple(tuple(map(float, r)) for r in A.entries)
+            assert not A.to_float().exact
+
+    def test_converts_only_the_block(self, monkeypatch):
+        B = rand_reciprocal(4, random.Random(47))
+        A, seen, to_float = block_matrix(B, 512), [], F.__float__
+
+        def counting(x):
+            seen.append(x)
+            return to_float(x)
+
+        monkeypatch.setattr(F, "__float__", counting)
+        assert A.array.shape == (512, 512)
+        assert 0 < len(seen) <= B.n ** 2
 
 
 class TestGeometricMean:

@@ -28,18 +28,13 @@ from .matrix import (
     check_positive_vector,
     float_view,
     is_exact_scalar,
-    transform_vector,
     validate_reciprocal,
 )
 
 
 # ---------------------------------------------------------------------------
-# Parameterized matrix families
-
-
-def _reverse_leading(s: int, n: int) -> MonomialSimilarity:
-    """The permutation reversing indices 0..s-1 and fixing the rest."""
-    return MonomialSimilarity.permutation(list(range(s - 1, -1, -1)) + list(range(s, n)))
+# Parameterized matrix families.  The paper reads a 3-block with a13 >= 1 and
+# C_s(x) with x >= 1; the other orientation reverses the block's indices.
 
 
 @dataclass(frozen=True)
@@ -83,23 +78,18 @@ class ThreeBlockMatrix:
     def a23(self):
         return self.block[1, 2]
 
-    @property
-    def normalized(self) -> bool:
-        return self.a13 >= 1
-
     def matrix(self) -> ReciprocalMatrix:
         return block_matrix(self.block, self.n)
 
     def normalize(self) -> Tuple["ThreeBlockMatrix", MonomialSimilarity]:
-        """Reverse the block indices when a13 < 1 so that a13 >= 1 holds.
-
-        Returns the normalized form and the similarity mapping original
-        vectors to normalized ones.
-        """
-        if self.normalized:
+        """This form on its a13 >= 1 orientation (the block's indices reversed,
+        B[(2, 1, 0)], when a13 < 1) and the permutation taking its vectors
+        there: the head reversed and the tail kept, or the identity."""
+        if self.a13 >= 1:
             return self, MonomialSimilarity.identity(self.n)
-        block = self.block.submatrix((2, 1, 0))
-        return ThreeBlockMatrix(block, self.n), _reverse_leading(3, self.n)
+        perm = (2, 1, 0) + tuple(range(3, self.n))
+        return (ThreeBlockMatrix(self.block.submatrix(perm[:3]), self.n),
+                MonomialSimilarity.permutation(perm))
 
 
 @dataclass(frozen=True)
@@ -126,13 +116,6 @@ class ConstantBlockMatrix:
 
     def matrix(self) -> ReciprocalMatrix:
         return block_matrix(self.block(), self.n)
-
-    def normalize(self) -> Tuple["ConstantBlockMatrix", MonomialSimilarity]:
-        """A_n(C_s(x)) with x < 1 is permutation similar to A_n(C_s(1/x))
-        via reversal of the block indices."""
-        if self.x >= 1:
-            return self, MonomialSimilarity.identity(self.n)
-        return ConstantBlockMatrix(1 / self.x, self.s, self.n), _reverse_leading(self.s, self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -350,26 +333,26 @@ def two_block_full_set_check(S: TwoBlockMatrix, w: Sequence[Scalar]) -> bool:
 def constant_block_class_check(M: ConstantBlockMatrix, w: Sequence[Scalar]) -> bool:
     """Sufficient (not necessary) conditions for efficiency on A_n(C_s(x)).
 
-    For the normalized x >= 1 orientation: w_3 <= w_1/x <= w_2 <= x*w_3,
-    then (1/x)*min(w_3..w_{i-1}) <= w_i <= w_1/x for i = 4..s, and the tail
-    entries within [min, max] of the head.
+    On the x >= 1 orientation, with h = w[0:s]: h_3 <= h_1/x <= h_2 <= x*h_3,
+    then (1/x)*min(h_3..h_{i-1}) <= h_i <= h_1/x for i = 4..s (for s = 2:
+    h_1 = x*h_2, on floats to a relative 1e-12), and the tail entries within
+    [min(h), max(h)].  For x < 1 the test reads C_s(1/x) with h reversed.
     """
     w = check_positive_vector(w, M.n)
-    if M.x < 1:
-        M2, sim = M.normalize()
-        return constant_block_class_check(M2, transform_vector(sim, w))
-    x = M.x
+    x, h = M.x, w[: M.s]
+    if x < 1:
+        x, h = 1 / x, h[::-1]
     if M.s == 2:
         # 2-by-2 block is consistent; efficient heads are column multiples
-        if is_exact_scalar(w[0]) and is_exact_scalar(x):
-            head_ok = w[1] * x == w[0]
+        if is_exact_scalar(h[0]) and is_exact_scalar(x):
+            head_ok = h[1] * x == h[0]
         else:
-            w0, w1, xf = float_view((w[0], w[1], x), "w_1, w_2 or x").tolist()
-            head_ok = abs(w1 * xf / w0 - 1.0) <= 1e-12
+            h0, h1, xf = float_view((h[0], h[1], x), "w_1, w_2 or x").tolist()
+            head_ok = abs(h1 * xf / h0 - 1.0) <= 1e-12
     else:
-        head_ok = w[2] <= w[0] / x <= w[1] <= x * w[2] and all(
-            min(w[2:i]) / x <= w[i] <= w[0] / x for i in range(3, M.s))
-    return head_ok and _within(w, w[: M.s], range(M.s, M.n))
+        head_ok = h[2] <= h[0] / x <= h[1] <= x * h[2] and all(
+            min(h[2:i]) / x <= h[i] <= h[0] / x for i in range(3, M.s))
+    return head_ok and _within(w, h, range(M.s, M.n))
 
 
 def constant_block_sample(
@@ -379,13 +362,12 @@ def constant_block_sample(
     checked here, before the first draw.
 
     Every emitted vector passes constant_block_class_check and hence the
-    digraph test.  Heads are drawn for the normalized x >= 1 orientation;
-    for x < 1 the normalizing similarity reverses the head and fixes the
-    tail.
+    digraph test.  Heads are drawn for C_s(x) on its x >= 1 orientation,
+    C_s(1/x) when x < 1, and then reversed when x < 1.
     """
     if M.s < 3:
         raise InputError("class sampler needs block size s >= 3")
-    x = M.normalize()[0].x
+    x = M.x if M.x >= 1 else 1 / M.x
     one = x ** 0
     u = one / x  # = w_1 / x
 
@@ -394,6 +376,6 @@ def constant_block_sample(
         w = [one, _sample_in(u, x * w3, rng), w3]
         for _ in range(3, M.s):
             w.append(_sample_in(min(w[2:]) / x, u, rng))
-        return tuple(w) if M.x >= 1 else tuple(reversed(w))
+        return tuple(w if M.x >= 1 else w[::-1])
 
     return _stream(draw_head, M.n, rng, count)

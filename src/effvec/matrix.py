@@ -274,14 +274,6 @@ class MonomialSimilarity:
                 if is_exact_scalar(self.diag[i]) else 1.0 / self.diag[i]
         return MonomialSimilarity(tuple(inv_diag), tuple(inv_perm))
 
-    def then(self, other: "MonomialSimilarity") -> "MonomialSimilarity":
-        """Composition: apply self first, then other."""
-        if other.n != self.n:
-            raise DimensionMismatch("similarity sizes differ")
-        diag = tuple(self.diag[i] * other.diag[self.perm[i]] for i in range(self.n))
-        perm = tuple(other.perm[self.perm[i]] for i in range(self.n))
-        return MonomialSimilarity(diag, perm)
-
 
 def apply_similarity(A: ReciprocalMatrix, M: MonomialSimilarity) -> ReciprocalMatrix:
     """P D A D^{-1} P^T.  Preserves reciprocity and efficiency status."""
@@ -361,7 +353,8 @@ def is_block_perturbation(
     With r the smallest index outside K, K is a block iff K_r lies inside
     K; scaling by column r then leaves 1s outside the block, which is
     B_pq = a_{K_p K_q} * a_{K_q r} / a_{K_p r}.  Returns None when A is not
-    consistent outside K.  O(n^2).
+    consistent outside K, and on floats when some B_pq or its reciprocal
+    overflows or underflows: then A has no float block form.  O(n^2).
     """
     K = sorted(set(K))
     n = A.n
@@ -385,6 +378,8 @@ def is_block_perturbation(
     for p in range(s):
         for q in range(p + 1, s):
             x = A[K[p], K[q]] * col_r[K[q]] / col_r[K[p]]
+            if not 0 < x < math.inf or 1 / x == math.inf:
+                return None
             rows[p][q], rows[q][p] = x, 1 / x
     fwd = MonomialSimilarity(tuple(1 / x for x in col_r), tuple(perm))
     block = ReciprocalMatrix(tuple(map(tuple, rows)), A.exact)
@@ -434,8 +429,9 @@ def detect_minimal_block(A: ReciprocalMatrix) -> Optional[DetectedBlock]:
     minimal block is K_r for every r outside it.  A block of size m misses one
     of the indices 0..m, hence scanning r = 0, 1, ... while r <= |best| finds
     them all; once 2|K_r| < n, K_r is the unique minimum.  O(n^3) at worst.
-    A consistent A gives K = (0,).  Returns None only on floats near tol,
-    where K_r for two references r can disagree.
+    A consistent A gives K = (0,).  Returns None only on floats: near tol,
+    where K_r for two references r can disagree, and when the block's
+    canonical entries leave the float range (see is_block_perturbation).
     """
     n = A.n
     best = sorted(_reference_block(A, 0, n - 1))

@@ -104,13 +104,13 @@ def three_block_sufficient(B: ReciprocalMatrix) -> ThreeBlockPerronConditions:
 def constant_block_perron_check(M: ConstantBlockMatrix) -> EfficiencyVerdict:
     """The Perron eigenvector of A_n(C_s(x)) is always efficient.
 
-    Asserts equal tails and the proof's witness cycle s+1 -> s -> ... -> 1
-    -> s+1 in the digraph of the leading (s+1)-pair verdict; a missing edge
-    signals a bug, not an inefficiency verdict.
+    On the x >= 1 orientation (C_s(1/x) when x < 1), asserts equal tails and
+    the proof's witness cycle s+1 -> s -> ... -> 1 -> s+1 in the digraph of
+    the leading (s+1)-pair verdict; a missing edge signals a bug.
     """
     if M.n <= M.s:
         raise PreconditionError("need n > s for the Perron check")
-    Mn, _ = M.normalize()
+    Mn = ConstantBlockMatrix(M.x if M.x >= 1 else 1 / M.x, M.s, M.n)
     form = canonical_form(Mn.block(), Mn.n)
     verdict = perron_efficiency_via_submatrix(form, perron(form.matrix()))
     if not verdict.digraph.has_cycle(tuple(range(Mn.s, -1, -1))):  # s -> ... -> 0 -> s

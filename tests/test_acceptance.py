@@ -234,8 +234,7 @@ def test_constant_block_perron_and_class(capsys):
         except Exception:
             perron_fail += 1
             continue
-        Mn, _ = M.normalize()
-        form = canonical_form(Mn.block(), n)
+        form = canonical_form(ConstantBlockMatrix(max(x, 1 / x), s, n).block(), n)
         r = perron(form.matrix())
         if not perron_tail_structure(form, r).ok:
             tail_fail += 1

@@ -37,6 +37,11 @@ def assert_head_plus_tail(g, s):
     assert all(lo <= v <= hi for v in g.vector[s:])
 
 
+def reversed_head(w, s):
+    """w with its first s entries reversed and the rest kept."""
+    return tuple(w[s - 1::-1]) + tuple(w[s:])
+
+
 class TestTwoBlock:
     def test_matrix_shape(self):
         A = TwoBlockMatrix(F(3), 4).matrix()
@@ -209,14 +214,20 @@ class TestThreeBlockUnion:
             assert_head_plus_tail(g, 3)
         assert list(three_block_generate(A, [], rng)) == []  # no seeds, no vectors
 
-    def test_normalize(self):
-        B = rand_reciprocal(3, random.Random(7))
-        A = ThreeBlockMatrix(B, 5)
-        An, sim = A.normalize()
-        assert An.normalized
-        if not A.normalized:
-            assert An.a13 == 1 / A.a13
-            assert An.a12 == 1 / A.a23
+    def test_normalize(self, rng):
+        """normalize reads a 3-block with a13 >= 1, its indices reversed
+        exactly when a13 < 1, and maps vectors by reversing their head."""
+        flips = 0
+        for _ in range(60):
+            A = ThreeBlockMatrix(rand_reciprocal(3, rng), rng.randint(4, 7))
+            An, sim = A.normalize()
+            assert An.a13 >= 1 and An.n == A.n
+            flipped = A.a13 < 1
+            flips += flipped
+            assert An.block == (A.block.submatrix((2, 1, 0)) if flipped else A.block)
+            w = rand_vector(A.n, rng)
+            assert transform_vector(sim, w) == (reversed_head(w, 3) if flipped else w)
+        assert 10 <= flips <= 50
 
 
 class TestConstantBlock:
@@ -255,15 +266,6 @@ class TestConstantBlock:
             assert_head_plus_tail(g, 3)
         assert list(constant_block_sample(M, rng, count=0)) == []
 
-    def test_normalize_similarity(self):
-        M = ConstantBlockMatrix(F(1, 3), 3, 5)
-        M2, sim = M.normalize()
-        assert M2.x == 3
-        lhs = M.matrix()
-        from effvec import apply_similarity
-
-        assert apply_similarity(lhs, sim).entries == M2.matrix().entries
-
     def test_sampler_checks_s_when_called(self, rng):
         """s >= 3 is checked by the call itself, before any draw."""
         state = rng.getstate()
@@ -285,6 +287,37 @@ class TestConstantBlock:
         M = ConstantBlockMatrix(F(3), 2, 4)
         assert constant_block_class_check(M, (3, 1, 2, 2))
         assert not constant_block_class_check(M, (3, 2, 2, 2))
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_orientation_is_head_reversal(self, backend):
+        """C_s(x) is C_s(1/x) with the block's indices reversed, so the class
+        check on C_s(x) equals the check on C_s(1/x) with the head reversed and
+        the tail kept; both sides of x = 1, sampled members and random vectors.
+        A float x is drawn so that 1/(1/x) == x: only then are both families
+        held exactly."""
+        rng = random.Random(61)
+        verdicts = []
+        while len(verdicts) < 1500:
+            s = rng.randint(2, 6)
+            n = rng.randint(s, s + 3)
+            if backend == "exact":
+                x = rand_frac(rng)
+                vectors = [rand_vector(n, rng) for _ in range(4)]
+            else:
+                x = 9.0 ** rng.uniform(-1, 1)
+                if 1 / (1 / x) != x:
+                    continue
+                vectors = [tuple(rng.uniform(0.1, 10) for _ in range(n)) for _ in range(4)]
+            M, R = ConstantBlockMatrix(x, s, n), ConstantBlockMatrix(1 / x, s, n)
+            if s == 2:  # efficient heads are the column multiples (x*c, c)
+                c = vectors[0][1]
+                vectors.append((x * c, c) + (c,) * (n - 2))
+            else:
+                vectors += [g.vector for g in constant_block_sample(M, rng, 4)]
+            for w in vectors:
+                verdicts.append(constant_block_class_check(M, w))
+                assert verdicts[-1] == constant_block_class_check(R, reversed_head(w, s))
+        assert 300 <= sum(verdicts) <= 1200
 
 
 #: float library streams, seed 0, three vectors each: the float counterpart

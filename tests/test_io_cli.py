@@ -324,6 +324,42 @@ class TestPerronCommand:
         assert reports[1]["block_indices"] is None and reports[1]["structure_ok"] is None
 
 
+#: `effvec perron --format json` on three inputs, its keys that hold no float
+#: (the floats' last bits follow the BLAS summation order): exit code,
+#: block_indices, structure_ok, sufficient_condition, verdict status and
+#: scc_partition.  Recorded before blocks were oriented by index reversal.
+PERRON_PINNED = {
+    # A_6(B), B = [[1, 2, 1/2], [1/2, 1, 1/2], [2, 2, 1]], under a monomial
+    # similarity; the detected block is B[(1, 0, 2)], whose a13 is 1/2 < 1
+    "3block-a13<1": (
+        "1,1/12,1/2,1/20,3/4,1/8\n12,1,3,3/10,9/2,3/4\n2,1/3,1,1/5,3/2,1/4\n"
+        "20,10/3,5,1,15/2,5/4\n4/3,2/9,2/3,2/15,1,1/6\n8,4/3,4,4/5,6,1\n",
+        (0, [1, 2, 4], True, "cond1", "efficient", [[1, 2, 3, 4, 5, 6]]),
+    ),
+    # A_7(C_4(1/2)) under a monomial similarity
+    "constant-x<1": (
+        "1,5,10,5/7,30,20/3,5\n1/5,1,1,1/7,3,4/3,1/2\n1/10,1,1,1/7,3/2,4/3,1\n"
+        "7/5,7,7,1,21,28/3,7/2\n1/30,1/3,2/3,1/21,1,4/9,1/3\n"
+        "3/20,3/4,3/4,3/28,9/4,1,3/8\n1/5,2,1,2/7,3,8/3,1\n",
+        (0, [1, 3, 5, 7], True, None, "efficient", [[1, 2, 3, 4, 5, 6, 7]]),
+    ),
+    # a generic matrix whose Perron vector is inefficient
+    "generic": (
+        "1,1/5,1/2,1/5,1/3\n5,1,1,5,1/3\n2,1,1,1/3,1/3\n5,1/5,3,1,3\n3,3,3,1/3,1\n",
+        (1, [1, 2, 3, 4], True, None, "inefficient", [[1], [2, 3, 4, 5]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PERRON_PINNED)
+def test_perron_json_pinned(name, files, capsys):
+    text, expected = PERRON_PINNED[name]
+    rc = main(["perron", files("m.csv", text), "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert (rc, out["block_indices"], out["structure_ok"], out["sufficient_condition"],
+            out["verdict"]["status"], out["verdict"]["scc_partition"]) == expected
+
+
 # stdout of `effvec generate FAMILY ... --n 6 --seed 0 --count 3`, recorded
 # before the samplers shared one head-plus-tail rule: a reordered or
 # dropped random draw changes these bytes.

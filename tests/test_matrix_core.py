@@ -112,13 +112,6 @@ class TestSimilarity:
             B = apply_similarity(A, M)
             assert apply_similarity(B, M.inverse()).entries == A.entries
 
-    def test_compose(self, rng):
-        A = rand_reciprocal(4, rng)
-        M1, M2 = rand_similarity(4, rng), rand_similarity(4, rng)
-        lhs = apply_similarity(apply_similarity(A, M1), M2)
-        rhs = apply_similarity(A, M1.then(M2))
-        assert lhs.entries == rhs.entries
-
     @given(st.integers(0, 2**30))
     @settings(max_examples=50, deadline=None)
     def test_similarity_preserves_reciprocity(self, seed):
@@ -167,22 +160,23 @@ class TestBlockPerturbation:
 
 
 def reference_block_form(A, K, tol=TOL_CONS):
-    """The block form by its definition: permute K to the front, scale by the
-    column of the smallest index outside K, and require 1s outside the block."""
+    """The block form by its definition: scale by the reciprocal column of the
+    smallest index r outside K, permute K to the front, and require 1s
+    outside the block."""
     K = sorted(K)
     n, s = A.n, len(K)
     order = K + [i for i in range(n) if i not in K]
-    M_perm = MonomialSimilarity.permutation([order.index(i) for i in range(n)])
-    Ap = apply_similarity(A, M_perm)
-    M_scale = MonomialSimilarity.scaling(tuple(1 / x for x in Ap.column(s)))
-    Acan = apply_similarity(Ap, M_scale)
+    r = order[s]
+    M = MonomialSimilarity(tuple(1 / A[i, r] for i in range(n)),
+                           tuple(order.index(i) for i in range(n)))
+    Acan = apply_similarity(A, M)
     for i in range(n):
         for j in range(n):
             if i < s and j < s:
                 continue
             if Acan[i, j] != 1 if A.exact else abs(Acan[i, j] - 1.0) > tol:
                 return None
-    return BlockPerturbedForm(Acan.submatrix(range(s)), n, M_perm.then(M_scale).inverse())
+    return BlockPerturbedForm(Acan.submatrix(range(s)), n, M.inverse())
 
 
 def triple_consistent(A, tol=TOL_CONS):
@@ -314,6 +308,19 @@ def test_reference_block_underflow_is_a_bad_pair():
     A = validate_reciprocal([[1, 1e200, 1e-200], [1e-200, 1, 0.5], [1e200, 2, 1]])
     assert matrix._reference_block(A, 0, 2) == {1, 2}
     assert not is_consistent(A)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 1e-200, 1], [1e200, 1, 1e-200], [1, 1e200, 1]],    # B_01 underflows to 0.0
+    [[1, 1e200, 1e-200], [1e-200, 1, 0.5], [1e200, 2, 1]],  # B_01 overflows to inf
+    [[1, 1e-160, 1], [1e160, 1, 1e-150], [1, 1e150, 1]],    # 1/B_01 overflows
+], ids=["underflow", "overflow", "reciprocal-overflow"])
+def test_block_entry_beyond_floats_has_no_form(rows):
+    """A canonical float block entry (or its reciprocal) that leaves the
+    float range gives no form, and so no detected block."""
+    A = validate_reciprocal(rows)
+    assert is_block_perturbation(A, (0, 1)) is None
+    assert detect_minimal_block(A) is None
 
 
 class TestBlockMatrixView:

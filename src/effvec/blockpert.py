@@ -66,18 +66,6 @@ class ThreeBlockMatrix:
         if self.n < 4:
             raise InputError("three-block form needs n >= 4")
 
-    @property
-    def a12(self):
-        return self.block[0, 1]
-
-    @property
-    def a13(self):
-        return self.block[0, 2]
-
-    @property
-    def a23(self):
-        return self.block[1, 2]
-
     def matrix(self) -> ReciprocalMatrix:
         return block_matrix(self.block, self.n)
 
@@ -85,7 +73,7 @@ class ThreeBlockMatrix:
         """This form on its a13 >= 1 orientation (the block's indices reversed,
         B[(2, 1, 0)], when a13 < 1) and the permutation taking its vectors
         there: the head reversed and the tail kept, or the identity."""
-        if self.a13 >= 1:
+        if self.block[0, 2] >= 1:
             return self, MonomialSimilarity.identity(self.n)
         perm = (2, 1, 0) + tuple(range(3, self.n))
         return (ThreeBlockMatrix(self.block.submatrix(perm[:3]), self.n),

@@ -348,31 +348,26 @@ def block_matrix(B: ReciprocalMatrix, n: int) -> ReciprocalMatrix:
 def is_block_perturbation(
     A: ReciprocalMatrix, K: Iterable[int]
 ) -> Optional[BlockPerturbedForm]:
-    """Canonicalize A as an s-block perturbation with perturbed indices K.
-
-    With r the smallest index outside K, K is a block iff K_r lies inside
-    K; scaling by column r then leaves 1s outside the block, which is
-    B_pq = a_{K_p K_q} * a_{K_q r} / a_{K_p r}.  Returns None when A is not
-    consistent outside K, and on floats when some B_pq or its reciprocal
-    overflows or underflows: then A has no float block form.  O(n^2).
-    """
+    """The form of A with block K, which is one iff K_r lies inside K for r the
+    smallest index outside K; else None.  None too on floats when a block
+    entry or its reciprocal leaves the floats: A has no float form.  O(n^2)."""
     K = sorted(set(K))
     n = A.n
     if not K or len(K) >= n:
         raise InputError(f"K must be a nonempty proper subset of 0..{n - 1}")
     if K[0] < 0 or K[-1] >= n:
         raise InputError(f"K {K!r} out of range for n = {n}")
-    s = len(K)
-    in_K = set(K)
-    rest = [i for i in range(n) if i not in in_K]
-    r = rest[0]
-    K_r = _reference_block(A, r, s)
-    if K_r is None or not K_r <= in_K:
-        return None
-    perm = [0] * n
-    for p, i in enumerate(K + rest):  # index i goes to canonical position p
-        perm[i] = p
-    col_r = A.column(r)
+    rest = sorted(set(range(n)).difference(K))
+    K_r = _reference_block(A, rest[0], len(K))
+    return _block_form(A, K, rest) if K_r is not None and K_r <= set(K) else None
+
+
+def _block_form(A: ReciprocalMatrix, K: list, rest: list) -> Optional[BlockPerturbedForm]:
+    """The form with block K, where K_r lies inside K for r = rest[0] (K and
+    rest ascending, splitting 0..n-1).  Scaling by column r leaves 1s outside
+    B_pq = a_{K_p K_q} * a_{K_q r} / a_{K_p r}; the back map permutes by K + rest
+    and scales by column r in that order.  None if a float B_pq leaves the floats."""
+    s, col_r = len(K), A.column(rest[0])
     one = Fraction(1) if A.exact else 1.0
     rows = [[one] * s for _ in range(s)]
     for p in range(s):
@@ -381,9 +376,9 @@ def is_block_perturbation(
             if not 0 < x < math.inf or 1 / x == math.inf:
                 return None
             rows[p][q], rows[q][p] = x, 1 / x
-    fwd = MonomialSimilarity(tuple(1 / x for x in col_r), tuple(perm))
-    block = ReciprocalMatrix(tuple(map(tuple, rows)), A.exact)
-    return BlockPerturbedForm(block, n, fwd.inverse())
+    order = tuple(K + rest)
+    back = MonomialSimilarity(tuple(col_r[i] for i in order), order)
+    return BlockPerturbedForm(ReciprocalMatrix(tuple(map(tuple, rows)), A.exact), A.n, back)
 
 
 @dataclass(frozen=True)
@@ -435,14 +430,24 @@ def detect_minimal_block(A: ReciprocalMatrix) -> Optional[DetectedBlock]:
     """
     n = A.n
     best = sorted(_reference_block(A, 0, n - 1))
-    r = 1
+    # agree: the references r scanned so far whose K_r is best.  best only falls
+    # in (size, indices) order, to at or below every K_r scanned, so a scanned
+    # K_r lies inside the final K iff it is best (K_r is never {0}).
+    agree, r = {0}, 1
     while 2 * len(best) >= n and r <= len(best):
         K = _reference_block(A, r, len(best))
-        if K is not None and (len(K), sorted(K)) < (len(best), best):
-            best = sorted(K)
+        K = None if K is None else sorted(K)
+        if K is not None and (len(K), K) < (len(best), best):
+            best, agree = K, set()
+        if K == best:
+            agree.add(r)
         r += 1
-    K = tuple(best) or (0,)
-    form = is_block_perturbation(A, K)
+    K = best or [0]
+    rest = sorted(set(range(n)).difference(K))
+    if rest[0] < r:  # scanned: always, unless K_0 is empty and K = (0,) reads K_1
+        form = _block_form(A, K, rest) if rest[0] in agree else None
+    else:
+        form = is_block_perturbation(A, K)
     return None if form is None else DetectedBlock(form)
 
 

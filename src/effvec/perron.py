@@ -1,8 +1,8 @@
 """Perron eigenpair computation and efficiency results for block forms.
 
-Power iteration is sufficient here: the matrices are entry-wise positive,
-so the dominant eigenpair is simple and the iteration converges from the
-all-ones start.  The residual makes every result self-checking.
+Power iteration from the all-ones start: the matrices are entry-wise positive,
+so the dominant eigenpair is simple, and the residual checks every result.  It
+fails, with NoConvergence, when other eigenvalues are nearly as large in modulus.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .matrix import BlockPerturbedForm, ReciprocalMatrix, block_matrix, canonica
 TOL_PERRON = 1e-12
 #: power-iteration steps before NoConvergence
 MAX_ITER = 200_000
+#: steps without a new smallest residual before NoConvergence
+STALL_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -31,12 +33,13 @@ class PerronResult:
 
 
 def perron(A: ReciprocalMatrix) -> PerronResult:
-    """Dominant eigenpair by power iteration from the all-ones vector,
-    to relative residual TOL_PERRON."""
+    """Dominant eigenpair by power iteration from the all-ones vector, to relative
+    residual TOL_PERRON; NoConvergence after MAX_ITER steps or STALL_ITER without progress."""
     M = A.array
     n = A.n
     v = np.ones(n)
     lam_prev = 0.0
+    best, best_it = np.inf, 0
     for it in range(1, MAX_ITER + 1):
         u = M @ v
         lam = u.sum() / v.sum()
@@ -44,9 +47,14 @@ def perron(A: ReciprocalMatrix) -> PerronResult:
         if residual < TOL_PERRON and abs(lam - lam_prev) < TOL_PERRON * lam:
             w = u / u[-1]
             return PerronResult(float(lam), tuple(w), residual, it)
+        if residual < best:
+            best, best_it = residual, it
+        elif it - best_it >= STALL_ITER:
+            break
         lam_prev = lam
         v = u / u[-1]
-    raise NoConvergence(f"power iteration did not reach {TOL_PERRON} in {MAX_ITER} steps")
+    raise NoConvergence(f"power iteration did not reach {TOL_PERRON} in {it} steps "
+                        f"(smallest residual {best:.3g})")
 
 
 @dataclass(frozen=True)

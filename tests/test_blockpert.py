@@ -221,8 +221,8 @@ class TestThreeBlockUnion:
         for _ in range(60):
             A = ThreeBlockMatrix(rand_reciprocal(3, rng), rng.randint(4, 7))
             An, sim = A.normalize()
-            assert An.a13 >= 1 and An.n == A.n
-            flipped = A.a13 < 1
+            assert An.block[0, 2] >= 1 and An.n == A.n
+            flipped = A.block[0, 2] < 1
             flips += flipped
             assert An.block == (A.block.submatrix((2, 1, 0)) if flipped else A.block)
             w = rand_vector(A.n, rng)

@@ -343,6 +343,19 @@ PERRON_PINNED = {
         "3/20,3/4,3/4,3/28,9/4,1,3/8\n1/5,2,1,2/7,3,8/3,1\n",
         (0, [1, 3, 5, 7], True, None, "efficient", [[1, 2, 3, 4, 5, 6, 7]]),
     ),
+    # A_7(B), B = [[1, 2, 3], [1/2, 1, 1/2], [1/3, 2, 1]], under a monomial
+    # similarity, written as floats; the detected block is B[(1, 0, 2)].
+    # Recorded before block detection reused its reference scan
+    "3block-float": (
+        "1.0,5.0,1.25,0.4,0.6666666666666666,3.3333333333333335,0.3333333333333333\n"
+        "0.2,1.0,0.25,0.08,0.06666666666666667,0.6666666666666667,0.03333333333333333\n"
+        "0.8,4.0,1.0,0.32,0.5333333333333333,2.666666666666667,0.26666666666666666\n"
+        "2.5,12.5,3.125,1.0,1.6666666666666667,8.333333333333334,0.8333333333333334\n"
+        "1.5,15.0,1.875,0.6,1.0,5.0,1.5\n"
+        "0.3,1.4999999999999998,0.37499999999999994,0.12,0.19999999999999998,1.0,0.09999999999999999\n"
+        "3.0,30.0,3.75,1.2,0.6666666666666666,10.0,1.0\n",
+        (0, [2, 5, 7], True, "cond3", "efficient", [[1, 2, 3, 4, 5, 6, 7]]),
+    ),
     # a generic matrix whose Perron vector is inefficient
     "generic": (
         "1,1/5,1/2,1/5,1/3\n5,1,1,5,1/3\n2,1,1,1/3,1/3\n5,1/5,3,1,3\n3,3,3,1/3,1\n",

@@ -230,6 +230,8 @@ def test_block_form_matches_reference(backend):
                 rejected += 1
                 continue
             accepted += 1
+            r = form.back_map.perm[form.s]  # the back map is column r, block first
+            assert form.back_map.diag == tuple(A[i, r] for i in form.back_map.perm)
             if A.exact:
                 assert form == ref
                 assert apply_similarity(form.matrix(), form.back_map).entries == A.entries
@@ -301,6 +303,47 @@ class TestDetectMinimalBlock:
             d = detect_minimal_block(A)
             assert d is not None and d.K == brute_force_block(A)
             assert d.form == is_block_perturbation(A, d.K)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The references r that matrix._reference_block scans, in call order."""
+    calls = []
+    scan = matrix._reference_block
+    monkeypatch.setattr(matrix, "_reference_block",
+                        lambda A, r, limit: calls.append(r) or scan(A, r, limit))
+    return calls
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_detection_scans_each_reference_once(backend, scans):
+    """The form reuses the scan of its reference r: a block of under n/2
+    indices that misses 0 is K_0, found and formed from one scan.  A
+    consistent matrix gets K = (0,), and its form reads K_1."""
+    M = MonomialSimilarity((F(2), F(1, 3), F(5), F(1), F(7, 2), F(3, 4), F(9)),
+                           (3, 5, 6, 0, 1, 2, 4))
+    A = apply_similarity(block_matrix(B3, 7), M)
+    C = consistent_from_vector((1, 2, 3, 5))
+    if backend == "float":
+        A, C = A.to_float(), C.to_float()
+    assert detect_minimal_block(A).K == (3, 5, 6) and scans == [0]
+    scans.clear()
+    assert detect_minimal_block(C).K == (0,) and scans == [0, 1]
+
+
+def test_references_that_disagree_near_tolerance(scans):
+    """Float entries off consistency by about TOL_CONS: K_0 = {1, 3},
+    K_1 = {0, 3} and K_2 is empty, so K = (0,), whose K_1 does not lie
+    inside it.  There is no form, and reference 1 is not scanned again."""
+    A = validate_reciprocal([
+        [1.0, 0.16976933086389143, 0.10264874680107239, 0.08005786012277413],
+        [5.890345416992464, 1.0, 0.6046365747719847, 0.47156844896075495],
+        [9.741960142367299, 1.6538860560612154, 1.0, 0.779920482399282],
+        [12.490965889750644, 2.120582923229502, 1.2821819949178457, 1.0]])
+    assert [matrix._reference_block(A, r, 3) for r in range(3)] == [{1, 3}, {0, 3}, set()]
+    scans.clear()
+    assert detect_minimal_block(A) is None and scans == [0, 1, 2]
+    assert is_block_perturbation(A, (0,)) is None
 
 
 def test_reference_block_underflow_is_a_bad_pair():

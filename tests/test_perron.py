@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -16,10 +17,25 @@ from effvec import (
     three_block_sufficient,
     validate_reciprocal,
 )
-from effvec.errors import InputError, PreconditionError
+from effvec.errors import InputError, NoConvergence, PreconditionError
+from effvec.perron import STALL_ITER
 from effvec.fixtures import B3, CC, canonical_form, three_block_from_triple
 
 from conftest import rand_reciprocal
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 1e-200, 1], [1e200, 1, 1e-200], [1, 1e200, 1]],
+    [[1, 1e200, 1e-200], [1e-200, 1, 0.5], [1e200, 2, 1]],
+    [[1, 1e100, 1], [1e-100, 1, 1], [1, 1, 1]],
+    [[1, 1e300, 1], [1e-300, 1, 1], [1, 1, 1]],
+], ids=["1e200-cycle", "1e200-pair", "x=1e100", "x=1e300"])
+def test_stalled_iteration_stops_early(rows):
+    """Other eigenvalues nearly as large as the Perron root: the residual
+    never falls below 1, and perron gives up once it stops improving."""
+    with pytest.raises(NoConvergence) as exc:
+        perron(validate_reciprocal(rows))
+    assert int(re.search(r"in (\d+) steps", str(exc.value))[1]) <= 2 * STALL_ITER
 
 
 class TestPerron:

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 from effvec import (
     ThreeBlockMatrix,
     TwoBlockMatrix,
+    canonical_form,
     detect_minimal_block,
     is_efficient,
     lcompl_membership,
@@ -19,7 +20,6 @@ from effvec import (
     two_block_is_efficient,
     validate_reciprocal,
 )
-from effvec.fixtures import canonical_form
 
 rng = random.Random(1)
 

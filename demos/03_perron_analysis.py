@@ -12,6 +12,7 @@ from effvec import (
     ConstantBlockMatrix,
     ThreeBlockMatrix,
     block_matrix,
+    canonical_form,
     constant_block_perron_check,
     is_efficient,
     perron,
@@ -19,7 +20,7 @@ from effvec import (
     perron_tail_structure,
     three_block_sufficient,
 )
-from effvec.fixtures import canonical_form, three_block_from_triple
+from effvec.fixtures import three_block_from_triple
 
 # --- verdict flips under tiny parameter changes ------------------------------
 print("n = 6, block parameterized by (a12, a13, a23):")

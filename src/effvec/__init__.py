@@ -50,6 +50,7 @@ from .matrix import (
     ReciprocalMatrix,
     apply_similarity,
     block_matrix,
+    canonical_form,
     consistent_from_vector,
     detect_minimal_block,
     geometric_mean_vector,

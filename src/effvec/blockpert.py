@@ -23,7 +23,7 @@ from .matrix import (
     Scalar,
     Vector,
     block_matrix,
-    canonical_form,
+    check_index,
     check_positive_scalar,
     check_positive_vector,
     float_view,
@@ -33,41 +33,46 @@ from .matrix import (
 
 
 # ---------------------------------------------------------------------------
-# Parameterized matrix families.  The paper reads a 3-block with a13 >= 1 and
-# C_s(x) with x >= 1; the other orientation reverses the block's indices.
+# Parameterized matrix families: each is the form A_n(B) of its block B, with
+# an identity back map.  The paper reads a 3-block with a13 >= 1 and C_s(x)
+# with x >= 1; the other orientation reverses the block's indices.
 
 
-@dataclass(frozen=True)
-class TwoBlockMatrix:
-    """S(x): entries (1,2) -> x, (2,1) -> 1/x, all else 1."""
+class ConstantBlockMatrix(BlockPerturbedForm):
+    """A_n(C_s(x)) where C_s(x) has every above-diagonal entry equal to x."""
 
-    x: Scalar
-    n: int
+    def __init__(self, x: Scalar, s: int, n: int):
+        if s < 2:
+            raise InputError("constant block needs s >= 2")
+        if n < s:
+            raise InputError("need n >= s")
+        x = check_positive_scalar(x, "x")
+        rows = [[x if j > i else (1 / x if j < i else 1) for j in range(s)] for i in range(s)]
+        super().__init__(validate_reciprocal(rows), n, MonomialSimilarity.identity(n))
 
-    def __post_init__(self):
-        if self.n < 3:
+    @property
+    def x(self) -> Scalar:
+        return self.block[0, 1]
+
+
+class TwoBlockMatrix(ConstantBlockMatrix):
+    """S(x) = A_n(C_2(x)): entries (1,2) -> x, (2,1) -> 1/x, all else 1."""
+
+    def __init__(self, x: Scalar, n: int):
+        if n < 3:
             raise InputError("two-block form needs n >= 3")
-        object.__setattr__(self, "x", check_positive_scalar(self.x, "x"))
-
-    def matrix(self) -> ReciprocalMatrix:
-        return block_matrix(validate_reciprocal([[1, self.x], [1 / self.x, 1]]), self.n)
+        super().__init__(x, 2, n)
 
 
-@dataclass(frozen=True)
-class ThreeBlockMatrix:
+class ThreeBlockMatrix(BlockPerturbedForm):
     """A_n(B) with a 3-by-3 perturbed block B."""
 
-    block: ReciprocalMatrix
-    n: int
-
-    def __post_init__(self):
-        if self.block.n != 3:
+    def __init__(self, block: ReciprocalMatrix, n: int):
+        if block.n != 3:
             raise InputError("block must be 3-by-3")
-        if self.n < 4:
+        if n < 4:
             raise InputError("three-block form needs n >= 4")
-
-    def matrix(self) -> ReciprocalMatrix:
-        return block_matrix(self.block, self.n)
+        super().__init__(block, n, MonomialSimilarity.identity(n))
 
     def normalize(self) -> Tuple["ThreeBlockMatrix", MonomialSimilarity]:
         """This form on its a13 >= 1 orientation (the block's indices reversed,
@@ -78,32 +83,6 @@ class ThreeBlockMatrix:
         perm = (2, 1, 0) + tuple(range(3, self.n))
         return (ThreeBlockMatrix(self.block.submatrix(perm[:3]), self.n),
                 MonomialSimilarity.permutation(perm))
-
-
-@dataclass(frozen=True)
-class ConstantBlockMatrix:
-    """A_n(C_s(x)) where C_s(x) has every above-diagonal entry equal to x."""
-
-    x: Scalar
-    s: int
-    n: int
-
-    def __post_init__(self):
-        if self.s < 2:
-            raise InputError("constant block needs s >= 2")
-        if self.n < self.s:
-            raise InputError("need n >= s")
-        object.__setattr__(self, "x", check_positive_scalar(self.x, "x"))
-
-    def block(self) -> ReciprocalMatrix:
-        rows = [
-            [self.x if j > i else (1 / self.x if j < i else 1) for j in range(self.s)]
-            for i in range(self.s)
-        ]
-        return validate_reciprocal(rows)
-
-    def matrix(self) -> ReciprocalMatrix:
-        return block_matrix(self.block(), self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +224,21 @@ def tail_permute(
 # 3-block: union over E(A, {1,2,3,j})
 
 
+def _route(head_form: ReciprocalMatrix, w: Vector, j: int) -> bool:
+    """union_route_member on a checked w and j."""
+    s = head_form.n - 1
+    sub = w[:s] + (w[j],)
+    if not is_efficient(head_form, sub).efficient:
+        return False
+    return _within(w, sub, (i for i in range(s, len(w)) if i != j))
+
+
 def union_route_member(head_form: ReciprocalMatrix, w: Sequence[Scalar], j: int) -> bool:
     """Route j >= s (0-based) of the union characterization, with head_form
     the (s+1)-by-(s+1) matrix A_{s+1}(B): (w_0, ..., w_{s-1}, w_j) is
     efficient for it and every other tail entry lies within its min/max."""
-    s = head_form.n - 1
-    sub = tuple(w[:s]) + (w[j],)
-    if not is_efficient(head_form, sub).efficient:
-        return False
-    return _within(w, sub, (i for i in range(s, len(w)) if i != j))
+    w = check_positive_vector(w, len(w))
+    return _route(head_form, w, check_index(j, range(head_form.n - 1, len(w)), "j"))
 
 
 def three_block_membership(
@@ -266,7 +251,7 @@ def three_block_membership(
     w = check_positive_vector(w, A.n)
     A4 = block_matrix(A.block, 4)
     for j in range(3, A.n):
-        if union_route_member(A4, w, j):
+        if _route(A4, w, j):
             return True, j
     return False, None
 
@@ -283,7 +268,6 @@ def three_block_generate(
     permutation.
     """
     A4 = block_matrix(A.block, 4)
-    form = canonical_form(A.block, A.n)
     for seed in four_vectors:
         seed = check_positive_vector(seed, 4)
         if not is_efficient(A4, seed).efficient:
@@ -291,7 +275,7 @@ def three_block_generate(
         w = _extend(seed, A.n, rng)
         perm = list(range(A.n - 3))
         rng.shuffle(perm)
-        yield GeneratedVector(tail_permute(form, w, perm), seed, tuple(perm))
+        yield GeneratedVector(tail_permute(A, w, perm), seed, tuple(perm))
 
 
 def two_block_full_set_check(S: TwoBlockMatrix, w: Sequence[Scalar]) -> bool:
@@ -304,9 +288,9 @@ def two_block_full_set_check(S: TwoBlockMatrix, w: Sequence[Scalar]) -> bool:
         raise InputError("full-set cross-check needs n >= 4")
     w = check_positive_vector(w, S.n)
     chain = two_block_is_efficient(S, w)
-    S3 = TwoBlockMatrix(S.x, 3).matrix()
+    S3 = block_matrix(S.block, 3)
     for j in range(2, S.n):
-        ok = union_route_member(S3, w, j)
+        ok = _route(S3, w, j)
         if ok != chain:
             raise InternalError(
                 f"route j={j} gives {ok}, chain gives {chain} for w={w!r}"

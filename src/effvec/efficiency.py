@@ -23,6 +23,7 @@ from .matrix import (
     Scalar,
     Vector,
     block_matrix,
+    check_index,
     check_positive_vector,
     float_view,
 )
@@ -257,6 +258,7 @@ def extension_interval(
     lo <= w_k <= hi with lo/hi the min/max of w_i / a_ik over i != k.
     """
     n = A.n
+    k = check_index(k, range(n), "k")
     w_minus_k = check_positive_vector(w_minus_k, n - 1)
     if not is_efficient(A.delete(k), w_minus_k).efficient:
         raise PreconditionError(

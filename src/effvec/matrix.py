@@ -11,6 +11,7 @@ matrix to the float backend.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -72,12 +73,24 @@ def check_positive_scalar(x: Scalar, name: str) -> Scalar:
     return x
 
 
+def check_size(w: Sequence, n: int) -> None:
+    """The one vector-length check."""
+    if len(w) != n:
+        raise DimensionMismatch(f"vector size {len(w)} != {n}")
+
+
+def check_index(i, indices: range, name: str) -> int:
+    """The one index check: i an integer (numpy's too) in indices."""
+    if not (hasattr(type(i), "__index__") and operator.index(i) in indices):
+        raise InputError(f"{name} = {i!r} is not an integer in [{indices.start}, {indices.stop})")
+    return operator.index(i)
+
+
 def check_positive_vector(w: Sequence[Scalar], n: int) -> Vector:
     """The one weight-vector check: n entries, each positive and finite.
     A vector of ints and Fractions comes back as Fractions, any other as
     floats."""
-    if len(w) != n:
-        raise DimensionMismatch(f"vector size {len(w)} != {n}")
+    check_size(w, n)
     if n == 0:
         raise InputError("empty vector")
     for x in w:
@@ -248,8 +261,8 @@ class MonomialSimilarity:
         if sorted(self.perm) != list(range(len(self.perm))):
             raise InputError(f"perm {self.perm!r} is not a permutation")
         for d in self.diag:
-            if not d > 0:
-                raise InputError(f"diagonal entry {d!r} is not positive")
+            if not 0 < d < math.inf:
+                raise InputError(f"diagonal entry {d!r} is not positive and finite")
 
     @classmethod
     def identity(cls, n: int) -> "MonomialSimilarity":
@@ -351,12 +364,10 @@ def is_block_perturbation(
     """The form of A with block K, which is one iff K_r lies inside K for r the
     smallest index outside K; else None.  None too on floats when a block
     entry or its reciprocal leaves the floats: A has no float form.  O(n^2)."""
-    K = sorted(set(K))
     n = A.n
+    K = sorted({check_index(k, range(n), "K index") for k in K})
     if not K or len(K) >= n:
         raise InputError(f"K must be a nonempty proper subset of 0..{n - 1}")
-    if K[0] < 0 or K[-1] >= n:
-        raise InputError(f"K {K!r} out of range for n = {n}")
     rest = sorted(set(range(n)).difference(K))
     K_r = _reference_block(A, rest[0], len(K))
     return _block_form(A, K, rest) if K_r is not None and K_r <= set(K) else None
@@ -430,22 +441,20 @@ def detect_minimal_block(A: ReciprocalMatrix) -> Optional[DetectedBlock]:
     """
     n = A.n
     best = sorted(_reference_block(A, 0, n - 1))
-    # agree: the references r scanned so far whose K_r is best.  best only falls
-    # in (size, indices) order, to at or below every K_r scanned, so a scanned
-    # K_r lies inside the final K iff it is best (K_r is never {0}).
-    agree, r = {0}, 1
+    # found: the reference whose scan set best.  best only falls in (size,
+    # indices) order, so an earlier scan with the final K would have set it
+    # first; found is outside its own K_r, so rest[0] <= found, and a scanned
+    # rest[0] reads the final K iff it is found.
+    found, r = 0, 1
     while 2 * len(best) >= n and r <= len(best):
         K = _reference_block(A, r, len(best))
-        K = None if K is None else sorted(K)
-        if K is not None and (len(K), K) < (len(best), best):
-            best, agree = K, set()
-        if K == best:
-            agree.add(r)
+        if K is not None and (len(K), sorted(K)) < (len(best), best):
+            best, found = sorted(K), r
         r += 1
     K = best or [0]
     rest = sorted(set(range(n)).difference(K))
     if rest[0] < r:  # scanned: always, unless K_0 is empty and K = (0,) reads K_1
-        form = _block_form(A, K, rest) if rest[0] in agree else None
+        form = _block_form(A, K, rest) if rest[0] == found else None
     else:
         form = is_block_perturbation(A, K)
     return None if form is None else DetectedBlock(form)
@@ -461,11 +470,9 @@ def geometric_mean_vector(A: ReciprocalMatrix, cols: Iterable[int]) -> Vector:
     A single column is returned as-is on its native backend; genuine means
     involve k-th roots and are computed in floats.
     """
-    cols = sorted(set(cols))
+    cols = sorted({check_index(j, range(A.n), "column") for j in cols})
     if not cols:
         raise InputError("need at least one column")
-    if cols[0] < 0 or cols[-1] >= A.n:
-        raise InputError(f"column subset {cols!r} out of range for n = {A.n}")
     if len(cols) == 1:
         return A.column(cols[0])
     a, k = A.array, len(cols)

@@ -8,14 +8,14 @@ fails, with NoConvergence, when other eigenvalues are nearly as large in modulus
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .blockpert import ConstantBlockMatrix
 from .efficiency import EfficiencyVerdict, is_efficient
 from .errors import InputError, InternalError, NoConvergence, PreconditionError
-from .matrix import BlockPerturbedForm, ReciprocalMatrix, block_matrix, canonical_form
+from .matrix import BlockPerturbedForm, ReciprocalMatrix, block_matrix, check_size
 
 TOL_PERRON = 1e-12
 #: power-iteration steps before NoConvergence
@@ -65,6 +65,7 @@ class TailStructure:
 def perron_tail_structure(form: BlockPerturbedForm, r: PerronResult) -> TailStructure:
     """Eigenvectors of A_n(B) have equal trailing n - s entries: their spread is
     at most 10 * TOL_PERRON relative to the largest (vacuous for n <= s + 1)."""
+    check_size(r.w, form.n)
     tail = r.w[form.s :]
     hi = max(tail, default=0.0)
     return TailStructure(bool(hi - min(tail, default=hi) <= 10 * TOL_PERRON * hi))
@@ -112,17 +113,17 @@ def three_block_sufficient(B: ReciprocalMatrix) -> ThreeBlockPerronConditions:
 def constant_block_perron_check(M: ConstantBlockMatrix) -> EfficiencyVerdict:
     """The Perron eigenvector of A_n(C_s(x)) is always efficient.
 
-    On the x >= 1 orientation (C_s(1/x) when x < 1), asserts equal tails and
-    the proof's witness cycle s+1 -> s -> ... -> 1 -> s+1 in the digraph of
-    the leading (s+1)-pair verdict; a missing edge signals a bug.
+    On the x >= 1 orientation (M itself, or when x < 1 M's block with its
+    indices reversed, which is C_s(1/x)), asserts equal tails and the proof's
+    witness cycle s+1 -> s -> ... -> 1 -> s+1 in the digraph of the leading
+    (s+1)-pair verdict; a missing edge signals a bug.
     """
     if M.n <= M.s:
         raise PreconditionError("need n > s for the Perron check")
-    Mn = ConstantBlockMatrix(M.x if M.x >= 1 else 1 / M.x, M.s, M.n)
-    form = canonical_form(Mn.block(), Mn.n)
+    form = M
+    if M.x < 1:  # C_s(x) with its block's indices reversed is C_s(1/x), read as a family
+        form = BlockPerturbedForm(M.block.submatrix(range(M.s - 1, -1, -1)), M.n, M.back_map)
     verdict = perron_efficiency_via_submatrix(form, perron(form.matrix()))
-    if not verdict.digraph.has_cycle(tuple(range(Mn.s, -1, -1))):  # s -> ... -> 0 -> s
-        raise InternalError(
-            f"witness cycle missing for x={M.x}, s={M.s}, n={M.n}"
-        )
+    if not verdict.digraph.has_cycle(tuple(range(M.s, -1, -1))):  # s -> ... -> 0 -> s
+        raise InternalError(f"witness cycle missing for x={M.x}, s={M.s}, n={M.n}")
     return verdict

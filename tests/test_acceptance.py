@@ -18,6 +18,7 @@ from effvec import (
     TwoBlockMatrix,
     apply_similarity,
     block_matrix,
+    canonical_form,
     constant_block_perron_check,
     constant_block_sample,
     dominance_compare,
@@ -36,7 +37,7 @@ from effvec import (
     validate_reciprocal,
 )
 from effvec.efficiency import V_DOMINATES
-from effvec.fixtures import canonical_form, reproduce_examples, reproduce_table1
+from effvec.fixtures import reproduce_examples, reproduce_table1
 
 from conftest import rand_frac, rand_reciprocal, rand_similarity, rand_vector
 
@@ -234,7 +235,7 @@ def test_constant_block_perron_and_class(capsys):
         except Exception:
             perron_fail += 1
             continue
-        form = canonical_form(ConstantBlockMatrix(max(x, 1 / x), s, n).block(), n)
+        form = canonical_form(ConstantBlockMatrix(max(x, 1 / x), s, n).block, n)
         r = perron(form.matrix())
         if not perron_tail_structure(form, r).ok:
             tail_fail += 1

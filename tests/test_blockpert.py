@@ -2,17 +2,25 @@ import random
 from fractions import Fraction as F
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from effvec import (
+    BlockPerturbedForm,
     ConstantBlockMatrix,
     ThreeBlockMatrix,
     TwoBlockMatrix,
+    block_matrix,
+    canonical_form,
     constant_block_class_check,
     constant_block_sample,
+    equal_tail_reduce,
     is_efficient,
     lcompl_membership,
     lcompl_sample,
+    perron,
+    perron_efficiency_via_submatrix,
+    perron_tail_structure,
     tail_permute,
     three_block_generate,
     three_block_membership,
@@ -21,10 +29,11 @@ from effvec import (
     two_block_full_set_check,
     two_block_is_efficient,
     two_block_sample,
+    union_route_member,
     validate_reciprocal,
 )
 from effvec.errors import DimensionMismatch, InputError, PreconditionError
-from effvec.fixtures import B3, canonical_form, three_block_from_triple
+from effvec.fixtures import B3, three_block_from_triple
 
 from conftest import rand_frac, rand_reciprocal, rand_vector
 
@@ -233,7 +242,7 @@ class TestThreeBlockUnion:
 class TestConstantBlock:
     def test_block_entries(self):
         C = ConstantBlockMatrix(F(3), 3, 5)
-        B = C.block()
+        B = C.block
         assert B[0, 1] == B[0, 2] == B[1, 2] == 3
         assert C.matrix()[3, 4] == 1
 
@@ -373,3 +382,67 @@ def test_float_stream_pinned(name):
     got = [g.vector for g in float_streams()[name]]
     assert got == FLOAT_STREAMS_PINNED[name]
     assert all(type(v) is float for w in got for v in w)
+
+
+FAMILIES = {
+    "2block-exact": lambda: TwoBlockMatrix(F(3), 5),
+    "2block-float": lambda: TwoBlockMatrix(0.4, 6),
+    "3block-exact": lambda: ThreeBlockMatrix(B3, 6),
+    "3block-float": lambda: ThreeBlockMatrix(validate_reciprocal(B3.array.tolist()), 5),
+    "constant-exact": lambda: ConstantBlockMatrix(F(1, 3), 4, 7),
+    "constant-float": lambda: ConstantBlockMatrix(2.5, 3, 5),
+}
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_family_is_its_form(name, rng):
+    """Each family is the form A_n(B) of its block, identity back map, and
+    every form-level routine takes it as it is."""
+    fam = FAMILIES[name]()
+    form = canonical_form(fam.block, fam.n)
+    assert isinstance(fam, BlockPerturbedForm)
+    assert (fam.s, fam.back_map, fam.matrix()) == (form.s, form.back_map, form.matrix())
+    head = fam.block.column(0)
+    w = head + (head[0],) * (fam.n - fam.s)  # an equal tail pair for equal_tail_reduce
+    assert lcompl_membership(fam, w) and lcompl_membership(form, w)
+    assert next(lcompl_sample(fam, head, random.Random(1), 1)) == \
+        next(lcompl_sample(form, head, random.Random(1), 1))
+    perm = list(range(fam.n - fam.s))
+    rng.shuffle(perm)
+    assert tail_permute(fam, w, perm) == tail_permute(form, w, perm)
+    assert equal_tail_reduce(fam, w) == equal_tail_reduce(form, w)
+    r = perron(fam.matrix())
+    assert perron_tail_structure(fam, r) == perron_tail_structure(form, r)
+    got, want = perron_efficiency_via_submatrix(fam, r), perron_efficiency_via_submatrix(form, r)
+    assert got.components == want.components and np.array_equal(got.digraph.adj, want.digraph.adj)
+
+
+def test_family_parameter_is_the_block_entry():
+    for fam in (TwoBlockMatrix(F(3), 4), ConstantBlockMatrix(0.25, 3, 4)):
+        assert fam.x == fam.block[0, 1] == 1 / fam.block[1, 0]
+    assert isinstance(TwoBlockMatrix(2, 4), ConstantBlockMatrix)
+    assert TwoBlockMatrix(2, 4).block == ConstantBlockMatrix(2, 2, 4).block
+
+
+class TestUnionRouteIntake:
+    """union_route_member checks all of w and its route j, not only the
+    (s+1)-subvector it reads."""
+
+    A4 = block_matrix(B3, 4)
+    W = (F(13), F(8), F(7), F(12), F(7), F(7))
+
+    @pytest.mark.parametrize("i", [3, 5], ids=["first-tail", "last"])
+    @pytest.mark.parametrize("bad", [-5, 0, float("inf"), float("nan")])
+    def test_bad_entry(self, i, bad):
+        w = self.W[:i] + (bad,) + self.W[i + 1 :]
+        with pytest.raises(InputError, match="is not positive and finite"):
+            union_route_member(self.A4, w, 4)
+
+    @pytest.mark.parametrize("j", [2, 6])
+    def test_route_outside_tail(self, j):
+        with pytest.raises(InputError, match=rf"^j = {j} is not an integer in \[3, 6\)$"):
+            union_route_member(self.A4, self.W, j)
+
+    def test_numpy_route(self):
+        assert union_route_member(self.A4, self.W, np.int64(3))
+        assert not union_route_member(self.A4, self.W, np.int64(4))

@@ -11,6 +11,7 @@ from effvec import (
     apply_similarity,
     block_matrix,
     build_digraph,
+    canonical_form,
     consistent_from_vector,
     construct_dominating_vector,
     dominance_compare,
@@ -25,7 +26,7 @@ from effvec import (
 )
 from effvec.efficiency import EQUAL, INCOMPARABLE, V_DOMINATES, W_DOMINATES, ComparisonDigraph
 from effvec.errors import DimensionMismatch, PreconditionError
-from effvec.fixtures import A6_U, B3, CC, EX21, EX21_W, canonical_form
+from effvec.fixtures import A6_U, B3, CC, EX21, EX21_W
 
 from conftest import rand_reciprocal, rand_similarity, rand_vector
 

@@ -1,5 +1,6 @@
-"""No module imports a private name from another effvec module, and every
-module-level private name is used in its own module."""
+"""No module imports a private name from another effvec module, or a name
+from a submodule that does not define it, and every module-level private
+name is used in its own module."""
 
 import ast
 import pathlib
@@ -48,6 +49,61 @@ def test_detects_private_imports(tmp_path):
     assert private_imports(probe) == [
         (1, "effvec.blockpert", "_sample_in"),
         (2, ".matrix", "_reference_block"),
+    ]
+
+
+def defined_names(path):
+    """Names a module binds at top level with a def, a class or an assignment."""
+    names = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def borrowed_imports(path):
+    """(line, module, name) of each `from effvec.mod import x` or
+    `from .mod import x` (mod read in src/effvec) where mod does not define
+    x itself: a name is imported from the module that defines it.  The
+    package effvec, which gathers the public names, is exempt."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ImportFrom) or not node.module:
+            continue
+        if node.level == 1:
+            module = node.module
+        elif node.level == 0 and node.module.startswith("effvec."):
+            module = node.module[len("effvec."):]
+        else:
+            continue
+        defined = defined_names(ROOT / "src" / "effvec" / f"{module}.py")
+        for alias in node.names:
+            if alias.name not in defined:
+                found.append((node.lineno, "." * node.level + node.module, alias.name))
+    return found
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_imports_from_defining_module(path):
+    assert borrowed_imports(path) == []
+
+
+def test_detects_borrowed_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from effvec.fixtures import B3, canonical_form\n"
+        "from .perron import TOL_PERRON, perron, ConstantBlockMatrix\n"
+        "from effvec.matrix import canonical_form, Vector\n"
+        "from effvec import canonical_form\n"
+        "from . import fixtures\n"
+        "from conftest import rand_vector\n"
+    )
+    assert borrowed_imports(probe) == [
+        (1, "effvec.fixtures", "canonical_form"),
+        (2, ".perron", "ConstantBlockMatrix"),
     ]
 
 

@@ -2,12 +2,15 @@
 matrix.check_positive_vector, on both backends: a wrong length is a
 DimensionMismatch worded "vector size a != b", and an entry that is not
 positive and finite is an InputError.  Values beyond the floats are
-InputErrors too, never a bare OverflowError."""
+InputErrors too, never a bare OverflowError.  Index arguments go through
+matrix.check_index."""
 
 import math
 import random
+import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from effvec import (
@@ -18,6 +21,7 @@ from effvec import (
     TwoBlockMatrix,
     block_matrix,
     build_digraph,
+    canonical_form,
     constant_block_class_check,
     construct_dominating_vector,
     dominance_compare,
@@ -25,6 +29,7 @@ from effvec import (
     extension_interval,
     geometric_mean_vector,
     grid_dominator_search,
+    is_block_perturbation,
     is_efficient,
     lcompl_membership,
     lcompl_sample,
@@ -41,7 +46,7 @@ from effvec import (
 )
 from effvec import matrix
 from effvec.errors import DimensionMismatch, InputError
-from effvec.fixtures import B3, CC, canonical_form
+from effvec.fixtures import B3, CC
 
 
 def backend(exact):
@@ -200,3 +205,28 @@ class TestBlockShape:
             three_by_three_is_efficient(B2, (1, 1, 1))
         with pytest.raises(InputError, match="3-by-3"):
             three_block_sufficient(B2)
+
+
+class TestIndexIntake:
+    """An index argument is an integer, numpy's too, in range; anything else
+    is an InputError that names it."""
+
+    CALLS = {
+        "K index": lambda i: is_block_perturbation(CC, [i]),
+        "column": lambda i: geometric_mean_vector(CC, [i, 1]),
+        "k": lambda i: extension_interval(CC, B3.column(0), i),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("i", [1.5, 0.5, -1, 4, 7, "1"])
+    def test_bad_index(self, name, i):
+        with pytest.raises(InputError,
+                           match=rf"^{name} = {re.escape(repr(i))} is not an integer in \[0, 4\)$"):
+            self.CALLS[name](i)
+
+    def test_numpy_index(self):
+        K = [np.int64(0), np.int64(1), np.int64(2)]
+        assert is_block_perturbation(CC, K) == is_block_perturbation(CC, [0, 1, 2])
+        assert geometric_mean_vector(CC, [np.int64(2)]) == CC.column(2)
+        assert extension_interval(CC, B3.column(0), np.int64(3)) == \
+            extension_interval(CC, B3.column(0), 3)

@@ -105,6 +105,11 @@ class TestSimilarity:
         M = MonomialSimilarity.scaling(D_SCALED)
         assert transform_vector(M, (15, 8, 8, 12)) == (15, 16, 32, 24)
 
+    @pytest.mark.parametrize("d", [float("inf"), float("nan"), 0.0, -1])
+    def test_diagonal_positive_finite(self, d):
+        with pytest.raises(InputError, match=r"^diagonal entry .* is not positive and finite$"):
+            MonomialSimilarity.scaling((d, 1.0))
+
     def test_inverse_round_trip(self, rng):
         for _ in range(20):
             A = rand_reciprocal(5, rng)

@@ -8,6 +8,7 @@ from effvec import (
     ConstantBlockMatrix,
     ThreeBlockMatrix,
     block_matrix,
+    canonical_form,
     consistent_from_vector,
     constant_block_perron_check,
     is_efficient,
@@ -17,9 +18,9 @@ from effvec import (
     three_block_sufficient,
     validate_reciprocal,
 )
-from effvec.errors import InputError, NoConvergence, PreconditionError
+from effvec.errors import DimensionMismatch, InputError, NoConvergence, PreconditionError
 from effvec.perron import STALL_ITER
-from effvec.fixtures import B3, CC, canonical_form, three_block_from_triple
+from effvec.fixtures import B3, CC, three_block_from_triple
 
 from conftest import rand_reciprocal
 
@@ -70,6 +71,14 @@ class TestTailStructure:
         for n in (3, 4):
             form = canonical_form(B3, n)
             assert perron_tail_structure(form, perron(form.matrix())).ok and form.n <= form.s + 1
+
+
+def test_perron_result_of_another_size():
+    """A Perron pair of A_5(B) does not describe A_6(B)."""
+    r, form = perron(block_matrix(B3, 5)), canonical_form(B3, 6)
+    for check in (perron_tail_structure, perron_efficiency_via_submatrix):
+        with pytest.raises(DimensionMismatch, match=r"^vector size 5 != 6$"):
+            check(form, r)
 
 
 class TestSubmatrixVerdict:
@@ -142,6 +151,15 @@ class TestConstantBlockPerron:
             n = rng.randint(s + 1, s + 4)
             verdict = constant_block_perron_check(ConstantBlockMatrix(x, s, n))
             assert verdict.efficient
+
+    def test_reversed_orientation(self):
+        """For x < 1 the check reads C_s(x) with its block's indices reversed,
+        which on Fractions is C_s(1/x) entry for entry."""
+        for x, s, n in ((F(1, 3), 4, 7), (F(2, 5), 3, 4), (F(1, 9), 2, 5)):
+            got = constant_block_perron_check(ConstantBlockMatrix(x, s, n))
+            want = constant_block_perron_check(ConstantBlockMatrix(1 / x, s, n))
+            assert got.components == want.components
+            assert (got.digraph.adj == want.digraph.adj).all()
 
     def test_requires_tail(self):
         with pytest.raises(PreconditionError, match="need n > s"):

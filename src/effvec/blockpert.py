@@ -24,6 +24,7 @@ from .matrix import (
     Vector,
     block_matrix,
     check_index,
+    check_permutation,
     check_positive_scalar,
     check_positive_vector,
     float_view,
@@ -35,7 +36,7 @@ from .matrix import (
 # ---------------------------------------------------------------------------
 # Parameterized matrix families: each is the form A_n(B) of its block B, with
 # an identity back map.  The paper reads a 3-block with a13 >= 1 and C_s(x)
-# with x >= 1; the other orientation reverses the block's indices.
+# with x >= 1; the other orientation is the form's reversed().
 
 
 class ConstantBlockMatrix(BlockPerturbedForm):
@@ -74,15 +75,11 @@ class ThreeBlockMatrix(BlockPerturbedForm):
             raise InputError("three-block form needs n >= 4")
         super().__init__(block, n, MonomialSimilarity.identity(n))
 
-    def normalize(self) -> Tuple["ThreeBlockMatrix", MonomialSimilarity]:
-        """This form on its a13 >= 1 orientation (the block's indices reversed,
-        B[(2, 1, 0)], when a13 < 1) and the permutation taking its vectors
-        there: the head reversed and the tail kept, or the identity."""
-        if self.block[0, 2] >= 1:
-            return self, MonomialSimilarity.identity(self.n)
-        perm = (2, 1, 0) + tuple(range(3, self.n))
-        return (ThreeBlockMatrix(self.block.submatrix(perm[:3]), self.n),
-                MonomialSimilarity.permutation(perm))
+    def normalize(self) -> Tuple[BlockPerturbedForm, MonomialSimilarity]:
+        """This form read with a13 >= 1, reversed() if a13 < 1, and its back map:
+        a head reversal or the identity, which is its own inverse."""
+        form = self if self.block[0, 2] >= 1 else self.reversed()
+        return form, form.back_map
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +208,7 @@ def tail_permute(
     """Permute the tail entries; efficiency for A_n(B) is preserved."""
     w = check_positive_vector(w, form.n)
     t = form.n - form.s
-    if sorted(perm) != list(range(t)):
-        raise InputError(f"{perm!r} is not a permutation of the {t} tail positions")
+    check_permutation(perm, t, "tail positions")
     tail = w[form.s :]
     new_tail = [None] * t
     for i in range(t):

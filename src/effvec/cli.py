@@ -27,7 +27,7 @@ from .blockpert import (
 from .efficiency import is_efficient
 from .errors import EffvecError, InputError, InternalError
 from .io import load_matrix, load_vector, parse_scalar, scalar_repr
-from .matrix import detect_minimal_block, transform_vector
+from .matrix import detect_minimal_block
 from .perron import perron, perron_tail_structure, three_block_sufficient
 
 
@@ -82,9 +82,7 @@ def cmd_perron(args) -> int:
     detected = detect_minimal_block(A) if A.n <= 8 else None
     if detected is not None:
         form = detected.form
-        # the same Perron vector, in the canonical coordinates of A_n(B)
-        r_can = replace(r, w=transform_vector(form.back_map.inverse(), r.w))
-        out["structure_ok"] = perron_tail_structure(form, r_can).ok
+        out["structure_ok"] = perron_tail_structure(form, replace(r, w=form.from_input(r.w))).ok
         out["block_indices"] = [i + 1 for i in detected.K]
         if form.s == 3:
             out["sufficient_condition"] = three_block_sufficient(form.block).matched

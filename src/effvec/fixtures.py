@@ -18,6 +18,7 @@ from .efficiency import extension_interval, is_efficient, subvector_efficiency_p
 from .matrix import (
     MonomialSimilarity,
     ReciprocalMatrix,
+    apply_similarity,
     block_matrix,
     canonical_form,  # unused here; bench/ops.py imports it from this module
     check_positive_scalar,
@@ -138,8 +139,6 @@ def reproduce_reference_pairs() -> list:
 
 def reproduce_scaling_example() -> list:
     """Diagonal-similarity transport of efficient vectors."""
-    from .matrix import apply_similarity
-
     checks = []
     inv = MonomialSimilarity.scaling(tuple(1 / d for d in D_SCALED))
     checks.append(

@@ -86,6 +86,17 @@ def check_index(i, indices: range, name: str) -> int:
     return operator.index(i)
 
 
+def check_permutation(perm, n: int, what: str) -> None:
+    """The one permutation check: perm holds each of 0..n-1 once, each an
+    integer by check_index's rule (numpy's too); what names the n positions."""
+    try:
+        ok = sorted(map(operator.index, perm)) == list(range(n))
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InputError(f"{perm!r} is not a permutation of the {n} {what}")
+
+
 def check_positive_vector(w: Sequence[Scalar], n: int) -> Vector:
     """The one weight-vector check: n entries, each positive and finite.
     A vector of ints and Fractions comes back as Fractions, any other as
@@ -258,19 +269,17 @@ class MonomialSimilarity:
     def __post_init__(self):
         if len(self.perm) != len(self.diag):
             raise DimensionMismatch("diag and perm sizes differ")
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise InputError(f"perm {self.perm!r} is not a permutation")
+        check_permutation(self.perm, len(self.perm), "indices")
         for d in self.diag:
             if not 0 < d < math.inf:
                 raise InputError(f"diagonal entry {d!r} is not positive and finite")
 
     @classmethod
     def identity(cls, n: int) -> "MonomialSimilarity":
-        return cls(tuple([1] * n), tuple(range(n)))
-
-    @classmethod
-    def permutation(cls, perm: Sequence[int]) -> "MonomialSimilarity":
-        return cls(tuple([1] * len(perm)), tuple(perm))
+        """The identity on n indices, built without __post_init__'s check."""
+        M = object.__new__(cls)
+        M.__dict__.update(diag=(1,) * n, perm=tuple(range(n)))
+        return M
 
     @classmethod
     def scaling(cls, diag: Sequence[Scalar]) -> "MonomialSimilarity":
@@ -332,6 +341,17 @@ class BlockPerturbedForm:
     def matrix(self) -> ReciprocalMatrix:
         """The canonical matrix A_n(B)."""
         return block_matrix(self.block, self.n)
+
+    def reversed(self) -> "BlockPerturbedForm":
+        """This form with B's indices reversed and a back map that reverses the
+        head first, so both map back onto one matrix.  Its own inverse."""
+        s, d, p = self.s, self.back_map.diag, self.back_map.perm
+        back = MonomialSimilarity(d[s - 1::-1] + d[s:], p[s - 1::-1] + p[s:])
+        return BlockPerturbedForm(self.block.submatrix(range(s - 1, -1, -1)), self.n, back)
+
+    def from_input(self, w: Sequence[Scalar]) -> Vector:
+        """w, in the coordinates of the matrix the back map leads to, in this form's."""
+        return transform_vector(self.back_map.inverse(), w)
 
 
 def canonical_form(B: ReciprocalMatrix, n: int) -> BlockPerturbedForm:

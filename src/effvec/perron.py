@@ -120,9 +120,7 @@ def constant_block_perron_check(M: ConstantBlockMatrix) -> EfficiencyVerdict:
     """
     if M.n <= M.s:
         raise PreconditionError("need n > s for the Perron check")
-    form = M
-    if M.x < 1:  # C_s(x) with its block's indices reversed is C_s(1/x), read as a family
-        form = BlockPerturbedForm(M.block.submatrix(range(M.s - 1, -1, -1)), M.n, M.back_map)
+    form = M if M.x >= 1 else M.reversed()  # reversed, C_s(x) is C_s(1/x)
     verdict = perron_efficiency_via_submatrix(form, perron(form.matrix()))
     if not verdict.digraph.has_cycle(tuple(range(M.s, -1, -1))):  # s -> ... -> 0 -> s
         raise InternalError(f"witness cycle missing for x={M.x}, s={M.s}, n={M.n}")

@@ -31,6 +31,7 @@ from effvec import (
     subvector_efficiency_profile,
     three_block_generate,
     three_block_membership,
+    three_block_sufficient,
     three_by_three_is_efficient,
     transform_vector,
     two_block_is_efficient,
@@ -188,8 +189,6 @@ def test_grid_oracle_equivalence(capsys):
 
 def test_three_block_sufficient_conditions(capsys):
     """Matched sufficient conditions always yield an efficient Perron vector."""
-    from effvec import three_block_sufficient
-
     vals = np.logspace(math.log10(1 / 9), math.log10(9), 20)
     matched = 0
     failures = 0

@@ -8,6 +8,7 @@ import pytest
 from effvec import (
     BlockPerturbedForm,
     ConstantBlockMatrix,
+    MonomialSimilarity,
     ThreeBlockMatrix,
     TwoBlockMatrix,
     block_matrix,
@@ -181,9 +182,11 @@ class TestTailPermute:
             assert is_efficient(A, v).efficient
 
     def test_bad_perm(self):
+        """A repeat, a float (even 1.0), a string or no sequence at all."""
         form = canonical_form(B3, 6)
-        with pytest.raises(InputError, match="is not a permutation of the 3 tail positions"):
-            tail_permute(form, (1, 1, 1, 1, 1, 1), (0, 0, 1))
+        for perm in ((0, 0, 1), (0.0, 1.0, 2.0), (0, 1, 2.5), ("0", "1", "2"), None):
+            with pytest.raises(InputError, match="is not a permutation of the 3 tail positions"):
+                tail_permute(form, (1, 1, 1, 1, 1, 1), perm)
 
 
 class TestThreeBlockUnion:
@@ -265,6 +268,14 @@ class TestConstantBlock:
         assert constant_block_class_check(M, (4, 2, 2, 3, 2))
         assert not constant_block_class_check(M, (4, 5, 2, 3, 2))  # w2 > x*w3
         assert not constant_block_class_check(M, (4, 2, 2, 5, 2))  # tail high
+
+    @pytest.mark.parametrize("x, s, n", [(F(1, 3), 4, 7), (F(1, 2), 2, 4), (0.4, 3, 5)])
+    def test_reversed_is_reciprocal_family(self, x, s, n):
+        """For x < 1, M.reversed() has the block of C_s(1/x) and the back map
+        that reverses the head."""
+        R = ConstantBlockMatrix(x, s, n).reversed()
+        assert R.block == ConstantBlockMatrix(1 / x, s, n).block
+        assert R.back_map == MonomialSimilarity((1,) * n, tuple(range(s))[::-1] + tuple(range(s, n)))
 
     def test_reversed_orientation(self, rng):
         M = ConstantBlockMatrix(F(1, 2), 3, 5)

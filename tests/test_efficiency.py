@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effvec import (
+    ConstantBlockMatrix,
     apply_similarity,
     block_matrix,
     build_digraph,
@@ -266,8 +267,6 @@ class TestDominatingVector:
 class TestExtension:
     def test_constant_block_intervals(self):
         # covered value-exactly in fixtures; here the equivalence itself
-        from effvec import ConstantBlockMatrix
-
         C5 = ConstantBlockMatrix(F(3), 5, 5).matrix()
         w4 = (F(7), F(3), F(2), F(1))
         iv = extension_interval(C5, w4, 4)

@@ -1,6 +1,7 @@
 """No module imports a private name from another effvec module, or a name
-from a submodule that does not define it, and every module-level private
-name is used in its own module."""
+from a submodule that does not define it, or an effvec name inside a
+function body, and every module-level private name is used in its own
+module."""
 
 import ast
 import pathlib
@@ -49,6 +50,50 @@ def test_detects_private_imports(tmp_path):
     assert private_imports(probe) == [
         (1, "effvec.blockpert", "_sample_in"),
         (2, ".matrix", "_reference_block"),
+    ]
+
+
+def local_imports(path):
+    """(line, module) of each effvec import (`import effvec[.mod]`,
+    `from effvec[.mod] import ...` or a relative one) inside a function body:
+    such imports go at the top of the module."""
+    found = set()
+    for func in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Import):
+                found.update((node.lineno, a.name) for a in node.names
+                             if a.name.split(".")[0] == "effvec")
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "effvec"):
+                found.add((node.lineno, "." * node.level + (node.module or "")))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_local_imports(path):
+    assert local_imports(path) == []
+
+
+def test_detects_local_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from effvec import perron\n"
+        "import json\n\n"
+        "def f():\n"
+        "    from effvec.matrix import apply_similarity\n"
+        "    import json, effvec.io\n"
+        "    from conftest import rand_vector\n\n"
+        "    def g():\n"
+        "        from . import fixtures\n"
+        "    return g\n\n"
+        "class C:\n"
+        "    async def m(self):\n"
+        "        import effvec\n"
+    )
+    assert local_imports(probe) == [
+        (5, "effvec.matrix"), (6, "effvec.io"), (10, "."), (15, "effvec"),
     ]
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +97,21 @@ class TestSimilarity:
     def test_identity(self):
         M = MonomialSimilarity.identity(4)
         assert apply_similarity(CC, M).entries == CC.entries
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_unchecked_identity_equals_checked(self, n):
+        M, checked = MonomialSimilarity.identity(n), MonomialSimilarity((1,) * n, tuple(range(n)))
+        assert M == checked and hash(M) == hash(checked) and repr(M) == repr(checked)
+
+    @pytest.mark.parametrize("perm", [(0.0, 1.0), (1, 1), (0, 2), ("0", "1")],
+                             ids=["floats", "repeat", "out-of-range", "strings"])
+    def test_perm_is_a_permutation(self, perm):
+        with pytest.raises(InputError, match=r"^\(.*\) is not a permutation of the 2 indices$"):
+            MonomialSimilarity((1, 1), perm)
+
+    def test_numpy_int_perm(self):
+        M = MonomialSimilarity((2, 1), tuple(np.array([1, 0])))
+        assert transform_vector(M, (3, 5)) == (5, 6)
 
     def test_scaled_block_recovers_reference(self):
         inv = MonomialSimilarity.scaling(tuple(1 / d for d in D_SCALED))
@@ -369,6 +385,33 @@ def test_block_entry_beyond_floats_has_no_form(rows):
     A = validate_reciprocal(rows)
     assert is_block_perturbation(A, (0, 1)) is None
     assert detect_minimal_block(A) is None
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_form_coordinates(backend):
+    """reversed() reverses the block, maps back onto the same matrix and is
+    its own inverse; from_input is the back map's inverse on vectors, so the
+    verdict on A with w is the verdict on either form with w carried over."""
+    rng = random.Random(53)
+    verdicts = []
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        A = scrambled_block(n, rng.randint(2, n - 1), rng)
+        w = A.column(0) if rng.random() < 0.5 else rand_vector(n, rng)
+        if backend == "float":
+            A, w = A.to_float(), tuple(map(float, w))
+        form = detect_minimal_block(A).form
+        rev = form.reversed()
+        assert (rev.block, rev.n) == (form.block.submatrix(range(form.s - 1, -1, -1)), form.n)
+        assert apply_similarity(rev.matrix(), rev.back_map).entries == \
+            apply_similarity(form.matrix(), form.back_map).entries
+        assert rev.reversed() == form
+        verdicts.append(is_efficient(A, w).efficient)
+        for f in (form, rev):
+            v = f.from_input(w)
+            assert v == transform_vector(f.back_map.inverse(), w)
+            assert is_efficient(f.matrix(), v).efficient == verdicts[-1]
+    assert 10 <= sum(verdicts) <= 50
 
 
 class TestBlockMatrixView:

@@ -24,11 +24,10 @@ from .matrix import (
     Vector,
     block_matrix,
     check_index,
+    check_integer,
     check_permutation,
     check_positive_scalar,
     check_positive_vector,
-    float_view,
-    is_exact_scalar,
     validate_reciprocal,
 )
 
@@ -43,6 +42,7 @@ class ConstantBlockMatrix(BlockPerturbedForm):
     """A_n(C_s(x)) where C_s(x) has every above-diagonal entry equal to x."""
 
     def __init__(self, x: Scalar, s: int, n: int):
+        s, n = check_integer(s, "s"), check_integer(n, "n")
         if s < 2:
             raise InputError("constant block needs s >= 2")
         if n < s:
@@ -60,7 +60,7 @@ class TwoBlockMatrix(ConstantBlockMatrix):
     """S(x) = A_n(C_2(x)): entries (1,2) -> x, (2,1) -> 1/x, all else 1."""
 
     def __init__(self, x: Scalar, n: int):
-        if n < 3:
+        if check_integer(n, "n") < 3:
             raise InputError("two-block form needs n >= 3")
         super().__init__(x, 2, n)
 
@@ -71,6 +71,7 @@ class ThreeBlockMatrix(BlockPerturbedForm):
     def __init__(self, block: ReciprocalMatrix, n: int):
         if block.n != 3:
             raise InputError("block must be 3-by-3")
+        n = check_integer(n, "n")
         if n < 4:
             raise InputError("three-block form needs n >= 4")
         super().__init__(block, n, MonomialSimilarity.identity(n))
@@ -87,12 +88,10 @@ class ThreeBlockMatrix(BlockPerturbedForm):
 
 
 def two_block_is_efficient(S: TwoBlockMatrix, w: Sequence[Scalar]) -> bool:
-    """Chain test: w_2 <= w_3..w_n <= w_1 <= x*w_2, or all reversed."""
+    """Chain test: w_2 <= w_1 <= x*w_2 or x*w_2 <= w_1 <= w_2, and w_3..w_n between."""
     w = check_positive_vector(w, S.n)
-    x = S.x
-    asc = all(w[1] <= w[i] <= w[0] for i in range(2, S.n)) and w[0] <= x * w[1]
-    desc = all(w[1] >= w[i] >= w[0] for i in range(2, S.n)) and w[0] >= x * w[1]
-    return asc or desc
+    xw2 = S.x * w[1]
+    return (w[1] <= w[0] <= xw2 or xw2 <= w[0] <= w[1]) and _within(w, w[:2], range(2, S.n))
 
 
 def three_by_three_is_efficient(B: ReciprocalMatrix, w: Sequence[Scalar]) -> bool:
@@ -166,10 +165,10 @@ def _extend(head: Vector, n: int, rng: random.Random) -> Vector:
 def _stream(draw_head: Callable[[], Vector], n: int, rng: random.Random,
             count: Optional[int]) -> Iterator[GeneratedVector]:
     """count head-plus-tail vectors, each head from draw_head(); count=None
-    is unbounded and count <= 0 yields nothing."""
-    for _ in itertools.repeat(None) if count is None else range(count):
-        head = draw_head()
-        yield GeneratedVector(_extend(head, n, rng), head)
+    is unbounded and count <= 0 yields nothing.  count is checked at the call."""
+    rounds = itertools.repeat(None) if count is None else range(check_integer(count, "count"))
+    heads = (draw_head() for _ in rounds)
+    return (GeneratedVector(_extend(head, n, rng), head) for head in heads)
 
 
 def two_block_sample(
@@ -302,21 +301,17 @@ def constant_block_class_check(M: ConstantBlockMatrix, w: Sequence[Scalar]) -> b
     """Sufficient (not necessary) conditions for efficiency on A_n(C_s(x)).
 
     On the x >= 1 orientation, with h = w[0:s]: h_3 <= h_1/x <= h_2 <= x*h_3,
-    then (1/x)*min(h_3..h_{i-1}) <= h_i <= h_1/x for i = 4..s (for s = 2:
-    h_1 = x*h_2, on floats to a relative 1e-12), and the tail entries within
-    [min(h), max(h)].  For x < 1 the test reads C_s(1/x) with h reversed.
+    then (1/x)*min(h_3..h_{i-1}) <= h_i <= h_1/x for i = 4..s, and the tail
+    entries within [min(h), max(h)].  For x < 1 the test reads C_s(1/x) with
+    h reversed.  For s = 2 the head test is the block's own verdict: C_2(x) is
+    consistent, so its efficient heads are h_1 = x*h_2 (TOL_EDGE on floats).
     """
     w = check_positive_vector(w, M.n)
     x, h = M.x, w[: M.s]
     if x < 1:
         x, h = 1 / x, h[::-1]
     if M.s == 2:
-        # 2-by-2 block is consistent; efficient heads are column multiples
-        if is_exact_scalar(h[0]) and is_exact_scalar(x):
-            head_ok = h[1] * x == h[0]
-        else:
-            h0, h1, xf = float_view((h[0], h[1], x), "w_1, w_2 or x").tolist()
-            head_ok = abs(h1 * xf / h0 - 1.0) <= 1e-12
+        head_ok = is_efficient(M.block, w[:2]).efficient
     else:
         head_ok = h[2] <= h[0] / x <= h[1] <= x * h[2] and all(
             min(h[2:i]) / x <= h[i] <= h[0] / x for i in range(3, M.s))

@@ -55,12 +55,6 @@ class ComparisonDigraph:
         """succ[i] = frozenset of j with edge i -> j."""
         return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.adj)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ComparisonDigraph) and np.array_equal(self.adj, other.adj)
-
-    def __hash__(self) -> int:
-        return hash(self.adj.tobytes())
-
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i, j])
 

@@ -79,8 +79,16 @@ def check_size(w: Sequence, n: int) -> None:
         raise DimensionMismatch(f"vector size {len(w)} != {n}")
 
 
+def check_integer(i, name: str) -> int:
+    """The one size and count check: i an integer, numpy's too (it has
+    __index__; a float such as 5.0 has not), as an int."""
+    if not hasattr(type(i), "__index__"):
+        raise InputError(f"{name} = {i!r} is not an integer")
+    return operator.index(i)
+
+
 def check_index(i, indices: range, name: str) -> int:
-    """The one index check: i an integer (numpy's too) in indices."""
+    """The one index check: i an integer by check_integer's rule, in indices."""
     if not (hasattr(type(i), "__index__") and operator.index(i) in indices):
         raise InputError(f"{name} = {i!r} is not an integer in [{indices.start}, {indices.stop})")
     return operator.index(i)
@@ -356,6 +364,7 @@ class BlockPerturbedForm:
 
 def canonical_form(B: ReciprocalMatrix, n: int) -> BlockPerturbedForm:
     """Wrap an already-canonical A_n(B) (identity back map)."""
+    n = check_integer(n, "n")
     return BlockPerturbedForm(B, n, MonomialSimilarity.identity(n))
 
 
@@ -365,7 +374,7 @@ def block_matrix(B: ReciprocalMatrix, n: int) -> ReciprocalMatrix:
     B is already validated, so no entry is checked again.  The rows share
     one tail and one all-ones row: O(s*n) references.  The matrix records B
     for its float view."""
-    s = B.n
+    s, n = B.n, check_integer(n, "n")
     if n < s:
         raise InputError(f"n = {n} smaller than block size {s}")
     if n < 2:

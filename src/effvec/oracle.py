@@ -9,6 +9,7 @@ connectivity remains the only efficiency proof.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -23,6 +24,7 @@ from .matrix import (
     ReciprocalMatrix,
     Scalar,
     Vector,
+    check_integer,
     check_positive_vector,
     float_view,
     validate_reciprocal,
@@ -48,7 +50,9 @@ class GridSpec:
         check_positive_vector(self.base, len(self.base))
         if not self.rho > 1:
             raise InputError(f"rho must exceed 1, got {self.rho}")
-        if self.m < 1:
+        if self.rho == math.inf:
+            raise InputError(f"rho must be finite, got {self.rho}")
+        if check_integer(self.m, "m") < 1:
             raise InputError(f"m must be >= 1, got {self.m}")
 
     @property
@@ -148,6 +152,12 @@ def exhaustive_small_equivalence(trials: int, rng: random.Random, n: int = 3) ->
     """
     t0 = time.perf_counter()
     report = OracleReport(trials=trials, n=n)
+
+    def contradiction(kind: str, **vectors) -> None:
+        # this trial's w, then any other vector named, as strings
+        strings = {name: [str(x) for x in u] for name, u in {"w": w, **vectors}.items()}
+        report.contradictions.append({"trial": trial, "kind": kind, **strings})
+
     for trial in range(trials):
         A, w = random_pow2_instance(n, rng)
         verdict = is_efficient(A, w)
@@ -155,31 +165,12 @@ def exhaustive_small_equivalence(trials: int, rng: random.Random, n: int = 3) ->
         if verdict.efficient:
             report.efficient += 1
             if found is not None:
-                report.contradictions.append(
-                    {
-                        "trial": trial,
-                        "kind": "grid dominator for digraph-efficient vector",
-                        "w": [str(x) for x in w],
-                        "v": [str(x) for x in found],
-                    }
-                )
+                contradiction("grid dominator for digraph-efficient vector", v=found)
         else:
             report.inefficient += 1
             if dominance_compare(A, w, verdict.dominator) != V_DOMINATES:
-                report.contradictions.append(
-                    {
-                        "trial": trial,
-                        "kind": "constructed dominator fails dominance check",
-                        "w": [str(x) for x in w],
-                    }
-                )
+                contradiction("constructed dominator fails dominance check")
             if found is None:
-                report.contradictions.append(
-                    {
-                        "trial": trial,
-                        "kind": "grid found no dominator for inefficient vector",
-                        "w": [str(x) for x in w],
-                    }
-                )
+                contradiction("grid found no dominator for inefficient vector")
     report.runtime_ms = (time.perf_counter() - t0) * 1000.0
     return report

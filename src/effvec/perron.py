@@ -46,7 +46,7 @@ def perron(A: ReciprocalMatrix) -> PerronResult:
         residual = float(np.max(np.abs(u - lam * v) / (lam * v)))
         if residual < TOL_PERRON and abs(lam - lam_prev) < TOL_PERRON * lam:
             w = u / u[-1]
-            return PerronResult(float(lam), tuple(w), residual, it)
+            return PerronResult(float(lam), tuple(w.tolist()), residual, it)
         if residual < best:
             best, best_it = residual, it
         elif it - best_it >= STALL_ITER:

@@ -304,6 +304,8 @@ class TestConstantBlock:
                 ConstantBlockMatrix(x, 3, 4)
 
     def test_s2_head_is_column_multiple(self):
+        """At s = 2 the head test is the block's own verdict: C_2(x) is
+        consistent, so its efficient heads are the column multiples (x*c, c)."""
         M = ConstantBlockMatrix(F(3), 2, 4)
         assert constant_block_class_check(M, (3, 1, 2, 2))
         assert not constant_block_class_check(M, (3, 2, 2, 2))

@@ -3,7 +3,7 @@ matrix.check_positive_vector, on both backends: a wrong length is a
 DimensionMismatch worded "vector size a != b", and an entry that is not
 positive and finite is an InputError.  Values beyond the floats are
 InputErrors too, never a bare OverflowError.  Index arguments go through
-matrix.check_index."""
+matrix.check_index, sizes and counts through matrix.check_integer."""
 
 import math
 import random
@@ -23,6 +23,7 @@ from effvec import (
     build_digraph,
     canonical_form,
     constant_block_class_check,
+    constant_block_sample,
     construct_dominating_vector,
     dominance_compare,
     equal_tail_reduce,
@@ -42,6 +43,7 @@ from effvec import (
     transform_vector,
     two_block_full_set_check,
     two_block_is_efficient,
+    two_block_sample,
     validate_reciprocal,
 )
 from effvec import matrix
@@ -151,6 +153,53 @@ def test_family_parameter_reciprocal_finite(x):
             make()
 
 
+class TestIntegerIntake:
+    """A size or a count is an integer by check_index's rule (numpy's too, a
+    float such as 5.0 not); anything else is an InputError that names it.
+    Before, each raised a bare TypeError, or (GridSpec's m) built a grid that
+    raised one later."""
+
+    CALLS = {
+        "ConstantBlockMatrix-s": ("s", lambda k: ConstantBlockMatrix(2, k, 5)),
+        "ConstantBlockMatrix-n": ("n", lambda k: ConstantBlockMatrix(2, 3, k)),
+        "TwoBlockMatrix": ("n", lambda k: TwoBlockMatrix(2, k)),
+        "ThreeBlockMatrix": ("n", lambda k: ThreeBlockMatrix(B3, k)),
+        "block_matrix": ("n", lambda k: block_matrix(B3, k)),
+        "canonical_form": ("n", lambda k: canonical_form(B3, k)),
+        "GridSpec": ("m", lambda k: GridSpec((3, 2, 1), m=k)),
+        "two_block_sample": ("count", lambda k: list(two_block_sample(
+            TwoBlockMatrix(2, 5), rng(), k))),
+        "lcompl_sample": ("count", lambda k: list(lcompl_sample(
+            canonical_form(B3, 5), B3.column(0), rng(), k))),
+        "constant_block_sample": ("count", lambda k: list(constant_block_sample(
+            ConstantBlockMatrix(2, 3, 5), rng(), k))),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("bad", [5.0, 4.5, "5", F(5)])
+    def test_not_an_integer(self, name, bad):
+        arg, call = self.CALLS[name]
+        with pytest.raises(InputError, match=rf"^{arg} = {re.escape(repr(bad))} is not an integer$"):
+            call(bad)
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_numpy_integer(self, name):
+        assert self.CALLS[name][1](np.int64(5)) == self.CALLS[name][1](5)
+
+    def test_sizes_are_ints(self):
+        M = ConstantBlockMatrix(2, np.int64(3), np.int64(5))
+        assert type(M.s) is int and type(M.n) is int
+        assert type(block_matrix(B3, np.int64(5)).n) is int
+
+    def test_count_checked_when_called(self):
+        """A sampler that is a plain function checks its count at the call;
+        None is still unbounded."""
+        with pytest.raises(InputError, match="^count = 2.0 is not an integer$"):
+            lcompl_sample(canonical_form(B3, 5), B3.column(0), rng(), 2.0)
+        stream = constant_block_sample(ConstantBlockMatrix(2, 3, 5), rng(), None)
+        assert len([next(stream) for _ in range(50)]) == 50
+
+
 class TestDominatorInput:
     @pytest.mark.parametrize("w", [(-3, 2, 1, 2), (0, 2, 1, 2)])
     def test_non_positive_exact_weight(self, w):
@@ -192,6 +241,9 @@ class TestBeyondFloats:
                                       (2.0, (F(1, BIG), 2, 1))],
                              ids=["x", "vector-overflow", "vector-underflow"])
     def test_constant_block_two_by_two(self, x, w):
+        """The s = 2 class is is_efficient on C_2(x): a float x or head takes
+        the float backend, where an exact x beyond the floats fails in the
+        block's float view and an exact head entry in the vector's."""
         with pytest.raises(InputError, match="for a float|rounds to 0.0"):
             constant_block_class_check(ConstantBlockMatrix(x, 2, 3), w)
 

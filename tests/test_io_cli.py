@@ -182,6 +182,19 @@ class TestCheckCommand:
         assert main(["check", m, v]) == 0
         assert "EFFICIENT" in capsys.readouterr().out
 
+    def test_table_format_inefficient(self, files, capsys, monkeypatch):
+        """An inefficient table report adds the source set and the dominator."""
+        monkeypatch.setenv("EFFVEC_NO_COLOR", "1")
+        m = files("m.csv", "1,2,4\n1/2,1,2\n1/4,1/2,1\n")
+        v = files("v.csv", "1,2,3\n")
+        assert main(["check", m, v, "--format", "table"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "INEFFICIENT",
+            "components: [[1], [2], [3]]",
+            "source set: [3]",
+            "dominating vector: 1 2 1",
+        ]
+
     def test_missing_file_exit_two(self, capsys):
         assert main(["check", "/nonexistent/a.csv", "/nonexistent/b.csv"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -557,12 +570,27 @@ def test_readme_option_table_matches_parser():
     assert rows == registered
 
 
+def test_readme_tolerances_match_package():
+    """Every `TOL_*` = value pair in README equals the constant effvec exports,
+    and every TOL_* that effvec exports has such a pair."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    pairs = re.findall(r"`(TOL_\w+)` = (\d[\d.]*(?:e[+-]?\d+)?)", readme)
+    exported = {name for name in dir(effvec) if name.startswith("TOL_")}
+    assert all(getattr(effvec, name) == float(value) for name, value in pairs)
+    assert exported and exported <= {name for name, _ in pairs}
+
+
 class TestReproduceCommand:
     def test_table1(self, capsys, monkeypatch):
         monkeypatch.setenv("EFFVEC_NO_COLOR", "1")
         assert main(["reproduce", "table1"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_examples(self, capsys, monkeypatch):
+        monkeypatch.setenv("EFFVEC_NO_COLOR", "1")
+        assert main(["reproduce", "examples"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "27/27 checks passed"
 
     def test_all(self, capsys, monkeypatch):
         monkeypatch.setenv("EFFVEC_NO_COLOR", "1")

@@ -1,8 +1,11 @@
 import random
+import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from effvec import oracle
 from effvec import (
     GridSpec,
     exhaustive_small_equivalence,
@@ -11,7 +14,7 @@ from effvec import (
     dominance_compare,
     validate_reciprocal,
 )
-from effvec.efficiency import V_DOMINATES
+from effvec.efficiency import EQUAL, V_DOMINATES
 from effvec.errors import DimensionMismatch, InputError
 from effvec.fixtures import B3, CC
 from effvec.oracle import random_pow2_instance
@@ -38,6 +41,17 @@ class TestGridSpec:
             GridSpec((1, 1), rho=0.5)
         with pytest.raises(InputError, match="m must be >= 1"):
             GridSpec((1, 1), m=0)
+
+    def test_integer_m_finite_rho(self):
+        """m is an integer by check_integer's rule and rho is finite: before,
+        m = 1.5 built a grid whose factors raised TypeError, and rho = inf one
+        whose factors were 0 and inf."""
+        for m in (1.5, 6.0, "6"):
+            with pytest.raises(InputError, match=rf"^m = {re.escape(repr(m))} is not an integer$"):
+                GridSpec((3, 2, 1), m=m)
+        with pytest.raises(InputError, match="^rho must be finite, got inf$"):
+            GridSpec((3, 2, 1), rho=float("inf"))
+        assert GridSpec((1, 1), m=np.int64(3)).factor_values() == GridSpec((1, 1), m=3).factor_values()
 
 
 class TestGridSearch:
@@ -88,6 +102,29 @@ class TestEquivalence:
         rng = random.Random(100)
         rep = exhaustive_small_equivalence(40, rng, n=4)
         assert rep.contradictions == []
+
+    def test_contradiction_records(self, monkeypatch):
+        """Each kind of contradiction, forced by stubbing the oracle, is recorded
+        as its trial, kind and w as strings; a grid dominator of an efficient w
+        adds the grid's v.  Seed 0 draws an efficient trial 0 and an
+        inefficient trial 1."""
+        monkeypatch.setattr(oracle, "grid_dominator_search", lambda A, w, g: (1, 2, 1))
+        rep = exhaustive_small_equivalence(2, random.Random(0))
+        assert (rep.efficient, rep.inefficient) == (1, 1)
+        assert rep.contradictions == [
+            {"trial": 0, "kind": "grid dominator for digraph-efficient vector",
+             "w": ["2", "1/4", "1"], "v": ["1", "2", "1"]},
+        ]
+        monkeypatch.undo()
+        # the grid search reads the same stub, so it finds no dominator either
+        monkeypatch.setattr(oracle, "dominance_compare", lambda A, w, v: EQUAL)
+        rep = exhaustive_small_equivalence(2, random.Random(0))
+        assert rep.contradictions == [
+            {"trial": 1, "kind": "constructed dominator fails dominance check",
+             "w": ["1", "2", "1"]},
+            {"trial": 1, "kind": "grid found no dominator for inefficient vector",
+             "w": ["1", "2", "1"]},
+        ]
 
     def test_report_round_trip(self):
         import json

@@ -58,6 +58,11 @@ class TestPerron:
         r = perron(CC)
         assert r.residual <= 1e-12 and r.w[-1] == 1.0
 
+    def test_vector_holds_python_floats(self):
+        """As every other vector the library returns: no numpy scalars."""
+        for A in (CC, CC.to_float(), block_matrix(B3, 6)):
+            assert all(type(x) is float for x in perron(A).w)
+
 
 class TestTailStructure:
     def test_equal_tail(self, rng):

@@ -27,6 +27,7 @@ from .blockpert import (
     union_route_member,
 )
 from .efficiency import (
+    TOL_DOMINANCE,
     TOL_EDGE,
     ComparisonDigraph,
     EfficiencyVerdict,

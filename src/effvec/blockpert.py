@@ -1,9 +1,9 @@
 """Closed-form efficiency characterizations for block-perturbed matrices.
 
-Covers the 2-block chain conditions, the 3-by-3 chain, extension of an
+Covers the 2-block chain conditions, the 3-by-3 cycles, extension of an
 efficient block head by bounded tail entries, the union-over-j route for
-3-block matrices, and the constant-block sufficient class -- each paired in
-the tests with the digraph verdict it must agree with.
+3-block matrices, and the constant-block sufficient class.  Each reads edges
+of G(A, w) by build_digraph's rule; the tests pair each with is_efficient.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InputError, InternalError, PreconditionError
-from .efficiency import is_efficient
+from .efficiency import TOL_EDGE, build_digraph, is_efficient
 from .matrix import (
     BlockPerturbedForm,
     MonomialSimilarity,
@@ -88,21 +88,19 @@ class ThreeBlockMatrix(BlockPerturbedForm):
 
 
 def two_block_is_efficient(S: TwoBlockMatrix, w: Sequence[Scalar]) -> bool:
-    """Chain test: w_2 <= w_1 <= x*w_2 or x*w_2 <= w_1 <= w_2, and w_3..w_n between."""
+    """Chain test: w_1 between w_2 and x*w_2, and w_3..w_n between w_1 and w_2."""
     w = check_positive_vector(w, S.n)
-    xw2 = S.x * w[1]
-    return (w[1] <= w[0] <= xw2 or xw2 <= w[0] <= w[1]) and _within(w, w[:2], range(2, S.n))
+    return _within(w, (w[1], S.x * w[1]), (0,)) and _within(w, w[:2], range(2, S.n))
 
 
 def three_by_three_is_efficient(B: ReciprocalMatrix, w: Sequence[Scalar]) -> bool:
-    """Chain test for an arbitrary 3-by-3 reciprocal matrix."""
+    """A strong semicomplete digraph has a Hamiltonian cycle (Camion), so
+    G(B, w) is strongly connected iff it has 1->2->3->1 (the chain
+    a23*w3 <= w2 <= w1/a12 <= (a13/a12)*w3) or the reverse cycle."""
     if B.n != 3:
         raise InputError("need a 3-by-3 matrix")
-    w = check_positive_vector(w, 3)
-    a12, a13, a23 = B[0, 1], B[0, 2], B[1, 2]
-    asc = a23 * w[2] <= w[1] <= w[0] / a12 <= (a13 / a12) * w[2]
-    desc = a23 * w[2] >= w[1] >= w[0] / a12 >= (a13 / a12) * w[2]
-    return asc or desc
+    G = build_digraph(B, w)
+    return G.has_cycle((0, 1, 2)) or G.has_cycle((0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +110,11 @@ def three_by_three_is_efficient(B: ReciprocalMatrix, w: Sequence[Scalar]) -> boo
 
 
 def _within(w: Sequence[Scalar], head: Sequence[Scalar], indices: Iterable[int]) -> bool:
-    """Every w[i], i in indices, lies in [min(head), max(head)]."""
+    """Every w[i], i in indices, lies in [min(head), max(head)]: the edge rule
+    with a = 1, written as build_digraph writes it on a float vector."""
     lo, hi = min(head), max(head)
+    if isinstance(w[0], float):
+        return all(w[i] / lo >= 1.0 - TOL_EDGE and hi / w[i] >= 1.0 - TOL_EDGE for i in indices)
     return all(lo <= w[i] <= hi for i in indices)
 
 
@@ -206,13 +207,8 @@ def tail_permute(
 ) -> Vector:
     """Permute the tail entries; efficiency for A_n(B) is preserved."""
     w = check_positive_vector(w, form.n)
-    t = form.n - form.s
-    check_permutation(perm, t, "tail positions")
-    tail = w[form.s :]
-    new_tail = [None] * t
-    for i in range(t):
-        new_tail[perm[i]] = tail[i]
-    return w[: form.s] + tuple(new_tail)
+    check_permutation(perm, form.n - form.s, "tail positions")
+    return w[: form.s] + tuple(v for _, v in sorted(zip(perm, w[form.s :])))
 
 
 # ---------------------------------------------------------------------------
@@ -300,22 +296,17 @@ def two_block_full_set_check(S: TwoBlockMatrix, w: Sequence[Scalar]) -> bool:
 def constant_block_class_check(M: ConstantBlockMatrix, w: Sequence[Scalar]) -> bool:
     """Sufficient (not necessary) conditions for efficiency on A_n(C_s(x)).
 
-    On the x >= 1 orientation, with h = w[0:s]: h_3 <= h_1/x <= h_2 <= x*h_3,
-    then (1/x)*min(h_3..h_{i-1}) <= h_i <= h_1/x for i = 4..s, and the tail
-    entries within [min(h), max(h)].  For x < 1 the test reads C_s(1/x) with
-    h reversed.  For s = 2 the head test is the block's own verdict: C_2(x) is
-    consistent, so its efficient heads are h_1 = x*h_2 (TOL_EDGE on floats).
+    Read on the x >= 1 orientation (M.reversed() when x < 1), as edges of
+    G(C_s(x), h) with h the head in its coordinates: the cycle 1->3->2->1
+    (1->2->1 at s = 2), and for i = 4..s the edge 1->i and an edge i->k with
+    3 <= k < i; then the tail entries within [min(h), max(h)].
     """
     w = check_positive_vector(w, M.n)
-    x, h = M.x, w[: M.s]
-    if x < 1:
-        x, h = 1 / x, h[::-1]
-    if M.s == 2:
-        head_ok = is_efficient(M.block, w[:2]).efficient
-    else:
-        head_ok = h[2] <= h[0] / x <= h[1] <= x * h[2] and all(
-            min(h[2:i]) / x <= h[i] <= h[0] / x for i in range(3, M.s))
-    return head_ok and _within(w, h, range(M.s, M.n))
+    form = M if M.x >= 1 else M.reversed()
+    G = build_digraph(form.block, form.from_input(w)[: M.s])
+    head_ok = G.has_cycle((0, 2, 1) if M.s > 2 else (0, 1)) and all(
+        G.adj[0, i] and G.adj[i, 2:i].any() for i in range(3, M.s))
+    return head_ok and _within(w, w[: M.s], range(M.s, M.n))
 
 
 def constant_block_sample(

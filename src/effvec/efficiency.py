@@ -31,6 +31,9 @@ from .matrix import (
 #: one-sided relative tolerance for the edge rule on the float backend;
 #: deliberately favors edge inclusion so boundary ties never disconnect
 TOL_EDGE = 1e-9
+#: relative slack of dominance_compare on the float backend, in its "equal"
+#: test and in the per-pair comparison of errors
+TOL_DOMINANCE = 1e-12
 
 _FLOAT_MAX = np.finfo(float).max
 
@@ -195,9 +198,9 @@ def dominance_compare(
 
     The errors depend only on the ratios v_i/v_j, so v is compared as given;
     scalar multiples compare as "equal".  On floats a pair counts as worse or
-    better only beyond 1e-12 * max(a_ij, w_i/w_j, v_i/v_j), the slack of the
-    "equal" test: scaling a set of entries moves the ratios inside it in the
-    last bit, and a ratio far above a_ij carries that rounding into the error.
+    better only beyond TOL_DOMINANCE * max(a_ij, w_i/w_j, v_i/v_j), the slack
+    of the "equal" test: scaling a set of entries moves the ratios inside it in
+    the last bit, and a ratio far above a_ij carries that rounding into the error.
     """
     n = A.n
     w, v = A.weights(w), A.weights(v)
@@ -213,7 +216,7 @@ def dominance_compare(
                     w_le = w_le and gap >= 0
     else:
         w, v = float_view(w, "vector entry"), float_view(v, "vector entry")
-        if (np.abs(v * w[0] / (w * v[0]) - 1.0) <= 1e-12).all():
+        if (np.abs(v * w[0] / (w * v[0]) - 1.0) <= TOL_DOMINANCE).all():
             return EQUAL
         step = max(1, 2**16 // n)  # row blocks of ~64k cells; the diagonal has gap 0
         for lo in range(0, n, step):
@@ -221,7 +224,7 @@ def dominance_compare(
             rv, rw = v[lo : lo + step, None] / v, w[lo : lo + step, None] / w
             gap = np.abs(a - rv) - np.abs(a - rw)
             # capped, so a ratio that overflows to inf still counts as worse
-            slack = np.minimum(1e-12 * np.maximum(np.maximum(a, rv), rw), _FLOAT_MAX)
+            slack = np.minimum(TOL_DOMINANCE * np.maximum(np.maximum(a, rv), rw), _FLOAT_MAX)
             v_le = v_le and not (gap > slack).any()
             w_le = w_le and not (gap < -slack).any()
             if not (v_le or w_le):

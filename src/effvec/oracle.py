@@ -32,6 +32,8 @@ from .matrix import (
 
 GRID_GUARD = 10_000_000
 _CHUNK = 100_000
+#: the float prefilter's relative and absolute slack on w's errors
+_PREFILTER_REL, _PREFILTER_ABS = 1 + 1e-9, 1e-15
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ def grid_dominator_search(
     Af = A.array
     off = ~np.eye(n, dtype=bool)
     err_w = np.abs(Af - w_arr[:, None] / w_arr[None, :])
-    budget = err_w * (1 + 1e-9) + 1e-15
+    budget = err_w * _PREFILTER_REL + _PREFILTER_ABS
     factors = g.factor_values()
     combo_iter = itertools.product(factors, repeat=n - 1)
     while True:

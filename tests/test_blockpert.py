@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from itertools import islice
@@ -52,6 +53,28 @@ def reversed_head(w, s):
     return tuple(w[s - 1::-1]) + tuple(w[s:])
 
 
+#: relative offsets for float parity: well inside TOL_EDGE, inside it, and beyond it
+OFFSETS = (1e-13, -1e-13, 1e-10, -1e-10, 5e-10, -5e-10, 3e-9, -3e-9)
+
+
+def nudged(w, rng, every=False):
+    """w with one entry (each entry, if every) scaled by 1 + an offset from OFFSETS."""
+    w = list(w)
+    for i in range(len(w)) if every else [rng.randrange(len(w))]:
+        w[i] *= 1 + rng.choice(OFFSETS)
+    return tuple(w)
+
+
+def float_block(rng):
+    """A float 3-by-3 reciprocal block with entries in [1/9, 9]."""
+    return three_block_from_triple(*(9.0 ** rng.uniform(-1, 1) for _ in range(3)))
+
+
+def tail_at_ends(head, t, rng):
+    """head followed by t entries, each min(head) or max(head)."""
+    return tuple(head) + tuple(rng.choice((min(head), max(head))) for _ in range(t))
+
+
 class TestTwoBlock:
     def test_matrix_shape(self):
         A = TwoBlockMatrix(F(3), 4).matrix()
@@ -73,11 +96,24 @@ class TestTwoBlock:
             S = TwoBlockMatrix(rand_frac(rng), 5)
             w = rand_vector(5, rng)
             assert two_block_is_efficient(S, w) == is_efficient(S.matrix(), w).efficient
+        for _ in range(300):  # floats: a chain end, then one entry moved
+            S = TwoBlockMatrix(9.0 ** rng.uniform(-1, 1), 5)
+            w = nudged(tail_at_ends((rng.choice((S.x, 1.0)), 1.0), 3, rng), rng)
+            assert two_block_is_efficient(S, w) == is_efficient(S.matrix(), w).efficient
+
+    def test_float_ties_within_tolerance(self):
+        """A tie moved by 1e-10 is still an edge of G(A, w) on floats, in the
+        head and in the tail."""
+        S = TwoBlockMatrix(3.0, 4)
+        for w in ((3.0 * (1 + 1e-10), 1.0, 2.0, 2.0), (2.0, 1.0, 2.0 * (1 + 1e-10), 1.5)):
+            assert two_block_is_efficient(S, w) and is_efficient(S.matrix(), w).efficient
 
     def test_full_set_route_agrees(self, rng):
         for _ in range(100):
             S = TwoBlockMatrix(rand_frac(rng), 5)
             two_block_full_set_check(S, rand_vector(5, rng))
+        with pytest.raises(InputError, match="full-set cross-check needs n >= 4"):
+            two_block_full_set_check(TwoBlockMatrix(F(3), 3), (3, 1, 2))
 
     @pytest.mark.parametrize("x", [F(3), F(1, 3), 0.5])
     def test_sampler_emits_efficient(self, rng, x):
@@ -110,6 +146,15 @@ class TestThreeByThree:
             B = rand_reciprocal(3, rng)
             w = rand_vector(3, rng)
             assert three_by_three_is_efficient(B, w) == is_efficient(B, w).efficient
+        for _ in range(300):  # floats: a column (two pairs tied), then one entry moved
+            B = float_block(rng)
+            w = nudged(B.column(rng.randrange(3)), rng)
+            assert three_by_three_is_efficient(B, w) == is_efficient(B, w).efficient
+
+    def test_float_column_is_efficient(self):
+        """Every column is efficient; on floats its ties are edges by TOL_EDGE."""
+        B = three_block_from_triple(3.0, 1.25, 0.5)
+        assert three_by_three_is_efficient(B, B.column(0)) and is_efficient(B, B.column(0)).efficient
 
 
 class TestLcompl:
@@ -142,6 +187,12 @@ class TestLcompl:
                 continue
             checked += 1
             assert lcompl_membership(form, w) == is_efficient(A, w).efficient
+        for _ in range(200):  # floats: the tail at the head's ends, then one entry moved
+            B = float_block(rng)
+            form = canonical_form(B, 6)
+            w = nudged(tail_at_ends(B.column(rng.randrange(3)), 3, rng), rng)
+            if is_efficient(B, w[:3]).efficient:
+                assert lcompl_membership(form, w) == is_efficient(form.matrix(), w).efficient
 
     def test_sampler_emits_efficient(self, rng):
         form = canonical_form(B3, 7)
@@ -213,6 +264,10 @@ class TestThreeBlockUnion:
                 assert is_efficient(
                     ThreeBlockMatrix(A.block, 4).matrix(), sub
                 ).efficient
+        for _ in range(200):  # floats: every entry moved, so tails and routes drift apart
+            A = ThreeBlockMatrix(float_block(rng), 6)
+            w = nudged(tail_at_ends(A.block.column(rng.randrange(3)), 3, rng), rng, every=True)
+            assert three_block_membership(A, w)[0] == is_efficient(A.matrix(), w).efficient
 
     def test_generate_self_certifies(self, rng):
         A = ThreeBlockMatrix(B3, 7)
@@ -261,6 +316,11 @@ class TestConstantBlock:
                 assert is_efficient(A, g.vector).efficient
                 assert_head_plus_tail(g, s)
             assert list(constant_block_sample(M, rng, count=0)) == []
+        for _ in range(40):  # floats, every entry moved: the class stays sound
+            M = ConstantBlockMatrix(9.0 ** rng.uniform(-1, 1), rng.randint(3, 5), 7)
+            for g in constant_block_sample(M, rng, count=20):
+                w = nudged(g.vector, rng, every=True)
+                assert not constant_block_class_check(M, w) or is_efficient(M.matrix(), w).efficient
 
     def test_class_membership_examples(self):
         M = ConstantBlockMatrix(F(2), 3, 5)
@@ -428,6 +488,14 @@ def test_family_is_its_form(name, rng):
     assert perron_tail_structure(fam, r) == perron_tail_structure(form, r)
     got, want = perron_efficiency_via_submatrix(fam, r), perron_efficiency_via_submatrix(form, r)
     assert got.components == want.components and np.array_equal(got.digraph.adj, want.digraph.adj)
+
+
+def test_submatrix_verdict_needs_equal_tails():
+    form = ConstantBlockMatrix(2.0, 3, 6)
+    r = perron(form.matrix())
+    r = dataclasses.replace(r, w=r.w[:4] + (r.w[4] * 1.001, r.w[5]))
+    with pytest.raises(PreconditionError, match="Perron tail entries are not equal"):
+        perron_efficiency_via_submatrix(form, r)
 
 
 def test_family_parameter_is_the_block_entry():

@@ -252,6 +252,11 @@ class TestDominatingVector:
         with pytest.raises(PreconditionError, match="enters the claimed source set"):
             construct_dominating_vector(CC, (3, 2, 1, 2), {0})
 
+    @pytest.mark.parametrize("source", [(), (0, 1, 2)], ids=["empty", "full"])
+    def test_source_set_proper(self, source):
+        with pytest.raises(PreconditionError, match="must be nonempty and proper"):
+            construct_dominating_vector(B3, (3, 2, 1), source)
+
     def test_random_certificates(self, rng):
         found = 0
         while found < 50:

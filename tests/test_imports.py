@@ -1,7 +1,8 @@
 """No module imports a private name from another effvec module, or a name
 from a submodule that does not define it, or an effvec name inside a
 function body, and every module-level private name is used in its own
-module."""
+module.  In src/effvec a float literal below 1e-6 (a tolerance or a slack)
+appears only in a module-level assignment, so each is named once."""
 
 import ast
 import pathlib
@@ -274,3 +275,36 @@ def test_detects_intake_outside_matrix(tmp_path):
     assert outside_intake(probe) == [(3, "DimensionMismatch"), (4, "to_float"),
                                      (7, "DimensionMismatch"), (10, "positive_finite")]
     assert outside_intake(matrix) == [(4, "to_float")]
+
+
+def small_float_literals(path):
+    """(line, value) of each float literal below 1e-6 in the file outside the
+    value of a module-level assignment.  Docstrings are text, not literals."""
+    tree = ast.parse(path.read_text(), str(path))
+    named = {id(n) for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+             and node.value is not None for n in ast.walk(node.value)}
+    return sorted((n.lineno, n.value) for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant) and type(n.value) is float
+                  and 0 < n.value < 1e-6 and id(n) not in named)
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.parent.name == "effvec"],
+                         ids=lambda p: p.name)
+def test_small_floats_are_named(path):
+    assert small_float_literals(path) == []
+
+
+def test_detects_small_float_literals(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        '"""A slack of 1e-12."""\n'
+        "TOL = 1e-9\n"
+        "_REL, _ABS = 1 + 1e-9, 1e-15\n"
+        "LIMIT: float = -5e-10\n\n"
+        "def f(x, tol=3e-9):\n"
+        "    y = 1e-12\n"
+        "    return x * 2e-7 + 0.0 + 1e-6\n\n"
+        "class C:\n"
+        "    tol = 5e-10\n"
+    )
+    assert small_float_literals(probe) == [(6, 3e-9), (7, 1e-12), (8, 2e-7), (11, 5e-10)]

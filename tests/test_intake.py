@@ -241,11 +241,20 @@ class TestBeyondFloats:
                                       (2.0, (F(1, BIG), 2, 1))],
                              ids=["x", "vector-overflow", "vector-underflow"])
     def test_constant_block_two_by_two(self, x, w):
-        """The s = 2 class is is_efficient on C_2(x): a float x or head takes
+        """The s = 2 class reads the digraph of C_2(x): a float x or head takes
         the float backend, where an exact x beyond the floats fails in the
         block's float view and an exact head entry in the vector's."""
         with pytest.raises(InputError, match="for a float|rounds to 0.0"):
             constant_block_class_check(ConstantBlockMatrix(x, 2, 3), w)
+
+    def test_closed_forms_on_a_float_block(self):
+        """The 3-by-3 cycles and the constant class read an exact vector on a
+        float block in floats, as build_digraph does."""
+        B = validate_reciprocal(B3.array.tolist())
+        with pytest.raises(InputError, match="vector entry too large for a float"):
+            three_by_three_is_efficient(B, (BIG, 2, 1))
+        with pytest.raises(InputError, match="vector entry too large for a float"):
+            constant_block_class_check(ConstantBlockMatrix(2.0, 3, 4), (BIG, 2, 1, 1))
 
 
 class TestBlockShape:

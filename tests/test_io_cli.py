@@ -266,6 +266,25 @@ class TestJsonShape:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("matrix, vector, message", [
+        ("[[1, true], [1, 1]]", "1,1\n", "cannot parse cell True"),
+        ("[[1, null], [1, 1]]", "1,1\n", "cannot parse cell None"),
+        ("[[1, 2], [0.5, 1]", "1,1\n", "invalid JSON"),
+        ("1,2\n1/2,1\n", "[1, null]", "cannot parse cell None"),
+        ("1,2\n1/2,1\n", "[1, 2", "invalid JSON"),
+        ("1,2\n1/2,1\n", "[]", "empty vector"),
+    ], ids=["matrix-true", "matrix-null", "matrix-malformed", "vector-null",
+            "vector-malformed", "vector-empty"])
+    def test_bad_cells_exit_two(self, files, capsys, matrix, vector, message):
+        """JSON cells true and null, malformed JSON and an empty vector are
+        input errors, in the library and through the CLI."""
+        with pytest.raises(InputError, match=message):
+            parse_matrix_text(matrix) if matrix.startswith("[") else parse_vector_text(vector)
+        m, v = files("m.txt", matrix), files("v.txt", vector)
+        assert main(["check", m, v]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     @pytest.mark.parametrize("text", ['{"entries": 5}', '{"n": 2}'])
     def test_vector(self, text):
         with pytest.raises(InputError, match='object whose "entries" is a list'):

@@ -24,7 +24,7 @@ from effvec import (
     validate_reciprocal,
 )
 from effvec import matrix
-from effvec.errors import InputError
+from effvec.errors import DimensionMismatch, InputError
 from effvec.fixtures import B3, B_SCALED, CC, D_SCALED, EX20
 
 from conftest import rand_reciprocal, rand_similarity, rand_vector
@@ -109,6 +109,12 @@ class TestSimilarity:
         with pytest.raises(InputError, match=r"^\(.*\) is not a permutation of the 2 indices$"):
             MonomialSimilarity((1, 1), perm)
 
+    def test_size_mismatches(self):
+        with pytest.raises(DimensionMismatch, match="^diag and perm sizes differ$"):
+            MonomialSimilarity((1, 1), (0, 1, 2))
+        with pytest.raises(DimensionMismatch, match="^matrix size 3 vs similarity size 4$"):
+            apply_similarity(B3, MonomialSimilarity.identity(4))
+
     def test_numpy_int_perm(self):
         M = MonomialSimilarity((2, 1), tuple(np.array([1, 0])))
         assert transform_vector(M, (3, 5)) == (5, 6)
@@ -144,6 +150,13 @@ class TestSimilarity:
         for i in range(A.n):
             for j in range(A.n):
                 assert B[i, j] * B[j, i] == 1
+
+
+def test_block_matrix_sizes():
+    with pytest.raises(InputError, match="^n = 2 smaller than block size 3$"):
+        block_matrix(B3, 2)
+    with pytest.raises(InputError, match="^need n >= 2, got 1$"):
+        block_matrix(B3.submatrix([0]), 1)
 
 
 class TestBlockPerturbation:

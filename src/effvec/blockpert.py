@@ -28,6 +28,7 @@ from .matrix import (
     check_permutation,
     check_positive_scalar,
     check_positive_vector,
+    float_view,
     validate_reciprocal,
 )
 
@@ -89,7 +90,7 @@ class ThreeBlockMatrix(BlockPerturbedForm):
 
 def two_block_is_efficient(S: TwoBlockMatrix, w: Sequence[Scalar]) -> bool:
     """Chain test: w_1 between w_2 and x*w_2, and w_3..w_n between w_1 and w_2."""
-    w = check_positive_vector(w, S.n)
+    w = _on_backend(S.block, check_positive_vector(w, S.n))
     return _within(w, (w[1], S.x * w[1]), (0,)) and _within(w, w[:2], range(2, S.n))
 
 
@@ -109,9 +110,18 @@ def three_by_three_is_efficient(B: ReciprocalMatrix, w: Sequence[Scalar]) -> boo
 # [min(head), max(head)].  _within tests that tail, _extend draws it.
 
 
+def _on_backend(block: ReciprocalMatrix, w: Vector) -> Vector:
+    """A checked w on the backend is_efficient reads for the pair (block, w):
+    Fractions when both are exact, else floats."""
+    if block.exact or type(w[0]) is not Fraction:
+        return w
+    return tuple(float_view(w, "vector entry").tolist())
+
+
 def _within(w: Sequence[Scalar], head: Sequence[Scalar], indices: Iterable[int]) -> bool:
     """Every w[i], i in indices, lies in [min(head), max(head)]: the edge rule
-    with a = 1, written as build_digraph writes it on a float vector."""
+    with a = 1, written as build_digraph writes it on a float vector (w as
+    _on_backend returns it)."""
     lo, hi = min(head), max(head)
     if isinstance(w[0], float):
         return all(w[i] / lo >= 1.0 - TOL_EDGE and hi / w[i] >= 1.0 - TOL_EDGE for i in indices)
@@ -121,7 +131,7 @@ def _within(w: Sequence[Scalar], head: Sequence[Scalar], indices: Iterable[int])
 def lcompl_membership(form: BlockPerturbedForm, w: Sequence[Scalar]) -> bool:
     """Given w[0:s] efficient for the block, w is efficient for A_n(B) iff
     every tail entry lies in [min(head), max(head)]."""
-    w = check_positive_vector(w, form.n)
+    w = _on_backend(form.block, check_positive_vector(w, form.n))
     head = w[: form.s]
     if not is_efficient(form.block, head).efficient:
         raise PreconditionError("w[0:s] is not efficient for the perturbed block")
@@ -228,7 +238,7 @@ def union_route_member(head_form: ReciprocalMatrix, w: Sequence[Scalar], j: int)
     """Route j >= s (0-based) of the union characterization, with head_form
     the (s+1)-by-(s+1) matrix A_{s+1}(B): (w_0, ..., w_{s-1}, w_j) is
     efficient for it and every other tail entry lies within its min/max."""
-    w = check_positive_vector(w, len(w))
+    w = _on_backend(head_form, check_positive_vector(w, len(w)))
     return _route(head_form, w, check_index(j, range(head_form.n - 1, len(w)), "j"))
 
 
@@ -239,7 +249,7 @@ def three_block_membership(
     (0-based) the 4-subvector (w_0, w_1, w_2, w_j) is efficient for the
     4-by-4 leading form and all other tail entries lie within its min/max.
     Returns the smallest witness j."""
-    w = check_positive_vector(w, A.n)
+    w = _on_backend(A.block, check_positive_vector(w, A.n))
     A4 = block_matrix(A.block, 4)
     for j in range(3, A.n):
         if _route(A4, w, j):
@@ -277,7 +287,7 @@ def two_block_full_set_check(S: TwoBlockMatrix, w: Sequence[Scalar]) -> bool:
     """
     if S.n < 4:
         raise InputError("full-set cross-check needs n >= 4")
-    w = check_positive_vector(w, S.n)
+    w = _on_backend(S.block, check_positive_vector(w, S.n))
     chain = two_block_is_efficient(S, w)
     S3 = block_matrix(S.block, 3)
     for j in range(2, S.n):
@@ -301,12 +311,12 @@ def constant_block_class_check(M: ConstantBlockMatrix, w: Sequence[Scalar]) -> b
     (1->2->1 at s = 2), and for i = 4..s the edge 1->i and an edge i->k with
     3 <= k < i; then the tail entries within [min(h), max(h)].
     """
-    w = check_positive_vector(w, M.n)
     form = M if M.x >= 1 else M.reversed()
-    G = build_digraph(form.block, form.from_input(w)[: M.s])
+    h = _on_backend(form.block, form.from_input(w))  # a family map moves only the head
+    G = build_digraph(form.block, h[: M.s])
     head_ok = G.has_cycle((0, 2, 1) if M.s > 2 else (0, 1)) and all(
         G.adj[0, i] and G.adj[i, 2:i].any() for i in range(3, M.s))
-    return head_ok and _within(w, w[: M.s], range(M.s, M.n))
+    return head_ok and _within(h, h[: M.s], range(M.s, M.n))
 
 
 def constant_block_sample(

@@ -299,10 +299,14 @@ class MonomialSimilarity:
         for i, p in enumerate(self.perm):
             inv_perm[p] = i
         inv_diag = [None] * n
-        for i in range(n):
-            inv_diag[self.perm[i]] = 1 / Fraction(self.diag[i]) \
-                if is_exact_scalar(self.diag[i]) else 1.0 / self.diag[i]
+        for d, p in zip(self.diag, self.perm):
+            inv_diag[p] = _reciprocal(d)
         return MonomialSimilarity(tuple(inv_diag), tuple(inv_perm))
+
+
+def _reciprocal(d: Scalar) -> Scalar:
+    """1/d for a similarity's diagonal entry: a Fraction when d is exact."""
+    return 1 / Fraction(d) if is_exact_scalar(d) else 1.0 / d
 
 
 def apply_similarity(A: ReciprocalMatrix, M: MonomialSimilarity) -> ReciprocalMatrix:
@@ -358,8 +362,12 @@ class BlockPerturbedForm:
         return BlockPerturbedForm(self.block.submatrix(range(s - 1, -1, -1)), self.n, back)
 
     def from_input(self, w: Sequence[Scalar]) -> Vector:
-        """w, in the coordinates of the matrix the back map leads to, in this form's."""
-        return transform_vector(self.back_map.inverse(), w)
+        """w, in the coordinates of the matrix the back map leads to, in this
+        form's: the back map's inverse on vectors, entry k = w[perm[k]] / diag[k].
+        An exact unit diag[k] keeps w[perm[k]], as multiplying by Fraction(1) would."""
+        w = check_positive_vector(w, self.n)
+        return tuple(w[p] if d == 1 and is_exact_scalar(d) else _reciprocal(d) * w[p]
+                     for d, p in zip(self.back_map.diag, self.back_map.perm))
 
 
 def canonical_form(B: ReciprocalMatrix, n: int) -> BlockPerturbedForm:

@@ -26,12 +26,12 @@ from .matrix import (
     Vector,
     check_integer,
     check_positive_vector,
+    check_size,
     float_view,
     validate_reciprocal,
 )
 
 GRID_GUARD = 10_000_000
-_CHUNK = 100_000
 #: the float prefilter's relative and absolute slack on w's errors
 _PREFILTER_REL, _PREFILTER_ABS = 1 + 1e-9, 1e-15
 
@@ -70,45 +70,48 @@ def grid_dominator_search(
 ) -> Optional[Vector]:
     """First lattice point strictly dominating w, or None.
 
-    Candidates are prefiltered with a tolerant float comparison, then
-    verified exactly (the float factors convert to rationals losslessly),
-    so a returned vector is a true dominator and an efficient w can never
-    produce one.
+    A float prefilter keeps the points whose every error |a_ij - v_i/v_j| is
+    within w's, with slack: one table per pair i < j over the pair's two
+    factor indices, ANDed into one boolean lattice.  Survivors are verified
+    exactly in C order of their factor indices (the float factors convert to
+    rationals losslessly), so a returned vector is a true dominator and an
+    efficient w can never produce one.
     """
     n = A.n
     w_kernel = A.weights(w)
     exact = isinstance(w_kernel, tuple)
     w_arr = float_view(w_kernel, "vector entry")
-    wf = float_view(check_positive_vector(g.base, n), "vector entry")
+    check_size(g.base, n)
+    wf = float_view(g.base, "vector entry")
     if g.candidate_count > GRID_GUARD:
         raise InputError(
             f"{g.candidate_count} candidates exceed the {GRID_GUARD} guard"
         )
-    Af = A.array
-    off = ~np.eye(n, dtype=bool)
-    err_w = np.abs(Af - w_arr[:, None] / w_arr[None, :])
-    budget = err_w * _PREFILTER_REL + _PREFILTER_ABS
-    factors = g.factor_values()
-    combo_iter = itertools.product(factors, repeat=n - 1)
-    while True:
-        chunk = list(itertools.islice(combo_iter, _CHUNK))
-        if not chunk:
-            return None
-        F = np.concatenate(
-            [np.ones((len(chunk), 1)), np.array(chunk, dtype=float)], axis=1
-        )
-        V = wf[None, :] * F
-        R = V[:, :, None] / V[:, None, :]
-        ok = np.all((np.abs(Af[None, :, :] - R) <= budget[None, :, :])[:, off], axis=1)
-        for idx in np.nonzero(ok)[0]:
-            if exact:
-                v = tuple(
-                    Fraction(g.base[i]) * Fraction(float(F[idx, i])) for i in range(n)
-                )
-            else:
-                v = tuple(float(x) for x in V[idx])
-            if dominance_compare(A, w, v) == V_DOMINATES:
-                return v
+    Af, m, f = A.array, g.m, g.factor_values()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        budget = np.abs(Af - w_arr[:, None] / w_arr[None, :]) * _PREFILTER_REL + _PREFILTER_ABS
+        # V[i, k] = base_i * factor_k; a value that overflows to inf or
+        # underflows to 0.0 is NaN, which fails every test
+        V = wf[:, None] * np.array(f)
+        V[(V == 0) | (V == math.inf)] = math.nan
+        fits = np.abs(Af[:, None, :, None] - V[:, :, None, None] / V) <= budget[:, None, :, None]
+    # lattice axis i is coordinate i's factor index; coordinate 0 is pinned at f[m] = 1
+    axes = [slice(m, m + 1)] + [slice(None)] * (n - 1)
+    ok = np.ones([1] + [len(f)] * (n - 1), dtype=bool)
+    for i, j in itertools.combinations(range(n), 2):
+        table = fits[i, axes[i], j, axes[j]] & fits[j, axes[j], i, axes[i]].T
+        shape = [1] * n
+        shape[i], shape[j] = table.shape
+        ok &= table.reshape(shape)
+    for idx in np.flatnonzero(ok):
+        ks = (m,) + np.unravel_index(idx, ok.shape)[1:]
+        if exact:
+            v = tuple(Fraction(b) * Fraction(f[k]) for b, k in zip(g.base, ks))
+        else:
+            v = tuple(V[range(n), ks].tolist())
+        if dominance_compare(A, w, v) == V_DOMINATES:
+            return v
+    return None
 
 
 @dataclass

@@ -23,7 +23,9 @@ from effvec import (
     constant_block_sample,
     dominance_compare,
     equal_tail_reduce,
+    GridSpec,
     exhaustive_small_equivalence,
+    grid_dominator_search,
     is_efficient,
     lcompl_membership,
     perron,
@@ -39,6 +41,7 @@ from effvec import (
 )
 from effvec.efficiency import V_DOMINATES
 from effvec.fixtures import reproduce_examples, reproduce_table1
+from effvec.oracle import random_pow2_instance
 
 from conftest import rand_frac, rand_reciprocal, rand_similarity, rand_vector
 
@@ -171,20 +174,31 @@ def test_certificate_soundness(capsys):
 
 
 def test_grid_oracle_equivalence(capsys):
-    """Digraph verdicts match the independent lattice dominator search."""
+    """Digraph verdicts match the independent lattice dominator search: 500
+    trials at n = 3 and at n = 4, 200 at n = 5 (13^4 = 28,561 candidates
+    each), and an efficient w on the n = 7, m = 6 lattice of 13^6 =
+    4,826,809 candidates, just under half the guard, where the search
+    must come back empty-handed."""
     rng = random.Random(63)
     t0 = time.perf_counter()
-    rep3 = exhaustive_small_equivalence(500, rng, n=3)
-    rep4 = exhaustive_small_equivalence(500, rng, n=4)
+    reps = [exhaustive_small_equivalence(trials, rng, n=n)
+            for n, trials in ((3, 500), (4, 500), (5, 200))]
+    while True:
+        A, w = random_pow2_instance(7, rng)
+        if is_efficient(A, w).efficient:
+            break
+    near_guard = grid_dominator_search(A, w, GridSpec(w, 2.0, 6))
     elapsed = time.perf_counter() - t0
-    contradictions = rep3.contradictions + rep4.contradictions
-    ok = not contradictions and elapsed < 60.0
+    contradictions = [c for rep in reps for c in rep.contradictions]
+    ok = not contradictions and near_guard is None and elapsed < 60.0
     report(
         capsys,
-        "grid-oracle equivalence (500 trials at n=3 and n=4)",
+        "grid-oracle equivalence (500 trials at n=3 and n=4, 200 at n=5, "
+        "one efficient n=7 lattice of 4,826,809 points)",
         ok,
-        f"{len(contradictions)} contradictions in {elapsed:.1f}s",
+        f"{len(contradictions)} contradictions, n=7 dominator {near_guard}, in {elapsed:.1f}s",
     )
+    assert reps[2].efficient > 0 and reps[2].inefficient > 0
 
 
 def test_three_block_sufficient_conditions(capsys):

@@ -108,6 +108,18 @@ class TestTwoBlock:
         for w in ((3.0 * (1 + 1e-10), 1.0, 2.0, 2.0), (2.0, 1.0, 2.0 * (1 + 1e-10), 1.5)):
             assert two_block_is_efficient(S, w) and is_efficient(S.matrix(), w).efficient
 
+    def test_exact_vector_on_a_float_block(self):
+        """An exact vector on a float block is read in floats, as is_efficient
+        reads the pair: a tie moved by 1e-10 is still an edge in the 2-block
+        head, in an lcompl tail and in a class tail."""
+        S = TwoBlockMatrix(3.0, 4)
+        tie = F(3) * (1 + F(1, 10**10))
+        cases = [(two_block_is_efficient, S, (tie, 1, 2, 2)),
+                 (lcompl_membership, canonical_form(S.block, 4), (3, 1, tie, 2)),
+                 (constant_block_class_check, ConstantBlockMatrix(3.0, 2, 4), (3, 1, tie, 2))]
+        for closed_form, form, w in cases:
+            assert closed_form(form, w) and is_efficient(S.matrix(), w).efficient
+
     def test_full_set_route_agrees(self, rng):
         for _ in range(100):
             S = TwoBlockMatrix(rand_frac(rng), 5)

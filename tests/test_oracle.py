@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction as F
@@ -18,6 +19,8 @@ from effvec.efficiency import EQUAL, V_DOMINATES
 from effvec.errors import DimensionMismatch, InputError
 from effvec.fixtures import B3, CC
 from effvec.oracle import random_pow2_instance
+
+from conftest import rand_reciprocal, rand_vector
 
 
 class TestGridSpec:
@@ -76,6 +79,78 @@ class TestGridSearch:
         w = (3.0, 2.0, 1.0)
         v = grid_dominator_search(A, w, GridSpec(w))
         assert v is not None and all(isinstance(x, float) for x in v)
+
+
+def reference_candidates(A, w, g):
+    """Brute-force prefilter: the lattice points in itertools.product order
+    whose every error |a_ij - v_i/v_j|, on the full n-by-n float grid with the
+    diagonal, is within w's with the oracle's slack, as the vectors the search
+    verifies.  An entry v_i that overflows to inf or underflows to 0.0 makes
+    v_i/v_i NaN and fails.  Also returns how many points pass every pair off
+    the diagonal and fail on it."""
+    n, exact = A.n, isinstance(A.weights(w), tuple)
+    w_arr, wf = (np.array([float(x) for x in u]) for u in (w, g.base))
+    combos = [(1.0,) + c for c in itertools.product(g.factor_values(), repeat=n - 1)]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        budget = np.abs(A.array - w_arr[:, None] / w_arr[None, :]) * oracle._PREFILTER_REL \
+            + oracle._PREFILTER_ABS
+        V = wf * np.array(combos)
+        fits = np.abs(A.array - V[:, :, None] / V[:, None, :]) <= budget
+    passes = fits.reshape(len(combos), -1).all(axis=1)
+    off_only = fits[:, ~np.eye(n, dtype=bool)].all(axis=1) & ~passes
+    if exact:
+        found = [tuple(F(b) * F(f) for b, f in zip(g.base, combos[k]))
+                 for k in np.flatnonzero(passes)]
+    else:
+        found = [tuple(float(x) for x in V[k]) for k in np.flatnonzero(passes)]
+    return found, int(off_only.sum())
+
+
+def typed(v):
+    return None if v is None else tuple((type(x), x) for x in v)
+
+
+def parity_instances():
+    """2,400 pairs with lattices: exact and float, n = 2..5, rho in {1.5, 2,
+    3}, m = 1..3 (1..2 at n = 5), the base mostly w; the last 400 with
+    entries near the ends of the floats, so that base_i * rho^(+-k/m)
+    overflows to inf or underflows to 0.0."""
+    rng = random.Random(71)
+    ends = (1e300, 1e-300, 1e307, 1.7e308, 5e-324, 1e-323)
+    for trial in range(2400):
+        n = rng.randint(2, 5)
+        m = rng.randint(1, 3 if n < 5 else 2)
+        if rng.random() < 0.5:
+            A, w = random_pow2_instance(n, rng)
+        else:
+            A, w = rand_reciprocal(n, rng), rand_vector(n, rng)
+        if trial >= 2000:
+            w = tuple(F(min(max(float(x) * rng.choice(ends), 5e-324), 1.7e308))
+                      if rng.random() < 0.6 else x
+                      for x in w)
+        base = w if rng.random() < 0.8 else rand_vector(n, rng)
+        if trial % 2:
+            A, w, base = A.to_float(), tuple(map(float, w)), tuple(map(float, base))
+        yield A, w, GridSpec(base, rng.choice((1.5, 2.0, 3.0)), m)
+
+
+def test_prefilter_parity(monkeypatch):
+    """The per-pair lattice prefilter keeps the brute-force reference's
+    candidates, in the same order and of the same type, and the search
+    returns the reference's first dominator."""
+    beyond_floats = 0
+    for A, w, g in parity_instances():
+        expected, off_only = reference_candidates(A, w, g)
+        beyond_floats += off_only
+        seen = []
+        monkeypatch.setattr(oracle, "dominance_compare",
+                            lambda A, w, v: seen.append(v) or EQUAL)
+        assert grid_dominator_search(A, w, g) is None
+        monkeypatch.undo()
+        assert list(map(typed, seen)) == list(map(typed, expected))
+        first = next((v for v in expected if dominance_compare(A, w, v) == V_DOMINATES), None)
+        assert typed(grid_dominator_search(A, w, g)) == typed(first)
+    assert beyond_floats > 0
 
 
 class TestPow2Instances:

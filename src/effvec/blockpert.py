@@ -29,7 +29,6 @@ from .matrix import (
     check_positive_scalar,
     check_positive_vector,
     float_view,
-    validate_reciprocal,
 )
 
 
@@ -37,6 +36,9 @@ from .matrix import (
 # Parameterized matrix families: each is the form A_n(B) of its block B, with
 # an identity back map.  The paper reads a 3-block with a13 >= 1 and C_s(x)
 # with x >= 1; the other orientation is the form's reversed().
+
+
+_ONE = Fraction(1)
 
 
 class ConstantBlockMatrix(BlockPerturbedForm):
@@ -48,9 +50,14 @@ class ConstantBlockMatrix(BlockPerturbedForm):
             raise InputError("constant block needs s >= 2")
         if n < s:
             raise InputError("need n >= s")
+        # reciprocal by construction, so built unchecked, as block_matrix builds
+        # A_n(B); row i is i copies of 1/x, then 1, then x: a window on one line
         x = check_positive_scalar(x, "x")
-        rows = [[x if j > i else (1 / x if j < i else 1) for j in range(s)] for i in range(s)]
-        super().__init__(validate_reciprocal(rows), n, MonomialSimilarity.identity(n))
+        exact = type(x) is Fraction
+        one, inv = (_ONE, Fraction(x.denominator, x.numerator)) if exact else (1.0, 1 / x)
+        line = (inv,) * (s - 1) + (one,) + (x,) * (s - 1)
+        rows = tuple([line[s - 1 - i : 2 * s - 1 - i] for i in range(s)])
+        super().__init__(ReciprocalMatrix(rows, exact), n, MonomialSimilarity.identity(n))
 
     @property
     def x(self) -> Scalar:

@@ -76,9 +76,9 @@ def cmd_perron(args) -> int:
         "block_indices": None,
     }
     # Block facts for n <= 8 only: on one core of a shared 2-vCPU Xeon host,
-    # detection takes 0.07-0.12 s on a scrambled float A_n(B) and 0.8-1.0 s on a
-    # generic float matrix at n = 1024, and 0.3-0.45 s on a scrambled exact one at
-    # n = 512.  Lift the gate, adding block facts above n = 8, once it is O(n^2).
+    # detection takes 0.05-0.06 s on a scrambled float A_n(B) and 0.4 s on a
+    # generic float matrix at n = 1024, and 0.010-0.013 s on a scrambled exact one
+    # at n = 512.  Lift the gate, adding block facts above n = 8, once it is O(n^2).
     detected = detect_minimal_block(A) if A.n <= 8 else None
     if detected is not None:
         form = detected.form

@@ -9,7 +9,9 @@ vector that strictly dominates w.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from typing import Iterable, Optional, Sequence
@@ -72,15 +74,23 @@ def build_digraph(A: ReciprocalMatrix, w: Sequence[Scalar]) -> ComparisonDigraph
     return _digraph(A, A.weights(w))
 
 
+def _integers(w: Vector) -> list:
+    """Exact w scaled by the lcm L of its denominators: integers W_i = w_i * L,
+    with the ratios of w.  O(n) gcds; W_i has at most bits(numerator of w_i)
+    plus the bits of all of w's denominators."""
+    L = math.lcm(*(x.denominator for x in w))
+    return [x.numerator * (L // x.denominator) for x in w]
+
+
 def _digraph(A: ReciprocalMatrix, w) -> ComparisonDigraph:
-    n = A.n
-    if isinstance(w, tuple):
-        adj = np.array([[i != j and w[i] >= A[i, j] * w[j] for j in range(n)]
-                        for i in range(n)], dtype=bool)
+    if isinstance(w, tuple):  # w_i/w_j >= p_ij/q_ij iff W_i * q_ij >= p_ij * W_j
+        W = _integers(w)
+        adj = np.array([[Wi * q >= p * Wj for p, q, Wj in zip(P, Q, W)]
+                        for Wi, P, Q in zip(W, *A.ratios)], dtype=bool)
     else:
         with np.errstate(over="ignore"):  # w_i/w_j = inf is an edge, as it should be
             adj = w[:, None] / w[None, :] >= A.array * (1.0 - TOL_EDGE)
-        np.fill_diagonal(adj, False)
+    np.fill_diagonal(adj, False)
     adj.flags.writeable = False
     return ComparisonDigraph(adj)
 
@@ -166,7 +176,18 @@ def _dominator(A: ReciprocalMatrix, w, source_set: Iterable[int]) -> Vector:
         raise PreconditionError(f"source set {sorted(S)!r} must be nonempty and proper")
     exact = isinstance(w, tuple)
     if exact:
-        t, i, j = max((A[i, j] * w[j] / w[i], i, j) for i in S for j in range(n) if j not in S)
+        # t = max p_ij W_j / (q_ij W_i) as num/den, cross-multiplied; on a tie
+        # the larger (i, j) wins, as in a max over (t, i, j)
+        W, (P, Q) = _integers(w), A.ratios
+        outside = [j for j in range(n) if j not in S]
+        num, den, i, j = -1, 1, None, None
+        for k in sorted(S):
+            p, q, Wk = P[k], Q[k], W[k]
+            for m in outside:
+                x, y = p[m] * W[m], q[m] * Wk
+                if x * den >= num * y:
+                    num, den, i, j = x, y, k, m
+        t = Fraction(num, den)
     else:
         inside = np.array(sorted(S))
         outside = np.delete(np.arange(n), inside)
@@ -206,17 +227,23 @@ def dominance_compare(
     w, v = A.weights(w), A.weights(v)
     v_le = w_le = True
     if isinstance(w, tuple) and isinstance(v, tuple):
-        if all(a * w[0] == b * v[0] for a, b in zip(v, w)):
+        W, V = _integers(w), _integers(v)
+        if all(a * W[0] == b * V[0] for a, b in zip(V, W)):
             return EQUAL
-        for i, row in enumerate(A.entries):
-            for j, a in enumerate(row):
-                if i != j:
-                    gap = abs(a - v[i] / v[j]) - abs(a - w[i] / w[j])  # ev - ew
-                    v_le = v_le and gap <= 0
-                    w_le = w_le and gap >= 0
+        # with a_ij = p/q, the errors at (i, j) are x/(q V_j) and y/(q W_j), and
+        # at (j, i) x/(p V_i) and y/(p W_i), for x = |p V_j - q V_i|, y = |p W_j - q W_i|
+        for i, (P, Q, Vi, Wi) in enumerate(zip(*A.ratios, V, W)):
+            for p, q, Vj, Wj in zip(P[i + 1:], Q[i + 1:], V[i + 1:], W[i + 1:]):
+                x, y = abs(p * Vj - q * Vi), abs(p * Wj - q * Wi)
+                gaps = (x * Wj - y * Vj, x * Wi - y * Vi)  # the signs of ev - ew
+                v_le = v_le and max(gaps) <= 0
+                w_le = w_le and min(gaps) >= 0
+            if not (v_le or w_le):
+                break
     else:
         w, v = float_view(w, "vector entry"), float_view(v, "vector entry")
-        if (np.abs(v * w[0] / (w * v[0]) - 1.0) <= TOL_DOMINANCE).all():
+        r = v / w
+        if (np.abs(r / r[0] - 1.0) <= TOL_DOMINANCE).all():
             return EQUAL
         step = max(1, 2**16 // n)  # row blocks of ~64k cells; the diagonal has gap 0
         for lo in range(0, n, step):

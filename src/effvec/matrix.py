@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
@@ -33,6 +33,15 @@ TOL_CONS = 1e-9
 
 def is_exact_scalar(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+_EXACT_TYPES, _FRACTION = frozenset((int, Fraction)), frozenset((Fraction,))
+
+
+def _all_exact(values: Sequence) -> bool:
+    """all(map(is_exact_scalar, values)), with plain ints and Fractions told
+    by their type alone."""
+    return _EXACT_TYPES.issuperset(map(type, values)) or all(map(is_exact_scalar, values))
 
 
 def float_view(values, label: str) -> np.ndarray:
@@ -63,10 +72,12 @@ def check_positive_scalar(x: Scalar, name: str) -> Scalar:
     """The one parameter check: x positive and finite, as a Fraction if exact,
     else a float whose reciprocal is finite too (the matrices built from x
     hold 1/x)."""
+    if is_exact_scalar(x):  # finite, with its sign on the numerator
+        if not x.numerator > 0:
+            raise InputError(f"{name} must be positive and finite, got {x}")
+        return x if type(x) is Fraction else Fraction(x)
     if not 0 < x < math.inf:
         raise InputError(f"{name} must be positive and finite, got {x}")
-    if is_exact_scalar(x):
-        return Fraction(x)
     x = float(x)
     if 1 / x == math.inf:
         raise InputError(f"{name} must have a finite reciprocal, got {x}")
@@ -112,12 +123,16 @@ def check_positive_vector(w: Sequence[Scalar], n: int) -> Vector:
     check_size(w, n)
     if n == 0:
         raise InputError("empty vector")
+    exact = _all_exact(w)
     for x in w:
-        if not 0 < x < math.inf:
+        # an exact entry is finite and has its sign on the numerator
+        if not (x.numerator > 0 if exact else 0 < x < math.inf):
             raise InputError(f"vector entry {x!r} is not positive and finite")
-    if all(map(is_exact_scalar, w)):
-        return tuple(x if type(x) is Fraction else Fraction(x) for x in w)
-    return tuple(float_view(w, "vector entry").tolist())
+    if not exact:
+        return tuple(float_view(w, "vector entry").tolist())
+    if type(w) is tuple and _FRACTION.issuperset(map(type, w)):
+        return w  # immutable, and already what the kernels read
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in w)
 
 
 @dataclass(frozen=True)
@@ -185,6 +200,17 @@ class ReciprocalMatrix:
         a.flags.writeable = False
         return a
 
+    @cached_property
+    def ratios(self) -> tuple:
+        """(P, Q) for an exact matrix: integer rows with a_ij = P[i][j] / Q[i][j]
+        in lowest terms, Q positive, built at most once.  An A_n(B) from
+        block_matrix shares B's rows and one all-ones row, as its entries do."""
+        if self._block is not None:
+            (P, Q), tail = self._block.ratios, (1,) * (self.n - self._block.n)
+            ones = ((1,) * self.n,) * (self.n - self._block.n)
+            return (tuple(r + tail for r in P) + ones, tuple(r + tail for r in Q) + ones)
+        return _split(self.entries)
+
     def weights(self, w: Sequence[Scalar]):
         """w through check_positive_vector(w, n), on the backend the kernels
         use for the pair: Fractions when A and w are exact, else a float64
@@ -209,7 +235,7 @@ def validate_reciprocal(grid: Sequence[Sequence[Scalar]]) -> ReciprocalMatrix:
     for r in grid:
         if len(r) != n:
             raise InputError("grid is not square")
-    if not all(is_exact_scalar(x) for r in grid for x in r):
+    if not all(map(_all_exact, grid)):
         # float backend, on the array; errors name the first bad entry in row-major order
         a = float_view(grid, "entry")
         for i, j in np.argwhere(~(a > 0))[:1]:
@@ -227,19 +253,28 @@ def validate_reciprocal(grid: Sequence[Sequence[Scalar]]) -> ReciprocalMatrix:
         a.flags.writeable = False
         A.__dict__["array"] = a  # fill the cached property
         return A
-    rows = [[Fraction(x) for x in r] for r in grid]
+    rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in grid)
+    P, Q = ratios = _split(rows)
     for i in range(n):
         for j in range(n):
-            if not rows[i][j] > 0:
+            if not P[i][j] > 0:
                 raise InputError(f"entry ({i},{j}) = {rows[i][j]!r} is not positive")
+    # in lowest terms with positive denominators, a_ij * a_ji = 1 iff p_ji = q_ij and q_ji = p_ij
     for i in range(n):
-        if rows[i][i] != 1:
+        if P[i][i] != 1 or Q[i][i] != 1:
             raise InputError(f"diagonal entry ({i},{i}) = {rows[i][i]!r} != 1")
         for j in range(i + 1, n):
-            prod = rows[i][j] * rows[j][i]
-            if prod != 1:
-                raise InputError(f"a[{i}][{j}] * a[{j}][{i}] = {prod} != 1")
-    return ReciprocalMatrix(tuple(tuple(r) for r in rows), True)
+            if P[j][i] != Q[i][j] or Q[j][i] != P[i][j]:
+                raise InputError(f"a[{i}][{j}] * a[{j}][{i}] = {rows[i][j] * rows[j][i]} != 1")
+    A = ReciprocalMatrix(rows, True)
+    A.__dict__["ratios"] = ratios  # fill the cached property
+    return A
+
+
+def _split(rows) -> tuple:
+    """(P, Q): the numerator rows and the denominator rows of exact entries."""
+    pairs = [tuple(zip(*(x.as_integer_ratio() for x in r))) for r in rows]
+    return tuple(zip(*pairs))
 
 
 def consistent_from_vector(w: Sequence[Scalar]) -> ReciprocalMatrix:
@@ -283,8 +318,11 @@ class MonomialSimilarity:
                 raise InputError(f"diagonal entry {d!r} is not positive and finite")
 
     @classmethod
+    @lru_cache(maxsize=16)
     def identity(cls, n: int) -> "MonomialSimilarity":
-        """The identity on n indices, built without __post_init__'s check."""
+        """The identity on n indices, built without __post_init__'s check.
+        It is immutable, so one per n is shared (the families take it on every
+        construction)."""
         M = object.__new__(cls)
         M.__dict__.update(diag=(1,) * n, perm=tuple(range(n)))
         return M
@@ -445,23 +483,32 @@ def _reference_block(A: ReciprocalMatrix, r: int, limit: int) -> Optional[set]:
     both backends (a_rr = 1), so r is never a member.  On floats a product
     a_ir * a_rj that underflows to 0 is a bad pair, as one that overflows is."""
     n = A.n
-    row_r = A.row(r)
+    if A.exact:  # cross-multiplied: p_ij * q_ir * q_rj != p_ir * p_rj * q_ij
+        P, Q = A.ratios
+        p_r, q_r = P[r], Q[r]
+
+        def bad_in(i: int) -> list:
+            p, q = P[i], Q[i]
+            p_ir, q_ir = p[r], q[r]
+            return [j for j in range(i + 1, n) if p[j] * q_ir * q_r[j] != p_ir * p_r[j] * q[j]]
+    else:
+        row_r = A.row(r)
+
+        def bad_in(i: int) -> list:
+            row_i = A.row(i)
+            a_ir = row_i[r]
+            return [j for j in range(i + 1, n)
+                    if (p := a_ir * row_r[j]) == 0.0 or abs(row_i[j] / p - 1.0) > TOL_CONS]
     K: set = set()
     for i in range(n):
-        row_i, a_ir = A.row(i), A[i, r]
-        for j in range(i + 1, n):
-            p = a_ir * row_r[j]
-            if A.exact:
-                bad = row_i[j] != p
-            else:
-                bad = p == 0.0 or abs(row_i[j] / p - 1.0) > TOL_CONS
-            if bad:
-                K.add(i)
-                K.add(j)
-                if len(K) > limit:
-                    return None
-                if len(K) == n - 1:
-                    return K
+        bad = bad_in(i)
+        if bad:
+            K.add(i)
+            K.update(bad)
+            if len(K) > limit:
+                return None
+            if len(K) == n - 1:
+                return K
     return K
 
 

@@ -241,6 +241,14 @@ class TestDominance:
             assert dominance_compare(A, (1.0, 1.0), (1e200, 1e-200)) == W_DOMINATES
             assert dominance_compare(A, (1e200, 1e-200), (1.0, 1.0)) == V_DOMINATES
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_float_equal_far_from_one(self, scale):
+        """The "equal" test compares v_k/w_k with v_0/w_0; v_k * w_0 would
+        overflow to inf (or underflow to 0) and make w dominate itself."""
+        A = validate_reciprocal([[1.0, 2.0], [0.5, 1.0]])
+        w = (scale, 2 * scale)
+        assert dominance_compare(A, w, w) == EQUAL
+
 
 class TestDominatingVector:
     def test_certificate(self):

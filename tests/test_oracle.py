@@ -68,6 +68,14 @@ class TestGridSearch:
         w = (F(3), F(2), F(1), F(2))
         assert grid_dominator_search(CC, w, GridSpec(w, rho=2.0, m=4)) is None
 
+    def test_silent_for_efficient_far_from_one(self):
+        """No lattice point dominates an efficient w with entries near 1e200,
+        w itself included."""
+        A = validate_reciprocal([[1, 2, 1], [0.5, 1, 1], [1, 1, 1]])
+        w = (1e200,) * 3
+        assert is_efficient(A, w).efficient
+        assert grid_dominator_search(A, w, GridSpec(w)) is None
+
     def test_exact_verification(self):
         # returned dominator is exact when inputs are exact
         w = (F(3), F(2), F(1))

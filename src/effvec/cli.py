@@ -46,7 +46,7 @@ def cmd_check(args) -> int:
     w = load_vector(args.vector, args.backend)
     verdict = is_efficient(A, w)
     if args.format == "json":
-        print(json.dumps(verdict.to_dict()))
+        print(json.dumps(verdict.to_dict(edges=args.edges)))
     elif args.format == "csv":
         print(f"status,{verdict.status}")
         if not verdict.efficient:
@@ -86,7 +86,7 @@ def cmd_perron(args) -> int:
         out["block_indices"] = [i + 1 for i in detected.K]
         if form.s == 3:
             out["sufficient_condition"] = three_block_sufficient(form.block).matched
-    out["verdict"] = verdict.to_dict()
+    out["verdict"] = verdict.to_dict(edges=args.edges)
     if args.format == "table":
         print(f"lambda   = {r.lam:.12g}")
         print(f"residual = {r.residual:.3e}")
@@ -176,19 +176,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pareto-efficient weight vectors for reciprocal matrices",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    # the options of the two commands that print a verdict
+    verdict = argparse.ArgumentParser(add_help=False)
+    verdict.add_argument("--backend", choices=["exact", "float"], default=None,
+                         help="force a numeric backend (default: inferred from input)")
+    verdict.add_argument("--edges", action="store_true",
+                         help="add G(A, w)'s edge_list, O(n^2) pairs, to the JSON verdict")
 
-    sp = sub.add_parser("check", help="decide efficiency of a vector for a matrix")
+    sp = sub.add_parser("check", parents=[verdict],
+                        help="decide efficiency of a vector for a matrix")
     sp.add_argument("matrix")
     sp.add_argument("vector")
-    sp.add_argument("--backend", choices=["exact", "float"], default=None,
-                    help="force a numeric backend (default: inferred from input)")
     sp.add_argument("--format", choices=["json", "csv", "table"], default="table")
     sp.set_defaults(func=cmd_check)
 
-    sp = sub.add_parser("perron", help="Perron eigenpair and its efficiency")
+    sp = sub.add_parser("perron", parents=[verdict], help="Perron eigenpair and its efficiency")
     sp.add_argument("matrix")
-    sp.add_argument("--backend", choices=["exact", "float"], default=None,
-                    help="force a numeric backend (default: inferred from input)")
     sp.add_argument("--format", choices=["json", "table"], default="table")
     sp.set_defaults(func=cmd_perron)
 

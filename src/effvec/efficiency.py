@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import InputError, PreconditionError
 from .io import scalar_repr
 from .matrix import (
     ReciprocalMatrix,
@@ -38,6 +38,7 @@ TOL_EDGE = 1e-9
 TOL_DOMINANCE = 1e-12
 
 _FLOAT_MAX = np.finfo(float).max
+_FLOAT_EXP_MAX = np.finfo(float).maxexp  # m * 2**1024 is finite for m < 1
 
 V_DOMINATES = "v_dominates"
 W_DOMINATES = "w_dominates"
@@ -139,17 +140,18 @@ class EfficiencyVerdict:
     def status(self) -> str:
         return "efficient" if self.efficient else "inefficient"
 
-    def to_dict(self) -> dict:
-        """JSON-ready verdict; vertices are numbered from 1."""
-        ids = list(range(1, self.digraph.n + 1))
-        edges = []
-        for i, row in zip(ids, self.digraph.adj):
-            edges.extend(zip(repeat(i), compress(ids, row.tolist())))
+    def to_dict(self, *, edges: bool = False) -> dict:
+        """JSON-ready verdict, O(n); vertices are numbered from 1.  edges=True
+        adds G(A, w)'s O(n^2) edge_list, after scc_partition."""
         d = {
             "status": self.status,
             "scc_partition": [[v + 1 for v in c] for c in self.components],
-            "edge_list": edges,
         }
+        if edges:
+            ids = list(range(1, self.digraph.n + 1))
+            d["edge_list"] = [
+                (i, j) for i, row in zip(ids, self.digraph.adj) for j in compress(ids, row.tolist())
+            ]
         if not self.efficient:
             d["source_set"] = [v + 1 for v in self.source_set]
             d["dominator"] = [scalar_repr(x) for x in self.dominator]
@@ -198,8 +200,36 @@ def _dominator(A: ReciprocalMatrix, w, source_set: Iterable[int]) -> Vector:
         raise PreconditionError(f"edge {j}->{i} enters the claimed source set (ratio {t})")
     if exact:
         return tuple(w[i] * t if i in S else w[i] for i in range(n))
-    w[inside] *= t
-    return tuple(w.tolist())
+    scaled = w[inside] * t  # t < 1, so only an underflow to 0.0 can spoil it
+    if scaled.min() > 0:
+        w[inside] = scaled
+        return tuple(w.tolist())
+    return _rescaled_dominator(A, w, inside, outside)
+
+
+def _rescaled_dominator(A: ReciprocalMatrix, w: np.ndarray, inside, outside) -> Vector:
+    """The float dominator when w_i * t underflows to 0.0: t and v carried as
+    mantissa and exponent (m * 2**e), then scaled by the power of two that
+    centres v's exponents on 0, or that puts its largest entry just below the
+    float maximum when centring would overflow.  v's ratios lie between w's and
+    A's, so v fits wherever w does; the raise guards rounding at the subnormal end."""
+    m, e = np.frexp(w)
+    am, ae = np.frexp(A.array[np.ix_(inside, outside)])
+    cm, ce = np.frexp(am * m[outside] / m[inside, None])  # a_ij w_j / w_i = cm * 2**ce
+    ce += ae + e[outside] - e[inside, None]
+    # the largest factor: the highest exponent, then the largest mantissa
+    p, q = np.unravel_index(np.argmax(np.where(ce == ce.max(), cm, 0.0)), cm.shape)
+    m[inside] *= cm[p, q]
+    e[inside] += ce[p, q]
+    m, de = np.frexp(m)
+    e += de
+    lo, hi = int(e.min()), int(e.max())
+    v = np.ldexp(m, e + min(-((lo + hi) // 2), _FLOAT_EXP_MAX - hi))
+    if not v.min() > 0:
+        raise InputError(
+            f"the dominator's entries span 2**{hi - lo}, more than a float vector can hold"
+        )
+    return tuple(v.tolist())
 
 
 def is_efficient(A: ReciprocalMatrix, w: Sequence[Scalar]) -> EfficiencyVerdict:

@@ -276,6 +276,40 @@ class TestDominatingVector:
             found += 1
             assert dominance_compare(A, w, verdict.dominator) == V_DOMINATES
 
+    @pytest.mark.parametrize("w", [(1e308, 1e-308), (5e-324, 1.0)])
+    def test_float_underflow_keeps_ratios(self, w):
+        """w_i * t underflows to 0.0: the dominator is (2, 1) at another power
+        of two, and the package's own comparison confirms it."""
+        A = validate_reciprocal([[1.0, 2.0], [0.5, 1.0]])
+        v = is_efficient(A, w).dominator
+        assert all(0 < x < math.inf for x in v) and v[0] == 2 * v[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert dominance_compare(A, w, v) == V_DOMINATES
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_float_underflow_matches_exact(self, seed):
+        """A source set about 2**1800 above the rest: every t underflows.  With
+        power-of-two entries A is exactly reciprocal as Fractions, so the exact
+        dominator of the same floats is the reference for every ratio."""
+        r = random.Random(seed)
+        n = r.randint(3, 7)
+        rows = [[F(1)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = F(2) ** r.randint(-3, 3)
+                rows[j][i] = 1 / rows[i][j]
+        high = set(r.sample(range(n), r.randint(1, n - 1)))
+        w = [r.uniform(1, 2) * 2.0 ** ((900 if i in high else -900) + r.randint(-40, 40))
+             for i in range(n)]
+        exact = is_efficient(validate_reciprocal(rows), tuple(map(F, w)))
+        verdict = is_efficient(validate_reciprocal(rows).to_float(), w)
+        assert verdict.components == exact.components and not verdict.efficient
+        v, ref = verdict.dominator, exact.dominator
+        assert all(0 < x < math.inf for x in v)
+        assert all(abs(F(v[k]) * ref[0] / (F(v[0]) * ref[k]) - 1) <= 4e-16 for k in range(n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert dominance_compare(validate_reciprocal(rows).to_float(), w, v) == V_DOMINATES
+
 
 class TestExtension:
     def test_constant_block_intervals(self):
@@ -388,3 +422,8 @@ def test_verdict_json_round_trip():
     d2 = v2.to_dict()
     assert d2["status"] == "efficient" and "source_set" not in d2
     assert sorted(sum(d2["scc_partition"], [])) == [1, 2, 3, 4]
+    for verdict, default in ((v, d), (v2, d2)):
+        # the default report is the full one without its edge list, in the same order
+        full = verdict.to_dict(edges=True)
+        assert list(full)[:3] == ["status", "scc_partition", "edge_list"]
+        assert list(default.items()) == [kv for kv in full.items() if kv[0] != "edge_list"]

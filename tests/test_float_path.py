@@ -266,7 +266,9 @@ def test_float_path_matches_loop_references():
                 assert dominance_compare(A, a, b) == reference_compare(A, a, b)
         other = tuple(x * math.exp(rng.gauss(0, 0.1)) for x in w)
         assert dominance_compare(A, w, other) == reference_compare(A, w, other)
-        assert json.dumps(v.to_dict()) == reference_report(succ, comps, dom)
+        full = v.to_dict(edges=True)
+        assert json.dumps(full) == reference_report(succ, comps, dom)
+        assert list(v.to_dict().items()) == [kv for kv in full.items() if kv[0] != "edge_list"]
     assert multi_source >= 20 and ties >= 100
 
 

@@ -1,7 +1,9 @@
 import argparse
 import importlib.metadata
 import json
+import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -156,6 +158,60 @@ class TestCheckCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["status"] == "inefficient"
         assert out["source_set"] and out["dominator"]
+
+    #: stdout of `check --format json` before the edge list became opt-in,
+    #: on CC_CSV with 3,2,1,2 and on the 3-by-3 of test_inefficient_exit_one
+    FULL_REPORTS = {
+        (CC_CSV, "3,2,1,2\n"): (
+            0, '{"status": "efficient", "scc_partition": [[1, 2, 3, 4]], "edge_list": '
+               '[[1, 3], [1, 4], [2, 1], [2, 3], [2, 4], [3, 1], [4, 2], [4, 3]]}\n'),
+        ("1,2,3\n1/2,1,1\n1/3,1,1\n", "3,2,1\n"): (
+            1, '{"status": "inefficient", "scc_partition": [[1, 3], [2]], "edge_list": '
+               '[[1, 3], [2, 1], [2, 3], [3, 1]], "source_set": [2], "dominator": [3, "3/2", 1]}\n'),
+    }
+
+    @pytest.mark.parametrize("inputs", FULL_REPORTS, ids=["efficient", "inefficient"])
+    def test_edges_flag_keeps_full_report(self, files, capsys, inputs):
+        """--edges prints the full report byte for byte; the default report is
+        the same object without edge_list."""
+        rc, full = self.FULL_REPORTS[inputs]
+        m, v = files("m.csv", inputs[0]), files("v.csv", inputs[1])
+        assert main(["check", m, v, "--format", "json", "--edges"]) == rc
+        assert capsys.readouterr().out == full
+        assert main(["check", m, v, "--format", "json"]) == rc
+        out = json.loads(capsys.readouterr().out)
+        expected = json.loads(full)
+        del expected["edge_list"]
+        assert list(out.items()) == list(expected.items())
+
+    def test_report_size_linear(self, files, capsys):
+        """Float n = 512, inefficient: the default report stays under 64 bytes
+        per vertex, and --edges lists every one of the at least n(n-1)/2 edges."""
+        n = 512
+        rng = random.Random(3)
+        rows = [[1.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = math.exp(rng.gauss(0, 1))
+                rows[j][i] = 1 / rows[i][j]
+        w = [math.exp(rng.gauss(0, 1)) for _ in range(n)]
+        w[7] = 2 * max(a * x for a, x in zip(rows[7], w))  # a dominator of n floats
+        m = files("m.csv", "".join(",".join(map(repr, r)) + "\n" for r in rows))
+        v = files("v.csv", ",".join(map(repr, w)) + "\n")
+        assert main(["check", m, v, "--format", "json"]) == 1
+        out = capsys.readouterr().out
+        assert len(out) < 64 * n and "edge_list" not in json.loads(out)
+        assert main(["check", m, v, "--format", "json", "--edges"]) == 1
+        assert len(json.loads(capsys.readouterr().out)["edge_list"]) >= n * (n - 1) // 2
+
+    @pytest.mark.parametrize("vector", ["1e308,1e-308", "5e-324,1.0"])
+    def test_float_dominator_underflow(self, files, capsys, vector):
+        """w_i * t underflows to 0.0; the report's dominator is still (2, 1)
+        up to scale, positive and finite."""
+        m = files("m.csv", "1.0,2.0\n0.5,1.0\n")
+        assert main(["check", m, files("v.csv", vector + "\n"), "--format", "json"]) == 1
+        dom = json.loads(capsys.readouterr().out)["dominator"]
+        assert all(0 < x < math.inf for x in dom) and dom[0] == 2 * dom[1]
 
     def test_exact_dominator_beyond_floats(self, files, capsys):
         """An exact dominator is written as exact values, so one outside the
@@ -344,6 +400,18 @@ class TestPerronCommand:
         assert out["block_indices"] == [2, 3, 5, 6] and out["structure_ok"] is True
         assert len(out["vector"]) == 6
         assert sorted(sum(out["verdict"]["scc_partition"], [])) == [1, 2, 3, 4, 5, 6]
+
+    def test_edges_flag(self, files, capsys):
+        """perron's verdict lists the edges only with --edges; nothing else changes."""
+        m = files("m.csv", self.SCRAMBLED)
+        reports = []
+        for flags in ([], ["--edges"]):
+            assert main(["perron", m, "--format", "json", *flags]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        plain, full = reports
+        assert "edge_list" not in plain["verdict"]
+        assert len(full["verdict"].pop("edge_list")) >= 6 * 5 // 2
+        assert full == plain
 
     def test_same_keys_with_and_without_detection(self, files, capsys):
         big = block_matrix(B3, 10)  # n > 8: no block detection

@@ -272,20 +272,23 @@ def dominance_compare(
                 break
     else:
         w, v = float_view(w, "vector entry"), float_view(v, "vector entry")
-        r = v / w
-        if (np.abs(r / r[0] - 1.0) <= TOL_DOMINANCE).all():
-            return EQUAL
-        step = max(1, 2**16 // n)  # row blocks of ~64k cells; the diagonal has gap 0
-        for lo in range(0, n, step):
-            a = A.array[lo : lo + step]
-            rv, rw = v[lo : lo + step, None] / v, w[lo : lo + step, None] / w
-            gap = np.abs(a - rv) - np.abs(a - rw)
-            # capped, so a ratio that overflows to inf still counts as worse
-            slack = np.minimum(TOL_DOMINANCE * np.maximum(np.maximum(a, rv), rw), _FLOAT_MAX)
-            v_le = v_le and not (gap > slack).any()
-            w_le = w_le and not (gap < -slack).any()
-            if not (v_le or w_le):
-                break
+        # ratios past the floats are inf or 0, and inf/inf or inf - inf NaN: a NaN
+        # ratio is never "equal", and a NaN gap is neither worse nor better
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            r = v / w
+            if (np.abs(r / r[0] - 1.0) <= TOL_DOMINANCE).all():
+                return EQUAL
+            step = max(1, 2**16 // n)  # row blocks of ~64k cells; the diagonal has gap 0
+            for lo in range(0, n, step):
+                a = A.array[lo : lo + step]
+                rv, rw = v[lo : lo + step, None] / v, w[lo : lo + step, None] / w
+                gap = np.abs(a - rv) - np.abs(a - rw)
+                # capped, so a ratio that overflows to inf still counts as worse
+                slack = np.minimum(TOL_DOMINANCE * np.maximum(np.maximum(a, rv), rw), _FLOAT_MAX)
+                v_le = v_le and not (gap > slack).any()
+                w_le = w_le and not (gap < -slack).any()
+                if not (v_le or w_le):
+                    break
     if v_le:
         return V_DOMINATES
     if w_le:

@@ -1,8 +1,17 @@
 """Perron eigenpair computation and efficiency results for block forms.
 
-Power iteration from the all-ones start: the matrices are entry-wise positive,
-so the dominant eigenpair is simple, and the residual checks every result.  It
-fails, with NoConvergence, when other eigenvalues are nearly as large in modulus.
+The matrices are entry-wise positive, so the dominant eigenpair is simple, and
+a relative residual below TOL_PERRON checks every result.  perron takes one of
+two routes:
+
+* An A_n(B) that records its block (block_matrix, form.matrix(), the families'
+  .matrix()) with n > s and s + 1 <= MAX_QUOTIENT: its Perron vector has n - s
+  equal tail entries, so its pair is that of the (s+1)-by-(s+1) quotient
+  R_m = [[B, m 1], [1^T, m]], m = n - s, with the tail value repeated.  One
+  eig of R_m, O(s^3 + n), and the n-by-n array is never built.
+* Every other matrix, and a quotient pair that fails its checks: power
+  iteration from the all-ones start, O(n^2) per step.  It fails, with
+  NoConvergence, when other eigenvalues are nearly as large in modulus.
 """
 
 from __future__ import annotations
@@ -22,6 +31,8 @@ TOL_PERRON = 1e-12
 MAX_ITER = 200_000
 #: steps without a new smallest residual before NoConvergence
 STALL_ITER = 10_000
+#: largest quotient order s + 1 that perron solves directly
+MAX_QUOTIENT = 64
 
 
 @dataclass(frozen=True)
@@ -29,14 +40,53 @@ class PerronResult:
     lam: float
     w: tuple  # float entries, normalized so the last entry is 1
     residual: float
-    iterations: int
+    iterations: int  # power-iteration steps; 0 when solved from the quotient
 
 
 def perron(A: ReciprocalMatrix) -> PerronResult:
-    """Dominant eigenpair by power iteration from the all-ones vector, to relative
-    residual TOL_PERRON; NoConvergence after MAX_ITER steps or STALL_ITER without progress."""
-    M = A.array
-    n = A.n
+    """Dominant eigenpair to relative residual TOL_PERRON.
+
+    An A_n(B) from block_matrix with n > s and s + 1 <= MAX_QUOTIENT is solved
+    from its quotient (iterations == 0); the residual of the quotient pair is
+    that of the n-by-n pair, since each head row of A w is a row of R_m q and
+    every tail row equals the last one.  Otherwise, or if that pair is not
+    positive with a residual below TOL_PERRON, power iteration from the
+    all-ones vector; NoConvergence after MAX_ITER steps or STALL_ITER without
+    progress."""
+    B = A._block
+    if B is not None and B.n < A.n and B.n + 1 <= MAX_QUOTIENT:
+        r = _quotient_pair(B.array, A.n - B.n)
+        if r is not None:
+            return r
+    return _power_iteration(A.array)
+
+
+def _quotient_pair(b: np.ndarray, m: int) -> Optional[PerronResult]:
+    """The Perron pair of A_{s+m}(B) from R_m, b = B's float view, or None if
+    eig's dominant pair is not positive or misses TOL_PERRON."""
+    s = len(b)
+    R = np.empty((s + 1, s + 1))
+    R[:s, :s] = b
+    R[:s, s] = R[s, s] = m
+    R[s, :s] = 1.0
+    try:
+        values, vectors = np.linalg.eig(R)
+    except np.linalg.LinAlgError:
+        return None
+    k = int(np.argmax(values.real))
+    lam = float(values[k].real)
+    q = (vectors[:, k] / vectors[s, k]).real
+    if not (lam > 0 and np.isfinite(lam) and np.isfinite(q).all() and (q > 0).all()):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # R q past the floats: rejected
+        residual = float(np.max(np.abs(R @ q - lam * q) / (lam * q)))
+    if not residual < TOL_PERRON:
+        return None
+    return PerronResult(lam, tuple(q[:s].tolist()) + (1.0,) * m, residual, 0)
+
+
+def _power_iteration(M: np.ndarray) -> PerronResult:
+    n = len(M)
     v = np.ones(n)
     lam_prev = 0.0
     best, best_it = np.inf, 0

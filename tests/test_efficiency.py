@@ -234,12 +234,18 @@ class TestDominance:
         assert not verdict.efficient
         assert dominance_compare(A, w, verdict.dominator) == V_DOMINATES
 
+    @pytest.mark.filterwarnings("error")
     def test_float_ratio_overflow(self):
         """v_1/v_2 overflows to inf, so the relative slack is inf too; v is still worse."""
         A = validate_reciprocal([[1.0, 2.0], [0.5, 1.0]])
-        with np.errstate(over="ignore"):
-            assert dominance_compare(A, (1.0, 1.0), (1e200, 1e-200)) == W_DOMINATES
-            assert dominance_compare(A, (1e200, 1e-200), (1.0, 1.0)) == V_DOMINATES
+        assert dominance_compare(A, (1.0, 1.0), (1e200, 1e-200)) == W_DOMINATES
+        assert dominance_compare(A, (1e200, 1e-200), (1.0, 1.0)) == V_DOMINATES
+
+    @pytest.mark.filterwarnings("error")
+    def test_float_ratios_past_the_floats_warn_nothing(self):
+        """v/w overflows to inf and r/r[0] is inf/inf: no numpy RuntimeWarning."""
+        A = validate_reciprocal([[1.0, 2.0], [0.5, 1.0]])
+        assert dominance_compare(A, (5e-324, 1.0), (1.0, 0.5)) == V_DOMINATES
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_float_equal_far_from_one(self, scale):
@@ -276,6 +282,7 @@ class TestDominatingVector:
             found += 1
             assert dominance_compare(A, w, verdict.dominator) == V_DOMINATES
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("w", [(1e308, 1e-308), (5e-324, 1.0)])
     def test_float_underflow_keeps_ratios(self, w):
         """w_i * t underflows to 0.0: the dominator is (2, 1) at another power
@@ -283,9 +290,9 @@ class TestDominatingVector:
         A = validate_reciprocal([[1.0, 2.0], [0.5, 1.0]])
         v = is_efficient(A, w).dominator
         assert all(0 < x < math.inf for x in v) and v[0] == 2 * v[1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert dominance_compare(A, w, v) == V_DOMINATES
+        assert dominance_compare(A, w, v) == V_DOMINATES
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("seed", range(8))
     def test_float_underflow_matches_exact(self, seed):
         """A source set about 2**1800 above the rest: every t underflows.  With
@@ -307,8 +314,7 @@ class TestDominatingVector:
         v, ref = verdict.dominator, exact.dominator
         assert all(0 < x < math.inf for x in v)
         assert all(abs(F(v[k]) * ref[0] / (F(v[0]) * ref[k]) - 1) <= 4e-16 for k in range(n))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert dominance_compare(validate_reciprocal(rows).to_float(), w, v) == V_DOMINATES
+        assert dominance_compare(validate_reciprocal(rows).to_float(), w, v) == V_DOMINATES
 
 
 class TestExtension:

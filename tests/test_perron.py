@@ -1,11 +1,15 @@
+import math
 import random
 import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from effvec import (
+    TOL_PERRON,
     ConstantBlockMatrix,
+    ReciprocalMatrix,
     ThreeBlockMatrix,
     block_matrix,
     canonical_form,
@@ -19,7 +23,7 @@ from effvec import (
     validate_reciprocal,
 )
 from effvec.errors import DimensionMismatch, InputError, NoConvergence, PreconditionError
-from effvec.perron import STALL_ITER
+from effvec.perron import MAX_QUOTIENT, STALL_ITER
 from effvec.fixtures import B3, CC, three_block_from_triple
 
 from conftest import rand_reciprocal
@@ -37,6 +41,107 @@ def test_stalled_iteration_stops_early(rows):
     with pytest.raises(NoConvergence) as exc:
         perron(validate_reciprocal(rows))
     assert int(re.search(r"in (\d+) steps", str(exc.value))[1]) <= 2 * STALL_ITER
+
+
+def full_residual(A, r):
+    """The relative residual of (A, w) from the n-by-n array, as power iteration reads it."""
+    w = np.array(r.w)
+    return float(np.max(np.abs(A.array @ w - r.lam * w) / (r.lam * w)))
+
+
+def lognormal_block(s, sigma, rng):
+    rows = [[1.0] * s for _ in range(s)]
+    for i in range(s):
+        for j in range(i + 1, s):
+            rows[i][j] = x = math.exp(rng.gauss(0.0, sigma))
+            rows[j][i] = 1 / x
+    return validate_reciprocal(rows)
+
+
+class TestQuotientRoute:
+    """perron on an A_n(B) that records B solves the (s+1)-by-(s+1) quotient."""
+
+    def test_agrees_with_power_iteration(self):
+        """300 float blocks: the same entries without a recorded block go through
+        power iteration; the pairs agree and so do both verdicts."""
+        rng = random.Random(22)
+        for _ in range(300):
+            s = rng.randint(2, 6)
+            n = rng.choice((s + 1, s + 2, 64, 300))
+            B = lognormal_block(s, rng.choice((0.3, 1.2, 3.0)), rng)
+            A = block_matrix(B, n)
+            r, p = perron(A), perron(ReciprocalMatrix(A.entries, False))
+            assert r.iterations == 0 < p.iterations
+            assert r.lam == pytest.approx(p.lam, rel=1e-9)
+            assert r.w == pytest.approx(p.w, rel=1e-9)
+            assert full_residual(A, r) < TOL_PERRON
+            assert is_efficient(A, r.w).efficient == is_efficient(A, p.w).efficient
+            form = canonical_form(B, n)
+            assert (perron_efficiency_via_submatrix(form, r).efficient
+                    == perron_efficiency_via_submatrix(form, p).efficient)
+
+    def test_never_builds_the_full_array(self):
+        A = block_matrix(B3, 300)
+        r = perron(A)
+        assert "array" not in A.__dict__ and r.iterations == 0
+        assert set(r.w[3:]) == {1.0}
+
+    @pytest.mark.parametrize("x", [1e20, 1e100])
+    @pytest.mark.parametrize("n", [5, 64])
+    def test_stalled_blocks_answer(self, x, n):
+        """Power iteration stalls on these entries (see
+        test_stalled_iteration_stops_early); their quotient does not."""
+        A = block_matrix(validate_reciprocal([[1, x, 1], [1 / x, 1, 1], [1, 1, 1]]), n)
+        r = perron(A)
+        assert r.iterations == 0 and r.residual < TOL_PERRON
+        assert full_residual(A, r) < TOL_PERRON
+
+    def test_power_iteration_otherwise(self):
+        """No tail (n == s) and a quotient larger than MAX_QUOTIENT iterate."""
+        rng = random.Random(3)
+        big = lognormal_block(MAX_QUOTIENT, 0.3, rng)
+        for A in (block_matrix(B3, 3), block_matrix(big, MAX_QUOTIENT + 2)):
+            r = perron(A)
+            assert r.iterations > 0 and r.residual < TOL_PERRON
+        assert perron(block_matrix(lognormal_block(MAX_QUOTIENT - 1, 0.3, rng),
+                                   MAX_QUOTIENT + 2)).iterations == 0
+
+    #: a 5-block whose quotient at n = 7 has a second real, positive eigenvalue
+    #: (about 2.6): its eigenpair has a residual near 0 and a vector of mixed signs
+    SECOND_REAL = ((151.726, 3.69, 0.012, 1.485), (12.447, 0.01, 0.071), (26.62, 1.241),
+                   (2.927,))
+
+    @pytest.mark.parametrize("eig", ["raises", "negative_value", "second_pair", "inaccurate"])
+    def test_rejected_eig_falls_back(self, monkeypatch, eig):
+        """An eig that fails, or whose pair is not positive or misses
+        TOL_PERRON, leaves the answer to power iteration.  The residual
+        alone would accept the first two pairs: with lam < 0 or some q_i < 0
+        a term of its maximum is negative."""
+        true_eig = np.linalg.eig
+
+        def bad_eig(R):
+            if eig == "raises":
+                raise np.linalg.LinAlgError("no convergence")
+            values, vectors = true_eig(R)
+            if eig == "negative_value":  # the Perron vector, still first, with -lam
+                return values - 2 * values.real.max(), vectors
+            if eig == "second_pair":  # the Perron root demoted below the rest
+                values = values.copy()
+                values[np.argmax(values.real)] = values.real.min() - 1
+                return values, vectors
+            return values * (1 + 1e-9), vectors
+
+        if eig == "second_pair":
+            rows = [[1.0] * 5 for _ in range(5)]
+            for i, upper in enumerate(self.SECOND_REAL):
+                for j, x in enumerate(upper, i + 1):
+                    rows[i][j], rows[j][i] = x, 1 / x
+            A = block_matrix(validate_reciprocal(rows), 7)
+        else:
+            A = block_matrix(B3, 64)
+        want = perron(ReciprocalMatrix(A.entries, False))
+        monkeypatch.setattr(np.linalg, "eig", bad_eig)
+        assert perron(A) == want
 
 
 class TestPerron:
@@ -60,7 +165,8 @@ class TestPerron:
 
     def test_vector_holds_python_floats(self):
         """As every other vector the library returns: no numpy scalars."""
-        for A in (CC, CC.to_float(), block_matrix(B3, 6)):
+        for A in (CC, CC.to_float(), block_matrix(B3, 6), block_matrix(B3.to_float(), 4),
+                  ConstantBlockMatrix(F(3), 4, 9).matrix()):
             assert all(type(x) is float for x in perron(A).w)
 
 

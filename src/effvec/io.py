@@ -4,7 +4,14 @@ Two formats: CSV (one row per line, cells either decimal or a rational
 literal "p/q") and JSON ({"n": ..., "entries": [[...]]}; vectors may also
 be a bare JSON list).  Rational literals force the exact backend; plain
 decimals parse as floats unless backend="exact" is requested, in which
-case they become exact decimal fractions.
+case they become exact decimal fractions.  Files are read as UTF-8, with or
+without a byte order mark.
+
+A float CSV matrix (backend="float", or a decimal mark or exponent in some
+row) is read by numpy's C parser straight into the float64 array that the
+ReciprocalMatrix is; its per-entry tuples are built only if something reads
+them.  Any other CSV text, and a float one that parser refuses, is read
+cell by cell with parse_scalar, which names the cell it cannot read.
 """
 
 from __future__ import annotations
@@ -47,11 +54,6 @@ def parse_scalar(cell, backend: Optional[str] = None) -> Scalar:
     raise InputError(f"cannot parse cell {cell!r}")
 
 
-#: bytes.translate arguments reducing a CSV line to its "," "/" and "." marks ("e", "E" -> ".")
-_MARKS = bytes.maketrans(b"eE", b"..")
-_NOT_MARKS = bytes(b for b in range(256) if b not in b",./eE")
-
-
 def _csv_lines(text: str) -> list:
     lines = [line for line in map(str.strip, text.splitlines())
              if line and not line.startswith("#")]
@@ -60,17 +62,18 @@ def _csv_lines(text: str) -> list:
     return lines
 
 
-def _matrix_row(line: str, backend: Optional[str]):
-    """One CSV row: a float64 array when every cell reads as a float,
-    else the list of parse_scalar values."""
-    marks = b"," + line.encode().translate(_MARKS, _NOT_MARKS) + b","
-    # parse_scalar reads a cell as exact when it has "/", or neither "." nor "e"
-    if backend != "exact" and b"/" not in marks and b",," not in marks:
-        try:
-            return np.array(list(map(float, line.split(","))))
-        except ValueError:
-            pass  # parse_scalar names the cell
-    return [parse_scalar(c, backend) for c in line.split(",")]
+def _float_grid(lines: list) -> Optional[np.ndarray]:
+    """The CSV lines as an n-by-n float64 array, read by numpy's C parser
+    with no Python object per cell, or None unless that reads n rows of n
+    positive finite floats.  Each value it reads is float()'s on the cell,
+    bit for bit; a cell it cannot read (empty, quoted, "p/q", "1_0.5",
+    non-ASCII digits) makes it None."""
+    try:
+        a = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    n = len(lines)
+    return a if a.shape == (n, n) and (a > 0).all() and np.isfinite(a).all() else None
 
 
 def _json_entries(text: str, unit: str) -> list:
@@ -99,10 +102,16 @@ def parse_matrix_text(
                 raise InputError(f"JSON matrix row {i} is not a list")
         rows = [[parse_scalar(c, backend) for c in row] for row in entries]
     else:
-        rows = [_matrix_row(line, backend) for line in _csv_lines(text)]
-    if backend == "float" or not all(
-            isinstance(r, list) and all(map(is_exact_scalar, r)) for r in rows):
-        rows = [r if isinstance(r, np.ndarray) else float_view(r, "cell") for r in rows]
+        lines = _csv_lines(text)
+        if backend == "float" or backend is None and any(
+                "." in line or "e" in line or "E" in line for line in lines):
+            a = _float_grid(lines)
+            if a is not None:
+                del lines  # freed before validation allocates its n-by-n temporaries
+                return validate_reciprocal(a)
+        rows = [[parse_scalar(c, backend) for c in line.split(",")] for line in lines]
+    if backend == "float" or not all(all(map(is_exact_scalar, r)) for r in rows):
+        rows = [float_view(r, "cell") for r in rows]
     return validate_reciprocal(rows)
 
 
@@ -124,11 +133,11 @@ def parse_vector_text(text: str, backend: Optional[str] = None) -> Vector:
 
 
 def load_matrix(path: Union[str, Path], backend: Optional[str] = None) -> ReciprocalMatrix:
-    return parse_matrix_text(Path(path).read_text(), backend)
+    return parse_matrix_text(Path(path).read_text(encoding="utf-8-sig"), backend)
 
 
 def load_vector(path: Union[str, Path], backend: Optional[str] = None) -> Vector:
-    return parse_vector_text(Path(path).read_text(), backend)
+    return parse_vector_text(Path(path).read_text(encoding="utf-8-sig"), backend)
 
 
 def scalar_repr(x: Scalar):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -135,9 +135,15 @@ def check_positive_vector(w: Sequence[Scalar], n: int) -> Vector:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in w)
 
 
-@dataclass(frozen=True)
 class ReciprocalMatrix:
     """Validated reciprocal matrix.  Immutable.
+
+    An exact matrix holds its entries, rows of Fractions.  A float matrix
+    from validate_reciprocal or to_float is its read-only float64 array;
+    `entries`, its rows as tuples of Python floats, is built from that
+    array on its first read (by the readers of single entries, equality,
+    hash and repr), at most once.  Equality, hash and repr are those of
+    (entries, exact).
 
     Outside input goes through validate_reciprocal.  Derived matrices
     (submatrix, delete, to_float, block_matrix, the blocks of canonical
@@ -146,14 +152,39 @@ class ReciprocalMatrix:
     is built from B's; B takes no part in equality, hash or repr.
     """
 
-    entries: tuple
-    exact: bool
-    _block: Optional["ReciprocalMatrix"] = field(
-        default=None, init=False, compare=False, repr=False)
+    _block: Optional["ReciprocalMatrix"] = None
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
+    def __init__(self, entries: tuple, exact: bool):
+        self.__dict__.update(entries=entries, exact=exact, n=len(entries))
+
+    @classmethod
+    def _of_array(cls, a: np.ndarray) -> "ReciprocalMatrix":
+        """The float matrix that is a, a validated read-only float64 array."""
+        A = cls.__new__(cls)
+        A.__dict__.update(array=a, exact=False, n=len(a))
+        return A
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.exact) == (other.entries, other.exact)
+
+    def __hash__(self):
+        return hash((self.entries, self.exact))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(entries={self.entries!r}, exact={self.exact!r})"
+
+    @cached_property
+    def entries(self) -> tuple:
+        """The rows of a float matrix that is its array, built on first read."""
+        return tuple(map(tuple, self.array.tolist()))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -178,9 +209,7 @@ class ReciprocalMatrix:
     def to_float(self) -> "ReciprocalMatrix":
         if not self.exact:
             return self
-        out = ReciprocalMatrix(tuple(map(tuple, self.array.tolist())), False)
-        out.__dict__["array"] = self.array  # fill the cached property
-        return out
+        return ReciprocalMatrix._of_array(self.array)
 
     def as_lists(self) -> list:
         return [list(r) for r in self.entries]
@@ -238,21 +267,25 @@ def validate_reciprocal(grid: Sequence[Sequence[Scalar]]) -> ReciprocalMatrix:
     if not all(map(_all_exact, grid)):
         # float backend, on the array; errors name the first bad entry in row-major order
         a = float_view(grid, "entry")
-        for i, j in np.argwhere(~(a > 0))[:1]:
+        if not (a > 0).all():
+            i, j = np.argwhere(~(a > 0))[0]
             raise InputError(f"entry ({i},{j}) = {float(a[i, j])!r} is not positive")
-        bad = np.abs(a * a.T - 1.0) > TOL_RECIP
+        bad = a * a.T
+        bad -= 1.0
+        bad = np.abs(bad, out=bad) > TOL_RECIP
         np.fill_diagonal(bad, a.diagonal() != 1)
-        for i, j in np.argwhere(np.triu(bad))[:1]:
+        if bad.any():
+            i, j = np.argwhere(np.triu(bad))[0]
             if i == j:
                 raise InputError(f"diagonal entry ({i},{i}) = {float(a[i, i])!r} != 1")
             raise InputError(f"a[{i}][{j}] * a[{j}][{i}] = {float(a[i, j] * a[j, i])} "
                                        f"deviates from 1 beyond {TOL_RECIP}")
+        out = np.empty((n, n))  # row-major: 1.0 / a.T alone would be column-major
         with np.errstate(over="ignore"):
-            a = np.where(np.tri(n, k=-1, dtype=bool), 1.0 / a.T, a)
-        A = ReciprocalMatrix(tuple(map(tuple, a.tolist())), False)
-        a.flags.writeable = False
-        A.__dict__["array"] = a  # fill the cached property
-        return A
+            np.divide(1.0, a.T, out=out)  # a_ji := 1/a_ij below the diagonal
+        np.copyto(out, a, where=np.tri(n, dtype=bool).T)  # a's own entries on and above it
+        out.flags.writeable = False
+        return ReciprocalMatrix._of_array(out)
     rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in grid)
     P, Q = ratios = _split(rows)
     for i in range(n):

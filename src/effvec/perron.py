@@ -16,6 +16,7 @@ two routes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -90,19 +91,22 @@ def _power_iteration(M: np.ndarray) -> PerronResult:
     v = np.ones(n)
     lam_prev = 0.0
     best, best_it = np.inf, 0
-    for it in range(1, MAX_ITER + 1):
-        u = M @ v
-        lam = u.sum() / v.sum()
-        residual = float(np.max(np.abs(u - lam * v) / (lam * v)))
-        if residual < TOL_PERRON and abs(lam - lam_prev) < TOL_PERRON * lam:
-            w = u / u[-1]
-            return PerronResult(float(lam), tuple(w.tolist()), residual, it)
-        if residual < best:
-            best, best_it = residual, it
-        elif it - best_it >= STALL_ITER:
-            break
-        lam_prev = lam
-        v = u / u[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # only in u and lam: checked below
+        for it in range(1, MAX_ITER + 1):
+            u = M @ v
+            lam = u.sum() / v.sum()
+            if not math.isfinite(lam):  # an entry of u is inf or NaN, or their sum overflows
+                raise NoConvergence(f"power iteration left the floats in {it} steps")
+            residual = float(np.max(np.abs(u - lam * v) / (lam * v)))
+            if residual < TOL_PERRON and abs(lam - lam_prev) < TOL_PERRON * lam:
+                w = u / u[-1]
+                return PerronResult(float(lam), tuple(w.tolist()), residual, it)
+            if residual < best:
+                best, best_it = residual, it
+            elif it - best_it >= STALL_ITER:
+                break
+            lam_prev = lam
+            v = u / u[-1]
     raise NoConvergence(f"power iteration did not reach {TOL_PERRON} in {it} steps "
                         f"(smallest residual {best:.3g})")
 

@@ -11,10 +11,13 @@ are returned.
 import json
 import math
 import random
+from dataclasses import FrozenInstanceError
+from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from effvec import build_digraph, dominance_compare, is_efficient, validate_reciprocal
+from effvec import build_digraph, dominance_compare, io, is_efficient, validate_reciprocal
 from effvec.efficiency import EQUAL, INCOMPARABLE, TOL_EDGE, V_DOMINATES, W_DOMINATES
 from effvec.errors import EffvecError, InputError
 from effvec.io import parse_matrix_text, parse_scalar
@@ -143,6 +146,186 @@ def test_parse_corpus_covers_both_outcomes():
         except (EffvecError, ValueError, ZeroDivisionError, OverflowError):
             rejected += 1
     assert accepted >= 12 and rejected >= 12
+
+
+# ---------------------------------------------------------------------------
+# the C reader route of the CSV parse
+
+
+def _exact_decimal(x):
+    """The exact decimal of the Fraction x, whose denominator is a power of 2."""
+    k = x.denominator.bit_length() - 1
+    return f"{x.numerator * 5 ** k}e-{k}"
+
+
+def _halfway_cells(x):
+    """The midpoint of the positive double x and the next one up, written
+    exactly, and the decimals a hair above and below it."""
+    mid = (F(x) + F(math.nextafter(x, math.inf))) / 2
+    k = mid.denominator.bit_length() - 1
+    digits = mid.numerator * 5 ** k * 1000
+    return [_exact_decimal(mid), f"{digits + 1}e-{k + 3}", f"{digits - 1}e-{k + 3}"]
+
+
+def _hard_cell(rng):
+    """A positive finite cell in one of the forms a float CSV may hold."""
+    kind = rng.random()
+    if kind < 0.05:  # a subnormal
+        x = rng.randrange(1, 2 ** 52) * 5e-324
+        return rng.choice([repr(x), "%.17e" % x, "%.25g" % x])
+    if kind < 0.10:
+        x = math.exp(rng.uniform(-60, 60)) if rng.random() < 0.9 else rng.randrange(1, 2 ** 52) * 5e-324
+        return rng.choice(_halfway_cells(x))
+    if kind < 0.15:  # an integer, as long as 30 digits
+        return str(rng.randrange(1, 10 ** rng.randint(1, 30)))
+    x = math.exp(rng.uniform(-700, 700))
+    fmt = rng.choice([repr, "%.17e".__mod__, "%.25g".__mod__, "%.17g".__mod__, "%.15g".__mod__,
+                      " %.6E ".__mod__, "+%.12e".__mod__, lambda x: repr(x).upper()])
+    return fmt(x)
+
+
+def test_c_reader_matches_cell_by_cell_bit_for_bit():
+    """320 x 320 = 102400 cells, ties and subnormals among them: the array
+    numpy's reader makes equals parse_scalar's on every cell."""
+    rng = random.Random(23)
+    n = 320
+    lines = [",".join(_hard_cell(rng) for _ in range(n)) for _ in range(n)]
+    a = io._float_grid(lines)
+    ref = np.array([[float(parse_scalar(c)) for c in line.split(",")] for line in lines])
+    assert a is not None and a.dtype == ref.dtype and a.shape == ref.shape
+    assert a.tobytes() == ref.tobytes()
+    assert (a < 2.3e-308).sum() > 5000  # subnormals (and tiny halfway cases) were read
+
+
+def test_c_reader_accepts_nothing_float_refuses():
+    """Short fuzzed cells: the reader takes a cell only if float() does, to
+    the same positive finite value; any other cell goes cell by cell."""
+    rng = random.Random(29)
+    alphabet = "0123456789" * 3 + ".eE+-_ \t#\"'/xinfa\u0661\u00a0"
+    taken = 0
+    for _ in range(20000):
+        cell = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8))).strip()
+        if not cell or cell.startswith("#"):
+            continue
+        a = io._float_grid([cell])
+        try:
+            x = float(cell)
+        except ValueError:
+            assert a is None, cell
+            continue
+        if a is not None:
+            taken += 1
+            assert 0 < x < math.inf and a.tobytes() == np.array([[x]]).tobytes(), cell
+    assert taken > 3000
+
+
+#: odd CSV inputs and the InputError text they give, on every backend but "exact"
+ODD_INPUTS = [
+    ("1,2.0\n,1\n", "cannot parse cell '': invalid literal for int() with base 10: ''"),
+    ("1,2.0,\n0.5,1,\n", "cannot parse cell '': invalid literal for int() with base 10: ''"),
+    ("1, ,0.5\n1,1,1\n2.0,1,1\n",
+     "cannot parse cell ' ': invalid literal for int() with base 10: ''"),
+    ('1,"2.0"\n0.5,1\n',
+     "cannot parse cell '\"2.0\"': could not convert string to float: '\"2.0\"'"),
+    ("1,2.0 # note\n0.5,1\n",
+     "cannot parse cell '2.0 # note': could not convert string to float: '2.0 # note'"),
+    ("1,nan\n1.0,1\n", "cannot parse cell 'nan': invalid literal for int() with base 10: 'nan'"),
+    ("1.0,inf\n0,1\n", "cannot parse cell 'inf': invalid literal for int() with base 10: 'inf'"),
+    ("1,2.0\n0.5,-inf\n",
+     "cannot parse cell '-inf': invalid literal for int() with base 10: '-inf'"),
+    ("1,1e400\n1e-400,1\n", "entry (1,0) = 0.0 is not positive"),
+    ("1,1e-400\n1e400,1\n", "entry (0,1) = 0.0 is not positive"),
+    ("1.0,1e-400\n1,1\n", "entry (0,1) = 0.0 is not positive"),
+    (f"1.0,{'1' + '0' * 399}\n1e-399,1\n",
+     "cell too large for a float: integer division result too large for a float"),
+    (f"1,{'1' + '0' * 399}.0\n0.5,1\n", "a[0][1] * a[1][0] = inf deviates from 1 beyond 1e-12"),
+    ("1,2.0,4.0\n0.5,1\n0.25,1,1\n", "grid is not square"),
+    ("1,2.0\n0.5,1,1\n", "grid is not square"),
+    ("1.0\n2.0\n", "grid is not square"),
+    ("1.0,2.0\n", "need n >= 2, got 1"),
+    ("1.0,-0\n-0,1\n", "entry (0,1) = 0.0 is not positive"),  # the reader reads -0.0
+    ("1.0,2.0\n0.5,-1.0\n", "entry (1,1) = -1.0 is not positive"),
+]
+
+
+@pytest.mark.parametrize("backend", [None, "float"])
+@pytest.mark.parametrize("text, message", ODD_INPUTS, ids=[f"odd{k}" for k in range(len(ODD_INPUTS))])
+def test_odd_inputs_keep_their_error_text(text, message, backend):
+    with pytest.raises(InputError) as exc:
+        parse_matrix_text(text, backend)
+    assert str(exc.value) == message
+
+
+#: inputs that read the same through either route
+SAME_VALUE_INPUTS = [
+    f"1,1_000.5\n{1 / 1000.5!r},1\n",                        # underscores
+    f"\u0661,\u0661.\u0665\n{1 / 1.5!r},\u0661\n",         # Arabic-Indic digits
+    "1,2.0,1/2\n0.5,1,0.25\n2,4.0,1\n",                      # p/q cells in float rows
+    "1,2,4\n0.5,1,2\n0.25,0.5,1\n",                          # an all-integer row
+    "1,1,1\n1,1,1\n1,1,1\n",                                 # all integers
+    "# m\r\n1,2.0\r\n\r\n0.5,1\r\n",                         # CRLF
+    "1,3,1e2\r\n0.3333333333333333,1,5E-1\r\n1e-2,2,1\r\n",
+]
+
+
+@pytest.mark.parametrize("backend", [None, "float"])
+@pytest.mark.parametrize("text", SAME_VALUE_INPUTS,
+                         ids=[f"same{k}" for k in range(len(SAME_VALUE_INPUTS))])
+def test_odd_inputs_read_the_same_value(text, backend):
+    expected = reference_parse(text, backend)
+    A = parse_matrix_text(text, backend)
+    assert A.exact == expected.exact
+    assert A.entries == expected.entries
+    assert [list(map(type, r)) for r in A.entries] == [list(map(type, r)) for r in expected.entries]
+
+
+def test_all_ones_integer_csv_stays_exact():
+    A = parse_matrix_text("1,1,1\n1,1,1\n1,1,1\n")
+    assert A.exact and A.entries == ((F(1),) * 3,) * 3
+    assert not parse_matrix_text("1,1\n1,1\n", "float").exact
+
+
+# ---------------------------------------------------------------------------
+# the float matrix is its array
+
+
+def test_float_check_builds_no_entries():
+    """The `effvec check` pipeline on a float CSV never reads an entry one by
+    one, so the per-entry tuples are never built."""
+    rng = random.Random(17)
+    for text_n in (9, 40):
+        A = parse_matrix_text(_random_csv(text_n, rng, repr))
+        column = tuple(A.array[:, 0].tolist())  # a column of A is efficient
+        other = (column[0] * 1e6,) + column[1:]  # index 0 alone is a source: inefficient
+        for w in (column, other):
+            v = is_efficient(A, w)
+            json.dumps(v.to_dict(edges=True))
+            if not v.efficient:
+                dominance_compare(A, w, v.dominator)
+        assert is_efficient(A, column).efficient and not is_efficient(A, other).efficient
+        assert A.n == text_n and "entries" not in A.__dict__
+        assert A.entries == tuple(map(tuple, A.array.tolist()))
+        assert "entries" in A.__dict__ and A.entries is A.entries
+
+
+def test_float_matrix_equality_hash_repr():
+    rng = random.Random(19)
+    texts = [_random_csv(n, rng, repr) for n in (2, 3, 5)] + ["1,1\n1,1\n"]
+    for text in texts:
+        A, B = parse_matrix_text(text, "float"), parse_matrix_text(text, "float")
+        plain = ReciprocalMatrix(tuple(map(tuple, A.array.tolist())), False)
+        assert repr(B) == repr(plain)  # B's tuples built by repr
+        assert A == plain and plain == A and hash(A) == hash(plain) and A == B
+        assert A != ReciprocalMatrix(plain.entries, True)
+        assert A != parse_matrix_text(_random_csv(A.n, rng, repr))
+        with pytest.raises(FrozenInstanceError):
+            A.n = 3
+    E = validate_reciprocal([[1, F(1, 3), 7], [3, 1, F(2, 5)], [F(1, 7), F(5, 2), 1]])
+    Ef = E.to_float()
+    assert not Ef.exact and "entries" not in Ef.__dict__ and Ef.array is E.array
+    plain = ReciprocalMatrix(tuple(tuple(map(float, r)) for r in E.entries), False)
+    assert Ef == plain and hash(Ef) == hash(plain) and repr(Ef) == repr(plain)
+    assert Ef != E and Ef.to_float() is Ef
 
 
 # ---------------------------------------------------------------------------

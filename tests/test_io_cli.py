@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import importlib.metadata
 import json
 import math
@@ -266,6 +267,23 @@ class TestCheckCommand:
         v = files("v.csv", text)
         assert main(["check", m, v]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matrix, vector", [
+    (CC_CSV, "3,2,1,2\n"),
+    ('{"n": 4, "entries": [[1, 2, 3, "1/2"], ["1/2", 1, 1, 1], ["1/3", 1, 1, 1], [2, 1, 1, 1]]}',
+     "[3, 2, 1, 2]"),
+], ids=["csv", "json"])
+def test_byte_order_mark_accepted(files, capsys, matrix, vector):
+    """A file saved as "UTF-8 with BOM" (Excel's "CSV UTF-8") reads as without it."""
+    plain = [files("m.txt", matrix), files("v.txt", vector)]
+    marked = [path + ".bom" for path in plain]
+    for path, bom in zip(plain, marked):
+        Path(bom).write_bytes(codecs.BOM_UTF8 + Path(path).read_bytes())
+    assert main(["check", *plain, "--format", "json"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["check", *marked, "--format", "json"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 BIG = "1" + "0" * 400  # an integer cell too large for a float

@@ -23,6 +23,7 @@ from effvec import (
     validate_reciprocal,
 )
 from effvec.errors import DimensionMismatch, InputError, NoConvergence, PreconditionError
+from effvec.io import parse_matrix_text
 from effvec.perron import MAX_QUOTIENT, STALL_ITER
 from effvec.fixtures import B3, CC, three_block_from_triple
 
@@ -41,6 +42,25 @@ def test_stalled_iteration_stops_early(rows):
     with pytest.raises(NoConvergence) as exc:
         perron(validate_reciprocal(rows))
     assert int(re.search(r"in (\d+) steps", str(exc.value))[1]) <= 2 * STALL_ITER
+
+
+OVERFLOWING_BLOCK = [[1, 1e300, 1e-300], [1e-300, 1, 1e300], [1e300, 1e-300, 1]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("read", [True, False], ids=["from-text", "block_matrix"])
+def test_iterate_past_the_floats_stops_at_once(read):
+    """On this A_4(B) the quotient's R q overflows, and read from a file it
+    records no block: power iteration runs, and its iterate overflows at
+    step 2.  perron stops there, warning nothing."""
+    if read:
+        A = parse_matrix_text("1,1e300,1e-300,1\n1e-300,1,1e300,1\n1e300,1e-300,1,1\n1,1,1,1\n")
+        assert A._block is None
+    else:
+        A = block_matrix(validate_reciprocal(OVERFLOWING_BLOCK), 4)
+    with pytest.raises(NoConvergence, match=r"^power iteration left the floats in \d+ steps$") as exc:
+        perron(A)
+    assert int(re.search(r"in (\d+) steps", str(exc.value))[1]) <= 3
 
 
 def full_residual(A, r):

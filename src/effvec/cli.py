@@ -76,8 +76,8 @@ def cmd_perron(args) -> int:
         "block_indices": None,
     }
     # Block facts for n <= 8 only: on one core of a shared 2-vCPU Xeon host,
-    # detection takes 0.05-0.06 s on a scrambled float A_n(B) and 0.4 s on a
-    # generic float matrix at n = 1024, and 0.010-0.013 s on a scrambled exact one
+    # detection takes 0.05-0.08 s on a scrambled float A_n(B) and 0.65-0.73 s on a
+    # generic float matrix at n = 1024, and 0.015-0.017 s on a scrambled exact one
     # at n = 512.  Lift the gate, adding block facts above n = 8, once it is O(n^2).
     detected = detect_minimal_block(A) if A.n <= 8 else None
     if detected is not None:

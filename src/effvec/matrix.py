@@ -139,10 +139,10 @@ class ReciprocalMatrix:
     """Validated reciprocal matrix.  Immutable.
 
     An exact matrix holds its entries, rows of Fractions.  A float matrix
-    from validate_reciprocal or to_float is its read-only float64 array;
-    `entries`, its rows as tuples of Python floats, is built from that
-    array on its first read (by the readers of single entries, equality,
-    hash and repr), at most once.  Equality, hash and repr are those of
+    from validate_reciprocal, to_float, submatrix or delete is its read-only
+    float64 array; `entries`, its rows as tuples of Python floats, is built
+    from that array on its first read (by the readers of single entries,
+    equality, hash and repr), at most once.  Equality, hash and repr are those of
     (entries, exact).
 
     Outside input goes through validate_reciprocal.  Derived matrices
@@ -197,7 +197,12 @@ class ReciprocalMatrix:
         return tuple(r[j] for r in self.entries)
 
     def submatrix(self, keep: Sequence[int]) -> "ReciprocalMatrix":
-        """Principal submatrix A[keep] (order of `keep` is preserved)."""
+        """Principal submatrix A[keep] (order of `keep` is preserved).  On
+        floats, the matrix that is a read-only slice of the array."""
+        if not self.exact:
+            a = self.array[np.ix_(keep, keep)]
+            a.flags.writeable = False
+            return ReciprocalMatrix._of_array(a)
         rows = tuple(tuple(self.entries[i][j] for j in keep) for i in keep)
         return ReciprocalMatrix(rows, self.exact)
 
@@ -351,14 +356,19 @@ class MonomialSimilarity:
                 raise InputError(f"diagonal entry {d!r} is not positive and finite")
 
     @classmethod
+    def _unchecked(cls, diag: tuple, perm: tuple) -> "MonomialSimilarity":
+        """The similarity (diag, perm), built without __post_init__'s check:
+        for parts already known to be a permutation and positive finite scalars."""
+        M = object.__new__(cls)
+        M.__dict__.update(diag=diag, perm=perm)
+        return M
+
+    @classmethod
     @lru_cache(maxsize=16)
     def identity(cls, n: int) -> "MonomialSimilarity":
-        """The identity on n indices, built without __post_init__'s check.
-        It is immutable, so one per n is shared (the families take it on every
-        construction)."""
-        M = object.__new__(cls)
-        M.__dict__.update(diag=(1,) * n, perm=tuple(range(n)))
-        return M
+        """The identity on n indices, built unchecked.  It is immutable, so one
+        per n is shared (the families take it on every construction)."""
+        return cls._unchecked((1,) * n, tuple(range(n)))
 
     @classmethod
     def scaling(cls, diag: Sequence[Scalar]) -> "MonomialSimilarity":
@@ -486,18 +496,54 @@ def _block_form(A: ReciprocalMatrix, K: list, rest: list) -> Optional[BlockPertu
     rest ascending, splitting 0..n-1).  Scaling by column r leaves 1s outside
     B_pq = a_{K_p K_q} * a_{K_q r} / a_{K_p r}; the back map permutes by K + rest
     and scales by column r in that order.  None if a float B_pq leaves the floats."""
-    s, col_r = len(K), A.column(rest[0])
-    one = Fraction(1) if A.exact else 1.0
+    s, col_r, order = len(K), A.column(rest[0]), tuple(K + rest)
+    if A.exact:
+        B = _exact_block(A, K, rest[0])
+    else:
+        rows = [[1.0] * s for _ in range(s)]
+        for p in range(s):
+            for q in range(p + 1, s):
+                x = A[K[p], K[q]] * col_r[K[q]] / col_r[K[p]]
+                if not 0 < x < math.inf or 1 / x == math.inf:
+                    return None
+                rows[p][q], rows[q][p] = x, 1 / x
+        B = ReciprocalMatrix(tuple(map(tuple, rows)), False)
+    # column r of a validated matrix: positive and finite, so no check again
+    back = MonomialSimilarity._unchecked(tuple(col_r[i] for i in order), order)
+    return BlockPerturbedForm(B, A.n, back)
+
+
+def _exact_block(A: ReciprocalMatrix, K: list, r: int) -> ReciprocalMatrix:
+    """_block_form's B on an exact A, in integers from A.ratios: B_pq is
+    p_{K_p K_q} p_{K_q r} q_{K_p r} / (q_{K_p K_q} q_{K_q r} p_{K_p r}), reduced
+    by one gcd, and B_qp its mirror; each becomes a Fraction once.  B gets
+    those ratios, and its float view as p / q when every p and q is below
+    2**53 (then exactly float(Fraction(p, q))); past that the view is built
+    on first read, which raises if an entry leaves the floats."""
+    s, (P, Q) = len(K), A.ratios
+    p_r, q_r = [P[k][r] for k in K], [Q[k][r] for k in K]
+    num, den = [[1] * s for _ in range(s)], [[1] * s for _ in range(s)]
+    one = Fraction(1)
     rows = [[one] * s for _ in range(s)]
+    bits = 1  # the bitwise or of every p and q
     for p in range(s):
+        P_p, Q_p = P[K[p]], Q[K[p]]
         for q in range(p + 1, s):
-            x = A[K[p], K[q]] * col_r[K[q]] / col_r[K[p]]
-            if not 0 < x < math.inf or 1 / x == math.inf:
-                return None
-            rows[p][q], rows[q][p] = x, 1 / x
-    order = tuple(K + rest)
-    back = MonomialSimilarity(tuple(col_r[i] for i in order), order)
-    return BlockPerturbedForm(ReciprocalMatrix(tuple(map(tuple, rows)), A.exact), A.n, back)
+            x = P_p[K[q]] * p_r[q] * q_r[p]
+            y = Q_p[K[q]] * q_r[q] * p_r[p]
+            g = math.gcd(x, y)
+            x, y = x // g, y // g
+            num[p][q] = den[q][p] = x
+            den[p][q] = num[q][p] = y
+            rows[p][q], rows[q][p] = Fraction(x, y), Fraction(y, x)
+            bits |= x | y
+    B = ReciprocalMatrix(tuple(map(tuple, rows)), True)
+    B.__dict__["ratios"] = (tuple(map(tuple, num)), tuple(map(tuple, den)))
+    if bits < 2**53:
+        a = np.divide(num, den, dtype=float)
+        a.flags.writeable = False
+        B.__dict__["array"] = a
+    return B
 
 
 @dataclass(frozen=True)
@@ -555,6 +601,14 @@ def detect_minimal_block(A: ReciprocalMatrix) -> Optional[DetectedBlock]:
     A consistent A gives K = (0,).  Returns None only on floats: near tol,
     where K_r for two references r can disagree, and when the block's
     canonical entries leave the float range (see is_block_perturbation).
+
+    On exact input only the references r inside best are scanned, since one
+    outside reads best again.  Proof: best = K_f with f outside best, and
+    exact K_r is a block for every r.  An r outside the block best has
+    K_r inside best; f lies outside best, so outside K_r, and the block K_r
+    contains K_f = best.  So K_r = best, and the form is built from
+    r = rest[0] without a scan.  Floats scan every r <= |best|: there K_r
+    can disagree near TOL_CONS.
     """
     n = A.n
     best = sorted(_reference_block(A, 0, n - 1))
@@ -564,13 +618,16 @@ def detect_minimal_block(A: ReciprocalMatrix) -> Optional[DetectedBlock]:
     # rest[0] reads the final K iff it is found.
     found, r = 0, 1
     while 2 * len(best) >= n and r <= len(best):
-        K = _reference_block(A, r, len(best))
-        if K is not None and (len(K), sorted(K)) < (len(best), best):
-            best, found = sorted(K), r
+        if not A.exact or r in best:  # an exact r outside best reads best again
+            K = _reference_block(A, r, len(best))
+            if K is not None and (len(K), sorted(K)) < (len(best), best):
+                best, found = sorted(K), r
         r += 1
     K = best or [0]
     rest = sorted(set(range(n)).difference(K))
-    if rest[0] < r:  # scanned: always, unless K_0 is empty and K = (0,) reads K_1
+    if A.exact and best:  # K_{rest[0]} is best (see above)
+        form = _block_form(A, K, rest)
+    elif rest[0] < r:  # scanned: always, unless K_0 is empty and K = (0,) reads K_1
         form = _block_form(A, K, rest) if rest[0] == found else None
     else:
         form = is_block_perturbation(A, K)

@@ -328,6 +328,29 @@ def test_float_matrix_equality_hash_repr():
     assert Ef != E and Ef.to_float() is Ef
 
 
+def test_float_submatrix_slices_the_array():
+    """submatrix and delete on a float matrix slice its array: the same
+    entries, equality and hash as the per-entry path, and no tuples built."""
+    rng = random.Random(23)
+    for n in (2, 3, 9, 40):
+        A = parse_matrix_text(_random_csv(n, rng, repr))
+        rows = A.array.tolist()
+        tupled = ReciprocalMatrix(tuple(map(tuple, rows)), False)
+        keeps = [range(n), range(n - 1, -1, -1), [0], rng.sample(range(n), max(1, n // 2))]
+        for keep, sub in [(k, A.submatrix(k)) for k in keeps] + [
+                ([k for k in range(n) if k != i], A.delete(i)) for i in (0, n // 2, n - 1)]:
+            assert "entries" not in A.__dict__ and "entries" not in sub.__dict__
+            assert not sub.exact and not sub.array.flags.writeable
+            plain = ReciprocalMatrix(tuple(tuple(rows[i][j] for j in keep) for i in keep), False)
+            assert sub.entries == plain.entries and sub.n == len(keep)
+            assert sub == plain and plain == sub and hash(sub) == hash(plain)
+            assert tupled.submatrix(keep) == plain
+    E = validate_reciprocal([[1, F(1, 3), 7], [3, 1, F(2, 5)], [F(1, 7), F(5, 2), 1]])
+    E.array  # an exact matrix that holds its float view keeps its entries
+    assert E.submatrix((2, 0)) == ReciprocalMatrix(((F(1), F(1, 7)), (F(7), F(1))), True)
+    assert E.to_float().delete(1) == ReciprocalMatrix(((1.0, 7.0), (1 / 7, 1.0)), False)
+
+
 # ---------------------------------------------------------------------------
 # edge rule, components, dominator, comparison, report
 

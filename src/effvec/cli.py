@@ -76,8 +76,8 @@ def cmd_perron(args) -> int:
         "block_indices": None,
     }
     # Block facts for n <= 8 only: on one core of a shared 2-vCPU Xeon host,
-    # detection takes 0.05-0.08 s on a scrambled float A_n(B) and 0.65-0.73 s on a
-    # generic float matrix at n = 1024, and 0.015-0.017 s on a scrambled exact one
+    # detection takes 0.12-0.16 s on a scrambled float A_n(B) and 0.67-0.87 s on a
+    # generic float matrix at n = 1024, and 0.018-0.020 s on a scrambled exact one
     # at n = 512.  Lift the gate, adding block facts above n = 8, once it is O(n^2).
     detected = detect_minimal_block(A) if A.n <= 8 else None
     if detected is not None:
@@ -151,13 +151,16 @@ def cmd_generate(args) -> int:
     return 0
 
 
+#: reproduce's targets: the fixtures function that builds each one's checks
+_TARGETS = {
+    "table1": fixtures.reproduce_table1,
+    "examples": fixtures.reproduce_examples,
+    "all": fixtures.reproduce_all,
+}
+
+
 def cmd_reproduce(args) -> int:
-    if args.target == "table1":
-        checks = fixtures.reproduce_table1()
-    elif args.target == "examples":
-        checks = fixtures.reproduce_examples()
-    else:
-        checks = fixtures.reproduce_all()
+    checks = _TARGETS[args.target]()
     failures = 0
     for c in checks:
         tag = _paint("PASS", True) if c.ok else _paint("FAIL", False)
@@ -208,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         fp.set_defaults(func=cmd_generate, family_stream=stream)
 
     sp = sub.add_parser("reproduce", help="replay bundled fixtures")
-    sp.add_argument("target", choices=["table1", "examples", "all"])
+    sp.add_argument("target", choices=_TARGETS)
     sp.set_defaults(func=cmd_reproduce)
     return p
 

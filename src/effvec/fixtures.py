@@ -119,65 +119,53 @@ class Check:
     detail: str = ""
 
 
+def _verdicts(*rows) -> list:
+    """One check per (name, matrix, vector, expected efficiency) row."""
+    return [Check(name, is_efficient(A, w).efficient == expect) for name, A, w, expect in rows]
+
+
+def _extensions(name: str, A: ReciprocalMatrix, heads, block=None) -> Check:
+    """Every (head, ends) of heads, with ends the bounds lo and hi in some
+    order, extends to vectors efficient for A: head, then t = lo, (lo + hi) / 2
+    or hi, then ends.  Given block, each head is first checked efficient for it."""
+
+    def extends(head, ends) -> bool:
+        lo, hi = sorted(ends)
+        return (block is None or is_efficient(block, head).efficient) and all(
+            is_efficient(A, head + (t,) + ends).efficient for t in (lo, (lo + hi) / 2, hi))
+
+    return Check(name, all(extends(head, ends) for head, ends in heads))
+
+
 def reproduce_reference_pairs() -> list:
     """Efficient/inefficient vector pairs on the 4-by-4 reference matrix."""
-    checks = []
-    checks.append(
-        Check(
-            "reference (3,2,1,2) efficient",
-            is_efficient(CC, (3, 2, 1, 2)).efficient,
-        )
+    return _verdicts(
+        ("reference (3,2,1,2) efficient", CC, (3, 2, 1, 2), True),
+        ("reference (3,2,1) inefficient on leading 3-by-3", B3, (3, 2, 1), False),
     )
-    checks.append(
-        Check(
-            "reference (3,2,1) inefficient on leading 3-by-3",
-            not is_efficient(B3, (3, 2, 1)).efficient,
-        )
-    )
-    return checks
 
 
 def reproduce_scaling_example() -> list:
     """Diagonal-similarity transport of efficient vectors."""
-    checks = []
     inv = MonomialSimilarity.scaling(tuple(1 / d for d in D_SCALED))
-    checks.append(
+    return [
         Check("D^{-1} B D recovers the reference matrix",
               apply_similarity(B_SCALED, inv).entries == CC.entries)
+    ] + _verdicts(
+        ("(15,8,8,12) efficient for C", CC, (15, 8, 8, 12), True),
+        ("scaled image (15,16,32,24) efficient for B", B_SCALED, (15, 16, 32, 24), True),
     )
-    checks.append(
-        Check("(15,8,8,12) efficient for C", is_efficient(CC, (15, 8, 8, 12)).efficient)
-    )
-    checks.append(
-        Check(
-            "scaled image (15,16,32,24) efficient for B",
-            is_efficient(B_SCALED, (15, 16, 32, 24)).efficient,
-        )
-    )
-    return checks
 
 
 def reproduce_extension_families() -> list:
     """Closed families of efficient extensions of the scaled block."""
     A7 = block_matrix(B_SCALED, 7)
-    checks = []
-    for w1 in (F(5), F(10), F(18)):
-        head = (w1, F(8), F(24), F(10))
-        ok = is_efficient(B_SCALED, head).efficient
-        lo, hi = min(F(8), w1), F(24)
-        for tail_val in (lo, (lo + hi) / 2, hi):
-            w = head + (tail_val, lo, hi)
-            ok = ok and is_efficient(A7, w).efficient
-        checks.append(Check(f"family 1, w1={w1}: extensions efficient", ok))
-    for w2 in (F(4), F(8), F(12)):
-        head = (F(15), 2 * w2, F(32), F(24))
-        ok = is_efficient(B_SCALED, head).efficient
-        lo, hi = min(F(15), 2 * w2), F(32)
-        for tail_val in (lo, (lo + hi) / 2, hi):
-            w = head + (tail_val, hi, lo)
-            ok = ok and is_efficient(A7, w).efficient
-        checks.append(Check(f"family 2, w2={w2}: extensions efficient", ok))
-    return checks
+    family1 = [(f"family 1, w1={x}", (x, F(8), F(24), F(10)), (min(F(8), x), F(24)))
+               for x in (F(5), F(10), F(18))]
+    family2 = [(f"family 2, w2={x}", (F(15), 2 * x, F(32), F(24)), (F(32), min(F(15), 2 * x)))
+               for x in (F(4), F(8), F(12))]
+    return [_extensions(f"{name}: extensions efficient", A7, [(head, ends)], B_SCALED)
+            for name, head, ends in family1 + family2]
 
 
 def reproduce_union_route() -> list:
@@ -185,99 +173,48 @@ def reproduce_union_route() -> list:
     tbm = ThreeBlockMatrix(B3, 6)
     A4 = block_matrix(B3, 4)
     checks = []
-    ok, j = three_block_membership(tbm, A6_U)
-    checks.append(Check("u efficient with witness j=4", ok and j == 3, f"j={j}"))
-    checks.append(
-        Check(
-            "u not in the j=5,6 routes",
-            not union_route_member(A4, A6_U, 4) and not union_route_member(A4, A6_U, 5),
-        )
-    )
-    ok, j = three_block_membership(tbm, A6_V)
-    checks.append(Check("v efficient with witness j=5", ok and j == 4, f"j={j}"))
-    checks.append(
-        Check(
-            "v not in the j=4,6 routes",
-            not union_route_member(A4, A6_V, 3) and not union_route_member(A4, A6_V, 5),
-        )
-    )
-    checks.append(
-        Check(
-            "heads (13,8,7) not efficient for the block",
-            not is_efficient(B3, A6_U[:3]).efficient,
-        )
-    )
-    return checks
+    # (name, vector, its smallest witness j, two routes j it is not in), j 1-based
+    for name, w, witness, routes in (("u", A6_U, 4, (5, 6)), ("v", A6_V, 5, (4, 6))):
+        ok, j = three_block_membership(tbm, w)
+        checks.append(Check(f"{name} efficient with witness j={witness}",
+                            ok and j + 1 == witness, f"j={j + 1}" if ok else "no witness"))
+        checks.append(Check(f"{name} not in the j={routes[0]},{routes[1]} routes",
+                            not any(union_route_member(A4, w, k - 1) for k in routes)))
+    return checks + _verdicts(("heads (13,8,7) not efficient for the block", B3, A6_U[:3], False))
 
 
 def reproduce_profiles() -> list:
     """Subvector-efficiency profiles of the 6- and 7-dimensional instances."""
     checks = []
-    checks.append(Check("ex20 w efficient", is_efficient(EX20, EX20_W).efficient))
-    prof = subvector_efficiency_profile(EX20, EX20_W)
-    checks.append(
-        Check("ex20 profile(w) == {3,4}", prof == frozenset({2, 3}), f"{sorted(prof)}")
-    )
-    checks.append(Check("ex20 v efficient", is_efficient(EX20, EX20_V).efficient))
-    prof = subvector_efficiency_profile(EX20, EX20_V)
-    checks.append(
-        Check(
-            "ex20 profile(v) == {3,4,6}",
-            prof == frozenset({2, 3, 5}),
-            f"{sorted(prof)}",
-        )
-    )
-    checks.append(Check("ex21 w efficient", is_efficient(EX21, EX21_W).efficient))
-    prof = subvector_efficiency_profile(EX21, EX21_W)
-    checks.append(
-        Check("ex21 profile == {5,6}", prof == frozenset({4, 5}), f"{sorted(prof)}")
-    )
-    checks.append(
-        Check(
-            "ex21 4-block head inefficient",
-            not is_efficient(EX21.submatrix(range(4)), EX21_W[:4]).efficient,
-        )
-    )
-    checks.append(
-        Check(
-            "ex20 minimal perturbed block is {1,2,3,4}",
-            (lambda d: d is not None and d.K == (0, 1, 2, 3))(
-                detect_minimal_block(EX20)
-            ),
-        )
-    )
-    return checks
+    # (verdict label, profile label, matrix, vector, its profile 1-based)
+    for label, profile, A, w, expect in (
+        ("ex20 w", "ex20 profile(w)", EX20, EX20_W, (3, 4)),
+        ("ex20 v", "ex20 profile(v)", EX20, EX20_V, (3, 4, 6)),
+        ("ex21 w", "ex21 profile", EX21, EX21_W, (5, 6)),
+    ):
+        prof = sorted(k + 1 for k in subvector_efficiency_profile(A, w))
+        checks += _verdicts((f"{label} efficient", A, w, True))
+        checks.append(Check(f"{profile} == {{{','.join(map(str, expect))}}}",
+                            prof == list(expect), f"{prof}"))
+    checks += _verdicts(
+        ("ex21 4-block head inefficient", EX21.submatrix(range(4)), EX21_W[:4], False))
+    detected = detect_minimal_block(EX20)
+    return checks + [Check("ex20 minimal perturbed block is {1,2,3,4}",
+                           detected is not None and detected.K == (0, 1, 2, 3))]
 
 
 def reproduce_intervals() -> list:
     """Extension intervals on C_5(3)."""
     C5 = ConstantBlockMatrix(F(3), 5, 5).matrix()
     checks = []
-    iv = extension_interval(C5, (F(7), F(3), F(2), F(1)), 4)
-    checks.append(
-        Check(
-            "interval for (7,3,2,1) is [1/3, 7/3]",
-            (iv.lo, iv.hi) == (F(1, 3), F(7, 3)),
-            f"[{iv.lo}, {iv.hi}]",
-        )
-    )
-    iv = extension_interval(C5, (F(7), F(3), F(2), F(7, 3)), 4)
-    checks.append(
-        Check(
-            "interval for (7,3,2,7/3) is [2/3, 7/3]",
-            (iv.lo, iv.hi) == (F(2, 3), F(7, 3)),
-            f"[{iv.lo}, {iv.hi}]",
-        )
-    )
+    for w, lo, hi in (((F(7), F(3), F(2), F(1)), F(1, 3), F(7, 3)),
+                      ((F(7), F(3), F(2), F(7, 3)), F(2, 3), F(7, 3))):
+        iv = extension_interval(C5, w, 4)
+        checks.append(Check(f"interval for ({','.join(map(str, w))}) is [{lo}, {hi}]",
+                            (iv.lo, iv.hi) == (lo, hi), f"[{iv.lo}, {iv.hi}]"))
     A8 = ConstantBlockMatrix(F(3), 5, 8).matrix()
-    ok = True
-    for w5 in (F(1, 3), F(1), F(7, 3)):
-        head = (F(7), F(3), F(2), F(1), w5)
-        lo, hi = min(F(1), w5), F(7)
-        for t in (lo, (lo + hi) / 2, hi):
-            ok = ok and is_efficient(A8, head + (t, hi, lo)).efficient
-    checks.append(Check("8-dim constant-block extensions efficient", ok))
-    return checks
+    heads = [((F(7), F(3), F(2), F(1), x), (F(7), min(F(1), x))) for x in (F(1, 3), F(1), F(7, 3))]
+    return checks + [_extensions("8-dim constant-block extensions efficient", A8, heads)]
 
 
 def reproduce_table1() -> list:

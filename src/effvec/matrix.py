@@ -598,9 +598,11 @@ def detect_minimal_block(A: ReciprocalMatrix) -> Optional[DetectedBlock]:
     minimal block is K_r for every r outside it.  A block of size m misses one
     of the indices 0..m, hence scanning r = 0, 1, ... while r <= |best| finds
     them all; once 2|K_r| < n, K_r is the unique minimum.  O(n^3) at worst.
-    A consistent A gives K = (0,).  Returns None only on floats: near tol,
-    where K_r for two references r can disagree, and when the block's
-    canonical entries leave the float range (see is_block_perturbation).
+    A consistent A gives K = (0,), formed from r = 1; on exact input with no
+    scan of K_1, as K_0 = {} makes every K_r empty.  Returns None only on
+    floats: near tol, where K_r for two references r can disagree, and when
+    the block's canonical entries leave the float range (see
+    is_block_perturbation).
 
     On exact input only the references r inside best are scanned, since one
     outside reads best again.  Proof: best = K_f with f outside best, and
@@ -623,14 +625,12 @@ def detect_minimal_block(A: ReciprocalMatrix) -> Optional[DetectedBlock]:
             if K is not None and (len(K), sorted(K)) < (len(best), best):
                 best, found = sorted(K), r
         r += 1
-    K = best or [0]
-    rest = sorted(set(range(n)).difference(K))
-    if A.exact and best:  # K_{rest[0]} is best (see above)
-        form = _block_form(A, K, rest)
-    elif rest[0] < r:  # scanned: always, unless K_0 is empty and K = (0,) reads K_1
-        form = _block_form(A, K, rest) if rest[0] == found else None
-    else:
-        form = is_block_perturbation(A, K)
+    if not best:  # K = (0,), a block iff K_1 is empty, as it is on exact input
+        best = [0]
+        if r == 1 and not A.exact and _reference_block(A, 1, 0) is not None:
+            found = 1  # K_0 was empty, so the loop did not scan K_1
+    rest = sorted(set(range(n)).difference(best))
+    form = _block_form(A, best, rest) if A.exact or rest[0] == found else None
     return None if form is None else DetectedBlock(form)
 
 

@@ -26,6 +26,7 @@ from effvec.io import (
     parse_vector_text,
     scalar_repr,
 )
+from effvec.perron import TOL_PERRON
 
 
 class TestParseScalar:
@@ -685,6 +686,48 @@ def test_readme_tolerances_match_package():
     assert exported and exported <= {name for name, _ in pairs}
 
 
+#: `effvec reproduce all`, uncoloured, line by line; {r} stands for a Perron
+#: residual, whose digits depend on the LAPACK build
+REPRODUCE_ALL = """\
+[PASS] table row (2, 17/2, 2): inefficient  (residual={r})
+[PASS] table row (2, 8, 2): efficient  (residual={r}, cycle 1->4->3->2)
+[PASS] table row (100, 59/10, 1/10): inefficient  (residual={r})
+[PASS] table row (90, 59/10, 1/10): efficient  (residual={r}, cycle 1->4->2->3)
+[PASS] table row (1/10, 59/10, 140): inefficient  (residual={r})
+[PASS] table row (1/10, 59/10, 130): efficient  (residual={r}, cycle 1->2->4->3)
+[PASS] table row (1/2, 8, 2/5): inefficient  (residual={r})
+[PASS] table row (1/2, 9, 2/5): efficient  (residual={r}, cycle 1->2->4->3)
+[PASS] reference (3,2,1,2) efficient
+[PASS] reference (3,2,1) inefficient on leading 3-by-3
+[PASS] D^{-1} B D recovers the reference matrix
+[PASS] (15,8,8,12) efficient for C
+[PASS] scaled image (15,16,32,24) efficient for B
+[PASS] family 1, w1=5: extensions efficient
+[PASS] family 1, w1=10: extensions efficient
+[PASS] family 1, w1=18: extensions efficient
+[PASS] family 2, w2=4: extensions efficient
+[PASS] family 2, w2=8: extensions efficient
+[PASS] family 2, w2=12: extensions efficient
+[PASS] u efficient with witness j=4  (j=4)
+[PASS] u not in the j=5,6 routes
+[PASS] v efficient with witness j=5  (j=5)
+[PASS] v not in the j=4,6 routes
+[PASS] heads (13,8,7) not efficient for the block
+[PASS] ex20 w efficient
+[PASS] ex20 profile(w) == {3,4}  ([3, 4])
+[PASS] ex20 v efficient
+[PASS] ex20 profile(v) == {3,4,6}  ([3, 4, 6])
+[PASS] ex21 w efficient
+[PASS] ex21 profile == {5,6}  ([5, 6])
+[PASS] ex21 4-block head inefficient
+[PASS] ex20 minimal perturbed block is {1,2,3,4}
+[PASS] interval for (7,3,2,1) is [1/3, 7/3]  ([1/3, 7/3])
+[PASS] interval for (7,3,2,7/3) is [2/3, 7/3]  ([2/3, 7/3])
+[PASS] 8-dim constant-block extensions efficient
+35/35 checks passed
+"""
+
+
 class TestReproduceCommand:
     def test_table1(self, capsys, monkeypatch):
         monkeypatch.setenv("EFFVEC_NO_COLOR", "1")
@@ -702,6 +745,21 @@ class TestReproduceCommand:
         assert main(["reproduce", "all"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out[-1].endswith("checks passed")
+
+    def test_all_lines(self, capsys, monkeypatch):
+        """Every line of `reproduce all`, names, order and details, with each
+        residual read as a number and held to TOL_PERRON instead of its digits."""
+        monkeypatch.setenv("EFFVEC_NO_COLOR", "1")
+        assert main(["reproduce", "all"]) == 0
+        residuals = []
+
+        def residual(m):
+            residuals.append(float(m.group(1)))
+            return "residual={r}"
+
+        out = re.sub(r"residual=([^,)]+)", residual, capsys.readouterr().out)
+        assert out.splitlines() == REPRODUCE_ALL.splitlines()
+        assert len(residuals) == 8 and all(0 <= r <= TOL_PERRON for r in residuals)
 
 
 def _assert_command_exit_codes(command, tmp_path, env):

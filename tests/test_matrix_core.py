@@ -353,7 +353,8 @@ def scans(monkeypatch):
 def test_detection_scans_each_reference_once(backend, scans):
     """The form reuses the scan of its reference r: a block of under n/2
     indices that misses 0 is K_0, found and formed from one scan.  A
-    consistent matrix gets K = (0,), and its form reads K_1."""
+    consistent matrix gets K = (0,); its float form reads K_1, while an
+    exact K_0 = {} already proves K_1 empty."""
     M = MonomialSimilarity((F(2), F(1, 3), F(5), F(1), F(7, 2), F(3, 4), F(9)),
                            (3, 5, 6, 0, 1, 2, 4))
     A = apply_similarity(block_matrix(B3, 7), M)
@@ -362,7 +363,7 @@ def test_detection_scans_each_reference_once(backend, scans):
         A, C = A.to_float(), C.to_float()
     assert detect_minimal_block(A).K == (3, 5, 6) and scans == [0]
     scans.clear()
-    assert detect_minimal_block(C).K == (0,) and scans == [0, 1]
+    assert detect_minimal_block(C).K == (0,) and scans == ([0] if backend == "exact" else [0, 1])
 
 
 def test_references_that_disagree_near_tolerance(scans):

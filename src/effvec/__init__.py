@@ -21,7 +21,6 @@ from .blockpert import (
     three_block_generate,
     three_block_membership,
     three_by_three_is_efficient,
-    two_block_full_set_check,
     two_block_is_efficient,
     two_block_sample,
     union_route_member,

@@ -35,7 +35,7 @@ from .matrix import (
 # ---------------------------------------------------------------------------
 # Parameterized matrix families: each is the form A_n(B) of its block B, with
 # an identity back map.  The paper reads a 3-block with a13 >= 1 and C_s(x)
-# with x >= 1; the other orientation is the form's reversed().
+# with x >= 1; the form's oriented() reads it so.
 
 
 _ONE = Fraction(1)
@@ -85,9 +85,8 @@ class ThreeBlockMatrix(BlockPerturbedForm):
         super().__init__(block, n, MonomialSimilarity.identity(n))
 
     def normalize(self) -> Tuple[BlockPerturbedForm, MonomialSimilarity]:
-        """This form read with a13 >= 1, reversed() if a13 < 1, and its back map:
-        a head reversal or the identity, which is its own inverse."""
-        form = self if self.block[0, 2] >= 1 else self.reversed()
+        """oriented() and its back map, a head reversal or the identity (its own inverse)."""
+        form = self.oriented()
         return form, form.back_map
 
 
@@ -286,26 +285,6 @@ def three_block_generate(
         yield GeneratedVector(tail_permute(A, w, perm), seed, tuple(perm))
 
 
-def two_block_full_set_check(S: TwoBlockMatrix, w: Sequence[Scalar]) -> bool:
-    """Cross-validate the chain test against the {1,2,j} route for every j.
-
-    Each j must individually reproduce the chain verdict; a disagreement is
-    an implementation bug, not a verdict.
-    """
-    if S.n < 4:
-        raise InputError("full-set cross-check needs n >= 4")
-    w = _on_backend(S.block, check_positive_vector(w, S.n))
-    chain = two_block_is_efficient(S, w)
-    S3 = block_matrix(S.block, 3)
-    for j in range(2, S.n):
-        ok = _route(S3, w, j)
-        if ok != chain:
-            raise InternalError(
-                f"route j={j} gives {ok}, chain gives {chain} for w={w!r}"
-            )
-    return chain
-
-
 # ---------------------------------------------------------------------------
 # Constant-block class
 
@@ -313,16 +292,17 @@ def two_block_full_set_check(S: TwoBlockMatrix, w: Sequence[Scalar]) -> bool:
 def constant_block_class_check(M: ConstantBlockMatrix, w: Sequence[Scalar]) -> bool:
     """Sufficient (not necessary) conditions for efficiency on A_n(C_s(x)).
 
-    Read on the x >= 1 orientation (M.reversed() when x < 1), as edges of
-    G(C_s(x), h) with h the head in its coordinates: the cycle 1->3->2->1
-    (1->2->1 at s = 2), and for i = 4..s the edge 1->i and an edge i->k with
-    3 <= k < i; then the tail entries within [min(h), max(h)].
+    Read on M.oriented(), as edges of G(C_s(x), h) with h the head in its
+    coordinates: the cycle 1->3->2->1 (1->2->1 at s = 2), and for i = 4..s
+    the edge 1->i and an edge i->k with 3 <= k < i; then the tail entries
+    within [min(h), max(h)].
     """
-    form = M if M.x >= 1 else M.reversed()
+    form = M.oriented()
     h = _on_backend(form.block, form.from_input(w))  # a family map moves only the head
     G = build_digraph(form.block, h[: M.s])
     head_ok = G.has_cycle((0, 2, 1) if M.s > 2 else (0, 1)) and all(
-        G.adj[0, i] and G.adj[i, 2:i].any() for i in range(3, M.s))
+        G.has_edge(0, i) and any(G.has_edge(i, k) for k in range(2, i))
+        for i in range(3, M.s))
     return head_ok and _within(h, h[: M.s], range(M.s, M.n))
 
 
@@ -333,12 +313,13 @@ def constant_block_sample(
     checked here, before the first draw.
 
     Every emitted vector passes constant_block_class_check and hence the
-    digraph test.  Heads are drawn for C_s(x) on its x >= 1 orientation,
-    C_s(1/x) when x < 1, and then reversed when x < 1.
+    digraph test.  Heads are drawn for the block of M.oriented(), C_s(1/x)
+    when x < 1, and then reversed when that form is reversed.
     """
     if M.s < 3:
         raise InputError("class sampler needs block size s >= 3")
-    x = M.x if M.x >= 1 else 1 / M.x
+    form = M.oriented()
+    x = form.block[0, 1]
     one = x ** 0
     u = one / x  # = w_1 / x
 
@@ -347,6 +328,6 @@ def constant_block_sample(
         w = [one, _sample_in(u, x * w3, rng), w3]
         for _ in range(3, M.s):
             w.append(_sample_in(min(w[2:]) / x, u, rng))
-        return tuple(w if M.x >= 1 else w[::-1])
+        return tuple(w if form is M else w[::-1])
 
     return _stream(draw_head, M.n, rng, count)

@@ -45,21 +45,19 @@ def cmd_check(args) -> int:
     A = load_matrix(args.matrix, args.backend)
     w = load_vector(args.vector, args.backend)
     verdict = is_efficient(A, w)
+    d = verdict.to_dict(edges=args.edges and args.format == "json")  # what every format prints
     if args.format == "json":
-        print(json.dumps(verdict.to_dict(edges=args.edges)))
+        print(json.dumps(d))
     elif args.format == "csv":
-        print(f"status,{verdict.status}")
+        print(f"status,{d['status']}")
         if not verdict.efficient:
-            print("dominator," + ",".join(str(scalar_repr(x)) for x in verdict.dominator))
+            print("dominator," + ",".join(map(str, d["dominator"])))
     else:
-        print(_paint(verdict.status.upper(), verdict.efficient))
-        print("components:", [[v + 1 for v in c] for c in verdict.components])
+        print(_paint(d["status"].upper(), verdict.efficient))
+        print("components:", d["scc_partition"])
         if not verdict.efficient:
-            print("source set:", [v + 1 for v in verdict.source_set])
-            print(
-                "dominating vector:",
-                " ".join(str(scalar_repr(x)) for x in verdict.dominator),
-            )
+            print("source set:", d["source_set"])
+            print("dominating vector:", " ".join(map(str, d["dominator"])))
     return 0 if verdict.efficient else 1
 
 

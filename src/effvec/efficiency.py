@@ -314,15 +314,14 @@ def extension_interval(
     w_minus_k must be efficient for A(k); the extension w is efficient iff
     lo <= w_k <= hi with lo/hi the min/max of w_i / a_ik over i != k.
     """
-    n = A.n
-    k = check_index(k, range(n), "k")
-    w_minus_k = check_positive_vector(w_minus_k, n - 1)
+    k = check_index(k, range(A.n), "k")
+    w_minus_k = check_positive_vector(w_minus_k, A.n - 1)
     if not is_efficient(A.delete(k), w_minus_k).efficient:
         raise PreconditionError(
             f"subvector is not efficient for A({k}); the interval rule does not apply"
         )
-    others = [i for i in range(n) if i != k]
-    ratios = [w_minus_k[p] / A[i, k] for p, i in enumerate(others)]
+    col = A.column(k)  # a float A's array column: its n^2 entries are not built
+    ratios = [x / a for x, a in zip(w_minus_k, col[:k] + col[k + 1:])]
     return ExtensionInterval(min(ratios), max(ratios))
 
 

@@ -13,14 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 
 from .blockpert import (ConstantBlockMatrix, ThreeBlockMatrix, three_block_membership,
-                        union_route_member)
-from .efficiency import extension_interval, is_efficient, subvector_efficiency_profile
+                        three_by_three_is_efficient, union_route_member)
+from .efficiency import (equal_tail_reduce, extension_interval, is_efficient,
+                         subvector_efficiency_profile)
 from .matrix import (
     MonomialSimilarity,
     ReciprocalMatrix,
     apply_similarity,
     block_matrix,
-    canonical_form,  # unused here; bench/ops.py imports it from this module
+    canonical_form,
     check_positive_scalar,
     detect_minimal_block,
     validate_reciprocal,
@@ -120,8 +121,11 @@ class Check:
 
 
 def _verdicts(*rows) -> list:
-    """One check per (name, matrix, vector, expected efficiency) row."""
-    return [Check(name, is_efficient(A, w).efficient == expect) for name, A, w, expect in rows]
+    """One check per (name, matrix, vector, expected efficiency) row, by
+    is_efficient and, on a 3-by-3 matrix, by the paper's 3-by-3 description."""
+    return [Check(name, is_efficient(A, w).efficient == expect
+                  and (A.n != 3 or three_by_three_is_efficient(A, w) == expect))
+            for name, A, w, expect in rows]
 
 
 def _extensions(name: str, A: ReciprocalMatrix, heads, block=None) -> Check:
@@ -142,6 +146,7 @@ def reproduce_reference_pairs() -> list:
     return _verdicts(
         ("reference (3,2,1,2) efficient", CC, (3, 2, 1, 2), True),
         ("reference (3,2,1) inefficient on leading 3-by-3", B3, (3, 2, 1), False),
+        ("column 1 of the leading 3-by-3 efficient for it", B3, B3.column(0), True),
     )
 
 
@@ -180,7 +185,11 @@ def reproduce_union_route() -> list:
                             ok and j + 1 == witness, f"j={j + 1}" if ok else "no witness"))
         checks.append(Check(f"{name} not in the j={routes[0]},{routes[1]} routes",
                             not any(union_route_member(A4, w, k - 1) for k in routes)))
-    return checks + _verdicts(("heads (13,8,7) not efficient for the block", B3, A6_U[:3], False))
+    # the equal-tail lemma: deleting one of two equal tail entries keeps the verdict
+    u, v = (equal_tail_reduce(canonical_form(B3, 6), w) for w in (A6_U, A6_V))
+    return checks + _verdicts(("heads (13,8,7) not efficient for the block", B3, A6_U[:3], False),
+                              ("u without an equal tail entry efficient for A_5", *u, True),
+                              ("v without an equal tail entry efficient for A_5", *v, True))
 
 
 def reproduce_profiles() -> list:

@@ -194,17 +194,24 @@ class ReciprocalMatrix:
         return self.entries[i]
 
     def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
+        if "entries" in self.__dict__:
+            return tuple(r[j] for r in self.entries)
+        return tuple(self.array[:, j].tolist())  # a float matrix that is its array
 
     def submatrix(self, keep: Sequence[int]) -> "ReciprocalMatrix":
         """Principal submatrix A[keep] (order of `keep` is preserved).  On
-        floats, the matrix that is a read-only slice of the array."""
+        floats, the matrix that is a read-only slice of the array; on exact
+        input it slices the parent's ratios too, when the parent holds them."""
         if not self.exact:
             a = self.array[np.ix_(keep, keep)]
             a.flags.writeable = False
             return ReciprocalMatrix._of_array(a)
-        rows = tuple(tuple(self.entries[i][j] for j in keep) for i in keep)
-        return ReciprocalMatrix(rows, self.exact)
+        grids = (self.entries, *self.__dict__.get("ratios", ()))
+        rows, *ratios = [tuple(tuple(g[i][j] for j in keep) for i in keep) for g in grids]
+        B = ReciprocalMatrix(rows, True)
+        if ratios:
+            B.__dict__["ratios"] = tuple(ratios)
+        return B
 
     def delete(self, i: int) -> "ReciprocalMatrix":
         """Principal submatrix A(i), deleting row and column i."""
@@ -439,8 +446,13 @@ class BlockPerturbedForm:
         """This form with B's indices reversed and a back map that reverses the
         head first, so both map back onto one matrix.  Its own inverse."""
         s, d, p = self.s, self.back_map.diag, self.back_map.perm
-        back = MonomialSimilarity(d[s - 1::-1] + d[s:], p[s - 1::-1] + p[s:])
+        back = MonomialSimilarity._unchecked(d[s - 1::-1] + d[s:], p[s - 1::-1] + p[s:])
         return BlockPerturbedForm(self.block.submatrix(range(s - 1, -1, -1)), self.n, back)
+
+    def oriented(self) -> "BlockPerturbedForm":
+        """This form on the paper's orientation, block[0, s-1] >= 1 (a13 >= 1 for
+        a 3-block, x >= 1 for C_s(x)): itself, or reversed() when it is < 1."""
+        return self if self.block[0, self.s - 1] >= 1 else self.reversed()
 
     def from_input(self, w: Sequence[Scalar]) -> Vector:
         """w, in the coordinates of the matrix the back map leads to, in this
@@ -452,8 +464,11 @@ class BlockPerturbedForm:
 
 
 def canonical_form(B: ReciprocalMatrix, n: int) -> BlockPerturbedForm:
-    """Wrap an already-canonical A_n(B) (identity back map)."""
+    """Wrap an already-canonical A_n(B) (identity back map); n >= s, as in
+    block_matrix."""
     n = check_integer(n, "n")
+    if n < B.n:
+        raise InputError(f"n = {n} smaller than block size {B.n}")
     return BlockPerturbedForm(B, n, MonomialSimilarity.identity(n))
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .blockpert import ConstantBlockMatrix
 from .efficiency import EfficiencyVerdict, is_efficient
 from .errors import InputError, InternalError, NoConvergence, PreconditionError
-from .matrix import BlockPerturbedForm, ReciprocalMatrix, block_matrix, check_size
+from .matrix import BlockPerturbedForm, ReciprocalMatrix, block_matrix, canonical_form, check_size
 
 TOL_PERRON = 1e-12
 #: power-iteration steps before NoConvergence
@@ -146,11 +146,10 @@ class ThreeBlockPerronConditions:
 
 def three_block_sufficient(B: ReciprocalMatrix) -> ThreeBlockPerronConditions:
     """Sufficient conditions for the Perron eigenvector of A_n(B) to be efficient, every
-    n >= 4.  They read B on its a13 >= 1 orientation: reversed, B[(2, 1, 0)], if a13 < 1."""
+    n >= 4, read on the block of canonical_form(B, 3).oriented(), where a13 >= 1."""
     if B.n != 3:
         raise InputError("need a 3-by-3 block")
-    if B[0, 2] < 1:
-        B = B.submatrix((2, 1, 0))
+    B = canonical_form(B, 3).oriented().block
     a12, a13, a23 = B[0, 1], B[0, 2], B[1, 2]
     q = a13 - a23 * a12
     if a12 >= 1 and a23 >= 1 and q <= 0:
@@ -167,14 +166,13 @@ def three_block_sufficient(B: ReciprocalMatrix) -> ThreeBlockPerronConditions:
 def constant_block_perron_check(M: ConstantBlockMatrix) -> EfficiencyVerdict:
     """The Perron eigenvector of A_n(C_s(x)) is always efficient.
 
-    On the x >= 1 orientation (M itself, or when x < 1 M's block with its
-    indices reversed, which is C_s(1/x)), asserts equal tails and the proof's
+    On M.oriented(), C_s(1/x) when x < 1, asserts equal tails and the proof's
     witness cycle s+1 -> s -> ... -> 1 -> s+1 in the digraph of the leading
     (s+1)-pair verdict; a missing edge signals a bug.
     """
     if M.n <= M.s:
         raise PreconditionError("need n > s for the Perron check")
-    form = M if M.x >= 1 else M.reversed()  # reversed, C_s(x) is C_s(1/x)
+    form = M.oriented()
     verdict = perron_efficiency_via_submatrix(form, perron(form.matrix()))
     if not verdict.digraph.has_cycle(tuple(range(M.s, -1, -1))):  # s -> ... -> 0 -> s
         raise InternalError(f"witness cycle missing for x={M.x}, s={M.s}, n={M.n}")

@@ -28,7 +28,6 @@ from effvec import (
     three_block_membership,
     three_by_three_is_efficient,
     transform_vector,
-    two_block_full_set_check,
     two_block_is_efficient,
     two_block_sample,
     union_route_member,
@@ -121,11 +120,13 @@ class TestTwoBlock:
             assert closed_form(form, w) and is_efficient(S.matrix(), w).efficient
 
     def test_full_set_route_agrees(self, rng):
+        """The chain test agrees with the {1,2,j} route of the union
+        characterization for every j."""
         for _ in range(100):
             S = TwoBlockMatrix(rand_frac(rng), 5)
-            two_block_full_set_check(S, rand_vector(5, rng))
-        with pytest.raises(InputError, match="full-set cross-check needs n >= 4"):
-            two_block_full_set_check(TwoBlockMatrix(F(3), 3), (3, 1, 2))
+            w = rand_vector(5, rng)
+            S3, chain = block_matrix(S.block, 3), two_block_is_efficient(S, w)
+            assert all(union_route_member(S3, w, j) == chain for j in range(2, S.n))
 
     @pytest.mark.parametrize("x", [F(3), F(1, 3), 0.5])
     def test_sampler_emits_efficient(self, rng, x):
@@ -300,6 +301,7 @@ class TestThreeBlockUnion:
         for _ in range(60):
             A = ThreeBlockMatrix(rand_reciprocal(3, rng), rng.randint(4, 7))
             An, sim = A.normalize()
+            assert An == A.oriented() and sim == An.back_map
             assert An.block[0, 2] >= 1 and An.n == A.n
             flipped = A.block[0, 2] < 1
             flips += flipped

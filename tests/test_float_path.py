@@ -17,7 +17,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from effvec import build_digraph, dominance_compare, io, is_efficient, validate_reciprocal
+from effvec import (build_digraph, dominance_compare, extension_interval, io, is_efficient,
+                    validate_reciprocal)
 from effvec.efficiency import EQUAL, INCOMPARABLE, TOL_EDGE, V_DOMINATES, W_DOMINATES
 from effvec.errors import EffvecError, InputError
 from effvec.io import parse_matrix_text, parse_scalar
@@ -349,6 +350,23 @@ def test_float_submatrix_slices_the_array():
     E.array  # an exact matrix that holds its float view keeps its entries
     assert E.submatrix((2, 0)) == ReciprocalMatrix(((F(1), F(1, 7)), (F(7), F(1))), True)
     assert E.to_float().delete(1) == ReciprocalMatrix(((1.0, 7.0), (1 / 7, 1.0)), False)
+
+
+def test_extension_interval_reads_the_array_column():
+    """On a float matrix that is its array, extension_interval reads column k
+    of the array and builds no entries; the interval is the per-entry one."""
+    rng = random.Random(29)
+    for n in (3, 9, 40):
+        A = parse_matrix_text(_random_csv(n, rng, repr))
+        tupled = ReciprocalMatrix(tuple(map(tuple, A.array.tolist())), False)
+        for k in (0, n // 2, n - 1):
+            w = tupled.delete(k).column(rng.randrange(n - 1))  # a column is efficient
+            iv = extension_interval(A, w, k)
+            assert "entries" not in A.__dict__
+            assert iv == extension_interval(tupled, w, k)
+            assert A.column(k) == tupled.column(k)
+            ratios = [x / tupled[i, k] for x, i in zip(w, (i for i in range(n) if i != k))]
+            assert (iv.lo, iv.hi) == (min(ratios), max(ratios))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 from a submodule that does not define it, or an effvec name inside a
 function body, and every module-level private name is used in its own
 module.  In src/effvec a float literal below 1e-6 (a tolerance or a slack)
-appears only in a module-level assignment, so each is named once."""
+appears only in a module-level assignment, so each is named once, and no
+module but efficiency.py reads G(A, w)'s adj array."""
 
 import ast
 import pathlib
@@ -308,3 +309,28 @@ def test_detects_small_float_literals(tmp_path):
         "    tol = 5e-10\n"
     )
     assert small_float_literals(probe) == [(6, 3e-9), (7, 1e-12), (8, 2e-7), (11, 5e-10)]
+
+
+def attribute_reads(path, name):
+    """Lines of the file that read an attribute `name`, as in `x.name`."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(path.read_text(), str(path)))
+                  if isinstance(n, ast.Attribute) and n.attr == name)
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.parent.name == "effvec"
+                                  and p.name != "efficiency.py"], ids=lambda p: p.name)
+def test_digraph_array_read_only_in_efficiency(path):
+    """efficiency.py alone knows how G(A, w) is stored: every other module
+    reads its edges through has_edge and has_cycle, never its adj array."""
+    assert attribute_reads(path, "adj") == []
+
+
+def test_detects_attribute_reads(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "G = f()\n"
+        "ok = G.adj[0, 1] and G.has_edge(1, 0)\n"
+        "adj = G.n\n"
+        "G.adj.any()\n"
+    )
+    assert attribute_reads(probe, "adj") == [2, 4]

@@ -41,7 +41,6 @@ from effvec import (
     three_block_sufficient,
     three_by_three_is_efficient,
     transform_vector,
-    two_block_full_set_check,
     two_block_is_efficient,
     two_block_sample,
     validate_reciprocal,
@@ -82,8 +81,6 @@ def calls(exact):
             MonomialSimilarity.scaling((x,) * 4), w)),
         "two_block_is_efficient": (4, lambda w: two_block_is_efficient(TwoBlockMatrix(x, 4), w)),
         "three_by_three_is_efficient": (3, lambda w: three_by_three_is_efficient(B, w)),
-        "two_block_full_set_check": (4, lambda w: two_block_full_set_check(
-            TwoBlockMatrix(x, 4), w)),
         "lcompl_membership": (5, lambda w: lcompl_membership(form, w)),
         "three_block_membership": (5, lambda w: three_block_membership(tbm, w)),
         "constant_block_class_check-s2": (4, lambda w: constant_block_class_check(

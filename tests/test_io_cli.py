@@ -699,6 +699,7 @@ REPRODUCE_ALL = """\
 [PASS] table row (1/2, 9, 2/5): efficient  (residual={r}, cycle 1->2->4->3)
 [PASS] reference (3,2,1,2) efficient
 [PASS] reference (3,2,1) inefficient on leading 3-by-3
+[PASS] column 1 of the leading 3-by-3 efficient for it
 [PASS] D^{-1} B D recovers the reference matrix
 [PASS] (15,8,8,12) efficient for C
 [PASS] scaled image (15,16,32,24) efficient for B
@@ -713,6 +714,8 @@ REPRODUCE_ALL = """\
 [PASS] v efficient with witness j=5  (j=5)
 [PASS] v not in the j=4,6 routes
 [PASS] heads (13,8,7) not efficient for the block
+[PASS] u without an equal tail entry efficient for A_5
+[PASS] v without an equal tail entry efficient for A_5
 [PASS] ex20 w efficient
 [PASS] ex20 profile(w) == {3,4}  ([3, 4])
 [PASS] ex20 v efficient
@@ -724,7 +727,7 @@ REPRODUCE_ALL = """\
 [PASS] interval for (7,3,2,1) is [1/3, 7/3]  ([1/3, 7/3])
 [PASS] interval for (7,3,2,7/3) is [2/3, 7/3]  ([2/3, 7/3])
 [PASS] 8-dim constant-block extensions efficient
-35/35 checks passed
+38/38 checks passed
 """
 
 
@@ -738,7 +741,7 @@ class TestReproduceCommand:
     def test_examples(self, capsys, monkeypatch):
         monkeypatch.setenv("EFFVEC_NO_COLOR", "1")
         assert main(["reproduce", "examples"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "27/27 checks passed"
+        assert capsys.readouterr().out.splitlines()[-1] == "30/30 checks passed"
 
     def test_all(self, capsys, monkeypatch):
         monkeypatch.setenv("EFFVEC_NO_COLOR", "1")

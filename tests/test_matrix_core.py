@@ -14,6 +14,7 @@ from effvec import (
     ReciprocalMatrix,
     apply_similarity,
     block_matrix,
+    canonical_form,
     consistent_from_vector,
     detect_minimal_block,
     geometric_mean_vector,
@@ -157,6 +158,13 @@ def test_block_matrix_sizes():
         block_matrix(B3, 2)
     with pytest.raises(InputError, match="^need n >= 2, got 1$"):
         block_matrix(B3.submatrix([0]), 1)
+
+
+def test_canonical_form_sizes():
+    """canonical_form rejects an n below the block size, as block_matrix does."""
+    with pytest.raises(InputError, match="^n = 2 smaller than block size 3$"):
+        canonical_form(B3, 2)
+    assert canonical_form(B3, 3).n == 3
 
 
 class TestBlockPerturbation:
@@ -426,6 +434,39 @@ def test_form_coordinates(backend):
             assert v == transform_vector(f.back_map.inverse(), w)
             assert is_efficient(f.matrix(), v).efficient == verdicts[-1]
     assert 10 <= sum(verdicts) <= 50
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_oriented(backend):
+    """oriented() is the form itself when block[0, s-1] >= 1 and reversed()
+    when it is < 1; its block has [0, s-1] >= 1, and it is its own oriented()."""
+    rng = random.Random(59)
+    flips = 0
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        A = scrambled_block(n, rng.randint(2, n - 1), rng)
+        form = detect_minimal_block(A if backend == "exact" else A.to_float()).form
+        flipped = form.block[0, form.s - 1] < 1
+        flips += flipped
+        oriented = form.oriented()
+        assert (oriented == form.reversed()) if flipped else (oriented is form)
+        assert oriented.block[0, form.s - 1] >= 1 and oriented.oriented() is oriented
+    assert 10 <= flips <= 50
+
+
+def test_exact_submatrix_slices_held_ratios():
+    """An exact submatrix slices the ratios its parent holds, equal to a fresh
+    split, so a reversed detected block holds them; a parent that holds none
+    passes none on."""
+    rng = random.Random(61)
+    for _ in range(40):
+        n = rng.randint(3, 8)
+        form = detect_minimal_block(scrambled_block(n, rng.randint(2, n - 1), rng)).form
+        block = form.reversed().block
+        assert "ratios" in block.__dict__
+        assert block.ratios == ReciprocalMatrix(block.entries, True).ratios  # split afresh
+    plain = ReciprocalMatrix(B3.entries, True)
+    assert "ratios" not in plain.submatrix((2, 0)).__dict__
 
 
 class TestBlockMatrixView:

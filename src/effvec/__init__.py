@@ -51,11 +51,9 @@ from .matrix import (
     apply_similarity,
     block_matrix,
     canonical_form,
-    consistent_from_vector,
     detect_minimal_block,
     geometric_mean_vector,
     is_block_perturbation,
-    is_consistent,
     transform_vector,
     validate_reciprocal,
 )

@@ -28,7 +28,6 @@ from .matrix import (
     check_permutation,
     check_positive_scalar,
     check_positive_vector,
-    float_view,
 )
 
 
@@ -96,7 +95,7 @@ class ThreeBlockMatrix(BlockPerturbedForm):
 
 def two_block_is_efficient(S: TwoBlockMatrix, w: Sequence[Scalar]) -> bool:
     """Chain test: w_1 between w_2 and x*w_2, and w_3..w_n between w_1 and w_2."""
-    w = _on_backend(S.block, check_positive_vector(w, S.n))
+    w = S.weights(w)
     return _within(w, (w[1], S.x * w[1]), (0,)) and _within(w, w[:2], range(2, S.n))
 
 
@@ -116,18 +115,10 @@ def three_by_three_is_efficient(B: ReciprocalMatrix, w: Sequence[Scalar]) -> boo
 # [min(head), max(head)].  _within tests that tail, _extend draws it.
 
 
-def _on_backend(block: ReciprocalMatrix, w: Vector) -> Vector:
-    """A checked w on the backend is_efficient reads for the pair (block, w):
-    Fractions when both are exact, else floats."""
-    if block.exact or type(w[0]) is not Fraction:
-        return w
-    return tuple(float_view(w, "vector entry").tolist())
-
-
 def _within(w: Sequence[Scalar], head: Sequence[Scalar], indices: Iterable[int]) -> bool:
     """Every w[i], i in indices, lies in [min(head), max(head)]: the edge rule
     with a = 1, written as build_digraph writes it on a float vector (w as
-    _on_backend returns it)."""
+    BlockPerturbedForm.weights returns it)."""
     lo, hi = min(head), max(head)
     if isinstance(w[0], float):
         return all(w[i] / lo >= 1.0 - TOL_EDGE and hi / w[i] >= 1.0 - TOL_EDGE for i in indices)
@@ -137,7 +128,7 @@ def _within(w: Sequence[Scalar], head: Sequence[Scalar], indices: Iterable[int])
 def lcompl_membership(form: BlockPerturbedForm, w: Sequence[Scalar]) -> bool:
     """Given w[0:s] efficient for the block, w is efficient for A_n(B) iff
     every tail entry lies in [min(head), max(head)]."""
-    w = _on_backend(form.block, check_positive_vector(w, form.n))
+    w = form.weights(w)
     head = w[: form.s]
     if not is_efficient(form.block, head).efficient:
         raise PreconditionError("w[0:s] is not efficient for the perturbed block")
@@ -232,7 +223,7 @@ def tail_permute(
 
 
 def _route(head_form: ReciprocalMatrix, w: Vector, j: int) -> bool:
-    """union_route_member on a checked w and j."""
+    """union_route_member on A_{s+1}(B), w as form.weights returns it and a checked j."""
     s = head_form.n - 1
     sub = w[:s] + (w[j],)
     if not is_efficient(head_form, sub).efficient:
@@ -240,12 +231,13 @@ def _route(head_form: ReciprocalMatrix, w: Vector, j: int) -> bool:
     return _within(w, sub, (i for i in range(s, len(w)) if i != j))
 
 
-def union_route_member(head_form: ReciprocalMatrix, w: Sequence[Scalar], j: int) -> bool:
-    """Route j >= s (0-based) of the union characterization, with head_form
-    the (s+1)-by-(s+1) matrix A_{s+1}(B): (w_0, ..., w_{s-1}, w_j) is
-    efficient for it and every other tail entry lies within its min/max."""
-    w = _on_backend(head_form, check_positive_vector(w, len(w)))
-    return _route(head_form, w, check_index(j, range(head_form.n - 1, len(w)), "j"))
+def union_route_member(form: BlockPerturbedForm, w: Sequence[Scalar], j: int) -> bool:
+    """Route j >= s (0-based) of the union characterization of A_n(B):
+    (w_0, ..., w_{s-1}, w_j) is efficient for A_{s+1}(B) and every other tail
+    entry lies within its min/max."""
+    w = form.weights(w)
+    return _route(block_matrix(form.block, form.s + 1), w,
+                  check_index(j, range(form.s, form.n), "j"))
 
 
 def three_block_membership(
@@ -255,7 +247,7 @@ def three_block_membership(
     (0-based) the 4-subvector (w_0, w_1, w_2, w_j) is efficient for the
     4-by-4 leading form and all other tail entries lie within its min/max.
     Returns the smallest witness j."""
-    w = _on_backend(A.block, check_positive_vector(w, A.n))
+    w = A.weights(w)
     A4 = block_matrix(A.block, 4)
     for j in range(3, A.n):
         if _route(A4, w, j):
@@ -298,7 +290,7 @@ def constant_block_class_check(M: ConstantBlockMatrix, w: Sequence[Scalar]) -> b
     within [min(h), max(h)].
     """
     form = M.oriented()
-    h = _on_backend(form.block, form.from_input(w))  # a family map moves only the head
+    h = form.from_input(w)  # a family map moves only the head
     G = build_digraph(form.block, h[: M.s])
     head_ok = G.has_cycle((0, 2, 1) if M.s > 2 else (0, 1)) and all(
         G.has_edge(0, i) and any(G.has_edge(i, k) for k in range(2, i))

@@ -24,6 +24,7 @@ from .matrix import (
     canonical_form,
     check_positive_scalar,
     detect_minimal_block,
+    is_block_perturbation,
     validate_reciprocal,
 )
 from .perron import TOL_PERRON, perron, perron_efficiency_via_submatrix
@@ -176,7 +177,6 @@ def reproduce_extension_families() -> list:
 def reproduce_union_route() -> list:
     """The j-route membership sets genuinely differ across j."""
     tbm = ThreeBlockMatrix(B3, 6)
-    A4 = block_matrix(B3, 4)
     checks = []
     # (name, vector, its smallest witness j, two routes j it is not in), j 1-based
     for name, w, witness, routes in (("u", A6_U, 4, (5, 6)), ("v", A6_V, 5, (4, 6))):
@@ -184,7 +184,7 @@ def reproduce_union_route() -> list:
         checks.append(Check(f"{name} efficient with witness j={witness}",
                             ok and j + 1 == witness, f"j={j + 1}" if ok else "no witness"))
         checks.append(Check(f"{name} not in the j={routes[0]},{routes[1]} routes",
-                            not any(union_route_member(A4, w, k - 1) for k in routes)))
+                            not any(union_route_member(tbm, w, k - 1) for k in routes)))
     # the equal-tail lemma: deleting one of two equal tail entries keeps the verdict
     u, v = (equal_tail_reduce(canonical_form(B3, 6), w) for w in (A6_U, A6_V))
     return checks + _verdicts(("heads (13,8,7) not efficient for the block", B3, A6_U[:3], False),
@@ -209,7 +209,10 @@ def reproduce_profiles() -> list:
         ("ex21 4-block head inefficient", EX21.submatrix(range(4)), EX21_W[:4], False))
     detected = detect_minimal_block(EX20)
     return checks + [Check("ex20 minimal perturbed block is {1,2,3,4}",
-                           detected is not None and detected.K == (0, 1, 2, 3))]
+                           detected is not None and detected.K == (0, 1, 2, 3)),
+                     Check("ex20 block perturbation on {1,2,3,4}, not on {1,2,3}",
+                           detected is not None and is_block_perturbation(EX20, range(3)) is None
+                           and is_block_perturbation(EX20, range(4)) == detected.form)]
 
 
 def reproduce_intervals() -> list:

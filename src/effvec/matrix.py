@@ -36,6 +36,8 @@ def is_exact_scalar(x: Scalar) -> bool:
 
 
 _EXACT_TYPES, _FRACTION = frozenset((int, Fraction)), frozenset((Fraction,))
+#: the truth values, which no intake takes as numbers (int and float accept them)
+_BOOLS = frozenset((bool, np.bool_))
 
 
 def _all_exact(values: Sequence) -> bool:
@@ -76,6 +78,8 @@ def check_positive_scalar(x: Scalar, name: str) -> Scalar:
         if not x.numerator > 0:
             raise InputError(f"{name} must be positive and finite, got {x}")
         return x if type(x) is Fraction else Fraction(x)
+    if type(x) in _BOOLS:
+        raise InputError(f"{name} must be a number, got {x!r}")
     if not 0 < x < math.inf:
         raise InputError(f"{name} must be positive and finite, got {x}")
     x = float(x)
@@ -92,15 +96,15 @@ def check_size(w: Sequence, n: int) -> None:
 
 def check_integer(i, name: str) -> int:
     """The one size and count check: i an integer, numpy's too (it has
-    __index__; a float such as 5.0 has not), as an int."""
-    if not hasattr(type(i), "__index__"):
+    __index__; a float such as 5.0 has not), but not a bool, as an int."""
+    if type(i) is bool or not hasattr(type(i), "__index__"):
         raise InputError(f"{name} = {i!r} is not an integer")
     return operator.index(i)
 
 
 def check_index(i, indices: range, name: str) -> int:
     """The one index check: i an integer by check_integer's rule, in indices."""
-    if not (hasattr(type(i), "__index__") and operator.index(i) in indices):
+    if type(i) is bool or not (hasattr(type(i), "__index__") and operator.index(i) in indices):
         raise InputError(f"{name} = {i!r} is not an integer in [{indices.start}, {indices.stop})")
     return operator.index(i)
 
@@ -109,7 +113,7 @@ def check_permutation(perm, n: int, what: str) -> None:
     """The one permutation check: perm holds each of 0..n-1 once, each an
     integer by check_index's rule (numpy's too); what names the n positions."""
     try:
-        ok = sorted(map(operator.index, perm)) == list(range(n))
+        ok = bool not in map(type, perm) and sorted(map(operator.index, perm)) == list(range(n))
     except TypeError:
         ok = False
     if not ok:
@@ -119,11 +123,14 @@ def check_permutation(perm, n: int, what: str) -> None:
 def check_positive_vector(w: Sequence[Scalar], n: int) -> Vector:
     """The one weight-vector check: n entries, each positive and finite.
     A vector of ints and Fractions comes back as Fractions, any other as
-    floats."""
+    floats; a bool entry is an InputError."""
     check_size(w, n)
     if n == 0:
         raise InputError("empty vector")
     exact = _all_exact(w)
+    if not exact and not _BOOLS.isdisjoint(map(type, w)):
+        bad = next(x for x in w if type(x) in _BOOLS)
+        raise InputError(f"vector entry {bad!r} is not a number")
     for x in w:
         # an exact entry is finite and has its sign on the numerator
         if not (x.numerator > 0 if exact else 0 < x < math.inf):
@@ -322,19 +329,6 @@ def _split(rows) -> tuple:
     return tuple(zip(*pairs))
 
 
-def consistent_from_vector(w: Sequence[Scalar]) -> ReciprocalMatrix:
-    """The consistent matrix w * w^(-T), i.e. a_ij = w_i / w_j."""
-    w = check_positive_vector(w, len(w))
-    return validate_reciprocal([[wi / wj for wj in w] for wi in w])
-
-
-def is_consistent(A: ReciprocalMatrix) -> bool:
-    """True iff a_ij == a_i0 * a_0j for every pair (exact backend: exactly),
-    i.e. K_0 is empty; then a_ij * a_jk == a_ik for every triple.  O(n^2),
-    stopping at the first bad pair."""
-    return _reference_block(A, 0, 0) is not None
-
-
 # ---------------------------------------------------------------------------
 # Monomial similarities
 
@@ -359,6 +353,8 @@ class MonomialSimilarity:
             raise DimensionMismatch("diag and perm sizes differ")
         check_permutation(self.perm, len(self.perm), "indices")
         for d in self.diag:
+            if type(d) in _BOOLS:
+                raise InputError(f"diagonal entry {d!r} is not a number")
             if not 0 < d < math.inf:
                 raise InputError(f"diagonal entry {d!r} is not positive and finite")
 
@@ -454,11 +450,20 @@ class BlockPerturbedForm:
         a 3-block, x >= 1 for C_s(x)): itself, or reversed() when it is < 1."""
         return self if self.block[0, self.s - 1] >= 1 else self.reversed()
 
-    def from_input(self, w: Sequence[Scalar]) -> Vector:
-        """w, in the coordinates of the matrix the back map leads to, in this
-        form's: the back map's inverse on vectors, entry k = w[perm[k]] / diag[k].
-        An exact unit diag[k] keeps w[perm[k]], as multiplying by Fraction(1) would."""
+    def weights(self, w: Sequence[Scalar]) -> Vector:
+        """w through check_positive_vector(w, n), as a tuple (not the array
+        ReciprocalMatrix.weights returns) on the backend is_efficient reads for
+        the pair (block, w): Fractions when both are exact, else floats."""
         w = check_positive_vector(w, self.n)
+        if self.block.exact or type(w[0]) is not Fraction:
+            return w
+        return tuple(float_view(w, "vector entry").tolist())
+
+    def from_input(self, w: Sequence[Scalar]) -> Vector:
+        """weights(w), from the coordinates of the matrix the back map leads to
+        into this form's: entry k = w[perm[k]] / diag[k].  An exact unit diag[k]
+        keeps w[perm[k]], as multiplying by Fraction(1) would."""
+        w = self.weights(w)
         return tuple(w[p] if d == 1 and is_exact_scalar(d) else _reciprocal(d) * w[p]
                      for d, p in zip(self.back_map.diag, self.back_map.perm))
 

@@ -21,6 +21,12 @@ def rand_reciprocal(n, rng):
     return validate_reciprocal(rows)
 
 
+def consistent_matrix(w):
+    """The consistent matrix with a_ij = w_i / w_j, for an exact w."""
+    w = [F(x) for x in w]
+    return validate_reciprocal([[wi / wj for wj in w] for wi in w])
+
+
 def rand_vector(n, rng):
     return tuple(rand_frac(rng, 1, 12) for _ in range(n))
 

@@ -110,14 +110,18 @@ class TestTwoBlock:
     def test_exact_vector_on_a_float_block(self):
         """An exact vector on a float block is read in floats, as is_efficient
         reads the pair: a tie moved by 1e-10 is still an edge in the 2-block
-        head, in an lcompl tail and in a class tail."""
+        head, in an lcompl tail, in a class tail and in a 3-block route's tail."""
         S = TwoBlockMatrix(3.0, 4)
+        T = ThreeBlockMatrix(validate_reciprocal(B3.array.tolist()), 6)
         tie = F(3) * (1 + F(1, 10**10))
+        u = (13, 8, 7, 12, 7, 7 * (1 - F(1, 10**10)))  # A6_U, its last entry below min(head)
         cases = [(two_block_is_efficient, S, (tie, 1, 2, 2)),
                  (lcompl_membership, canonical_form(S.block, 4), (3, 1, tie, 2)),
-                 (constant_block_class_check, ConstantBlockMatrix(3.0, 2, 4), (3, 1, tie, 2))]
+                 (constant_block_class_check, ConstantBlockMatrix(3.0, 2, 4), (3, 1, tie, 2)),
+                 (lambda form, w: three_block_membership(form, w) == (True, 3), T, u),
+                 (lambda form, w: union_route_member(form, w, 3), T, u)]
         for closed_form, form, w in cases:
-            assert closed_form(form, w) and is_efficient(S.matrix(), w).efficient
+            assert closed_form(form, w) and is_efficient(form.matrix(), w).efficient
 
     def test_full_set_route_agrees(self, rng):
         """The chain test agrees with the {1,2,j} route of the union
@@ -125,8 +129,8 @@ class TestTwoBlock:
         for _ in range(100):
             S = TwoBlockMatrix(rand_frac(rng), 5)
             w = rand_vector(5, rng)
-            S3, chain = block_matrix(S.block, 3), two_block_is_efficient(S, w)
-            assert all(union_route_member(S3, w, j) == chain for j in range(2, S.n))
+            chain = two_block_is_efficient(S, w)
+            assert all(union_route_member(S, w, j) == chain for j in range(2, S.n))
 
     @pytest.mark.parametrize("x", [F(3), F(1, 3), 0.5])
     def test_sampler_emits_efficient(self, rng, x):
@@ -523,7 +527,7 @@ class TestUnionRouteIntake:
     """union_route_member checks all of w and its route j, not only the
     (s+1)-subvector it reads."""
 
-    A4 = block_matrix(B3, 4)
+    T = ThreeBlockMatrix(B3, 6)
     W = (F(13), F(8), F(7), F(12), F(7), F(7))
 
     @pytest.mark.parametrize("i", [3, 5], ids=["first-tail", "last"])
@@ -531,13 +535,18 @@ class TestUnionRouteIntake:
     def test_bad_entry(self, i, bad):
         w = self.W[:i] + (bad,) + self.W[i + 1 :]
         with pytest.raises(InputError, match="is not positive and finite"):
-            union_route_member(self.A4, w, 4)
+            union_route_member(self.T, w, 4)
 
     @pytest.mark.parametrize("j", [2, 6])
     def test_route_outside_tail(self, j):
         with pytest.raises(InputError, match=rf"^j = {j} is not an integer in \[3, 6\)$"):
-            union_route_member(self.A4, self.W, j)
+            union_route_member(self.T, self.W, j)
+
+    @pytest.mark.parametrize("size", [5, 7])
+    def test_wrong_length(self, size):
+        with pytest.raises(DimensionMismatch, match=rf"^vector size {size} != 6$"):
+            union_route_member(self.T, (F(1),) * size, 3)
 
     def test_numpy_route(self):
-        assert union_route_member(self.A4, self.W, np.int64(3))
-        assert not union_route_member(self.A4, self.W, np.int64(4))
+        assert union_route_member(self.T, self.W, np.int64(3))
+        assert not union_route_member(self.T, self.W, np.int64(4))

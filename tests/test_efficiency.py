@@ -13,7 +13,6 @@ from effvec import (
     block_matrix,
     build_digraph,
     canonical_form,
-    consistent_from_vector,
     construct_dominating_vector,
     dominance_compare,
     equal_tail_reduce,
@@ -29,7 +28,7 @@ from effvec.efficiency import EQUAL, INCOMPARABLE, V_DOMINATES, W_DOMINATES, Com
 from effvec.errors import DimensionMismatch, PreconditionError
 from effvec.fixtures import A6_U, B3, CC, EX21, EX21_W
 
-from conftest import rand_reciprocal, rand_similarity, rand_vector
+from conftest import consistent_matrix, rand_reciprocal, rand_similarity, rand_vector
 
 
 class TestBuildDigraph:
@@ -113,7 +112,7 @@ def reference_components(G):
 
 class TestIsEfficient:
     def test_consistent_columns(self):
-        A = consistent_from_vector((1, 2, 5))
+        A = consistent_matrix((1, 2, 5))
         for j in range(3):
             assert is_efficient(A, A.column(j)).efficient
 
@@ -330,7 +329,7 @@ class TestExtension:
         assert not iv.lo <= F(1, 3) - F(1, 1000) <= iv.hi
 
     def test_consistent_degenerate(self):
-        A = consistent_from_vector((1, 2, 4, 8))
+        A = consistent_matrix((1, 2, 4, 8))
         sub = tuple(A.column(0)[i] for i in range(3))
         iv = extension_interval(A, sub, 3)
         assert iv.lo == iv.hi

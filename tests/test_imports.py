@@ -3,7 +3,8 @@ from a submodule that does not define it, or an effvec name inside a
 function body, and every module-level private name is used in its own
 module.  In src/effvec a float literal below 1e-6 (a tolerance or a slack)
 appears only in a module-level assignment, so each is named once, and no
-module but efficiency.py reads G(A, w)'s adj array."""
+module but efficiency.py reads G(A, w)'s adj array.  Every function the
+package exports has a caller outside the tests."""
 
 import ast
 import pathlib
@@ -334,3 +335,51 @@ def test_detects_attribute_reads(tmp_path):
         "G.adj.any()\n"
     )
     assert attribute_reads(probe, "adj") == [2, 4]
+
+
+def unreferenced_exports(init, paths):
+    """Functions that the package file init imports from its own modules and
+    that no file in paths reads (as a name or an attribute) outside the
+    function's own body."""
+    exported = {alias.name: init.parent / f"{node.module}.py"
+                for node in ast.parse(init.read_text(), str(init)).body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    functions = {name for name, module in exported.items()
+                 if any(isinstance(node, ast.FunctionDef) and node.name == name
+                        for node in ast.parse(module.read_text(), str(module)).body)}
+    read = set()
+    for path in paths:
+        for top in ast.parse(path.read_text(), str(path)).body:
+            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
+            if isinstance(top, ast.FunctionDef):
+                names.discard(top.name)
+            read |= names
+    return sorted(functions - read)
+
+
+#: exported functions with no caller yet, each with its ROADMAP item: item 3's
+#: to_input replaces transform_vector, and item 17 gives geometric_mean_vector one
+UNCALLED_EXPORTS = ["geometric_mean_vector", "transform_vector"]
+
+
+def test_every_export_has_a_caller():
+    src = ROOT / "src" / "effvec"
+    paths = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    assert unreferenced_exports(src / "__init__.py", paths) == UNCALLED_EXPORTS
+
+
+def test_detects_unreferenced_exports(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .mod import CONST, Klass, by_attribute, by_name, recursive, unused\n")
+    (tmp_path / "mod.py").write_text(
+        "CONST = 1\n\nclass Klass:\n    pass\n\n"
+        "def by_name():\n    return 0\n\n"
+        "def by_attribute():\n    return 0\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "def unused():\n    return by_name()\n")
+    (tmp_path / "user.py").write_text("import mod\n\nx = mod.by_attribute()\n")
+    paths = [tmp_path / "mod.py", tmp_path / "user.py"]
+    assert unreferenced_exports(tmp_path / "__init__.py", paths) == ["recursive", "unused"]

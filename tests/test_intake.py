@@ -3,7 +3,8 @@ matrix.check_positive_vector, on both backends: a wrong length is a
 DimensionMismatch worded "vector size a != b", and an entry that is not
 positive and finite is an InputError.  Values beyond the floats are
 InputErrors too, never a bare OverflowError.  Index arguments go through
-matrix.check_index, sizes and counts through matrix.check_integer."""
+matrix.check_index, sizes and counts through matrix.check_integer.  A bool,
+Python's or numpy's, is no number to any of them."""
 
 import math
 import random
@@ -43,11 +44,12 @@ from effvec import (
     transform_vector,
     two_block_is_efficient,
     two_block_sample,
+    union_route_member,
     validate_reciprocal,
 )
 from effvec import matrix
 from effvec.errors import DimensionMismatch, InputError
-from effvec.fixtures import B3, CC
+from effvec.fixtures import B3, CC, three_block_from_triple
 
 
 def backend(exact):
@@ -83,6 +85,7 @@ def calls(exact):
         "three_by_three_is_efficient": (3, lambda w: three_by_three_is_efficient(B, w)),
         "lcompl_membership": (5, lambda w: lcompl_membership(form, w)),
         "three_block_membership": (5, lambda w: three_block_membership(tbm, w)),
+        "union_route_member": (5, lambda w: union_route_member(tbm, w, 3)),
         "constant_block_class_check-s2": (4, lambda w: constant_block_class_check(
             ConstantBlockMatrix(x, 2, 4), w)),
         "constant_block_class_check-s3": (4, lambda w: constant_block_class_check(
@@ -114,6 +117,16 @@ class TestWeightVectorIntake:
         w = (1 if exact else 1.0,) * n
         for k in (0, n - 1):
             with pytest.raises(InputError, match="is not positive and finite"):
+                call(w[:k] + (bad,) + w[k + 1:])
+
+    @pytest.mark.parametrize("bad", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_bool_entry(self, name, exact, bad):
+        """A bool entry is no number, though int and float would read True as 1."""
+        n, call = calls(exact)[name]
+        w = (1 if exact else 1.0,) * n
+        message = rf"^vector entry {re.escape(repr(bad))} is not a number$"
+        for k in (0, n - 1):
+            with pytest.raises(InputError, match=message):
                 call(w[:k] + (bad,) + w[k + 1:])
 
 
@@ -173,7 +186,7 @@ class TestIntegerIntake:
     }
 
     @pytest.mark.parametrize("name", CALLS)
-    @pytest.mark.parametrize("bad", [5.0, 4.5, "5", F(5)])
+    @pytest.mark.parametrize("bad", [5.0, 4.5, "5", F(5), True, np.True_])
     def test_not_an_integer(self, name, bad):
         arg, call = self.CALLS[name]
         with pytest.raises(InputError, match=rf"^{arg} = {re.escape(repr(bad))} is not an integer$"):
@@ -195,6 +208,22 @@ class TestIntegerIntake:
             lcompl_sample(canonical_form(B3, 5), B3.column(0), rng(), 2.0)
         stream = constant_block_sample(ConstantBlockMatrix(2, 3, 5), rng(), None)
         assert len([next(stream) for _ in range(50)]) == 50
+
+
+@pytest.mark.parametrize("bad", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("call, message", [
+    (lambda b: TwoBlockMatrix(b, 4), "x must be a number, got {}"),
+    (lambda b: three_block_from_triple(2, 3, b), "a23 must be a number, got {}"),
+    (lambda b: MonomialSimilarity((2, b), (0, 1)), "diagonal entry {} is not a number"),
+    (lambda b: MonomialSimilarity((1, 2), (b, 0)), r"\(.*\) is not a permutation of the 2 indices"),
+    (lambda b: tail_permute(canonical_form(B3, 5), (1,) * 5, [0, b]),
+     r"\[0, .*\] is not a permutation of the 2 tail positions"),
+], ids=["scalar", "block-entry", "similarity-diagonal", "similarity-perm", "tail-perm"])
+def test_bool_is_not_a_number(call, message, bad):
+    """A bool parameter is an InputError, as a bool cell is to parse_scalar,
+    though int and float would read True as 1."""
+    with pytest.raises(InputError, match="^" + message.format(re.escape(repr(bad))) + "$"):
+        call(bad)
 
 
 class TestDominatorInput:
@@ -276,7 +305,7 @@ class TestIndexIntake:
     }
 
     @pytest.mark.parametrize("name", CALLS)
-    @pytest.mark.parametrize("i", [1.5, 0.5, -1, 4, 7, "1"])
+    @pytest.mark.parametrize("i", [1.5, 0.5, -1, 4, 7, "1", True, np.True_])
     def test_bad_index(self, name, i):
         with pytest.raises(InputError,
                            match=rf"^{name} = {re.escape(repr(i))} is not an integer in \[0, 4\)$"):

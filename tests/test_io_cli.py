@@ -724,10 +724,11 @@ REPRODUCE_ALL = """\
 [PASS] ex21 profile == {5,6}  ([5, 6])
 [PASS] ex21 4-block head inefficient
 [PASS] ex20 minimal perturbed block is {1,2,3,4}
+[PASS] ex20 block perturbation on {1,2,3,4}, not on {1,2,3}
 [PASS] interval for (7,3,2,1) is [1/3, 7/3]  ([1/3, 7/3])
 [PASS] interval for (7,3,2,7/3) is [2/3, 7/3]  ([2/3, 7/3])
 [PASS] 8-dim constant-block extensions efficient
-38/38 checks passed
+39/39 checks passed
 """
 
 
@@ -741,7 +742,7 @@ class TestReproduceCommand:
     def test_examples(self, capsys, monkeypatch):
         monkeypatch.setenv("EFFVEC_NO_COLOR", "1")
         assert main(["reproduce", "examples"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "30/30 checks passed"
+        assert capsys.readouterr().out.splitlines()[-1] == "31/31 checks passed"
 
     def test_all(self, capsys, monkeypatch):
         monkeypatch.setenv("EFFVEC_NO_COLOR", "1")

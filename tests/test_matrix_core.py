@@ -15,11 +15,9 @@ from effvec import (
     apply_similarity,
     block_matrix,
     canonical_form,
-    consistent_from_vector,
     detect_minimal_block,
     geometric_mean_vector,
     is_block_perturbation,
-    is_consistent,
     is_efficient,
     transform_vector,
     validate_reciprocal,
@@ -28,7 +26,7 @@ from effvec import matrix
 from effvec.errors import DimensionMismatch, InputError
 from effvec.fixtures import B3, B_SCALED, CC, D_SCALED, EX20
 
-from conftest import rand_reciprocal, rand_similarity, rand_vector
+from conftest import consistent_matrix, rand_reciprocal, rand_similarity, rand_vector
 
 
 class TestValidate:
@@ -80,18 +78,20 @@ class TestValidate:
 
 
 class TestConsistency:
+    """A matrix is consistent iff its minimal block is K = (0,)."""
+
     def test_all_ones(self):
-        assert is_consistent(validate_reciprocal([[1] * 4] * 4))
+        assert detect_minimal_block(validate_reciprocal([[1] * 4] * 4)).K == (0,)
 
     def test_ratio_matrix(self):
-        assert is_consistent(consistent_from_vector((1, 2, 4)))
+        assert detect_minimal_block(consistent_matrix((1, 2, 4))).K == (0,)
 
     def test_reference_matrix_not(self):
         # a12 * a23 = 1 != 3 = a13
-        assert not is_consistent(CC)
+        assert detect_minimal_block(CC).K != (0,)
 
     def test_n2_always(self):
-        assert is_consistent(validate_reciprocal([[1, 7], [F(1, 7), 1]]))
+        assert detect_minimal_block(validate_reciprocal([[1, 7], [F(1, 7), 1]])).K == (0,)
 
 
 class TestSimilarity:
@@ -169,7 +169,7 @@ def test_canonical_form_sizes():
 
 class TestBlockPerturbation:
     def test_consistent_trivial_block(self):
-        A = consistent_from_vector((1, 2, 4, 8))
+        A = consistent_matrix((1, 2, 4, 8))
         form = is_block_perturbation(A, {0})
         assert form is not None
         assert form.block.n == 1 or form.block.entries == ((F(1),),)
@@ -285,29 +285,31 @@ def test_block_form_matches_reference(backend):
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_consistency_matches_triple_definition(backend):
-    """Float inputs are exact rationals: consistent ones are off by rounding
-    only, inconsistent ones by far more than TOL_CONS."""
+    """Detection finds the 1-block K = (0,) iff the matrix is consistent
+    (K_0 is empty).  Float inputs are exact rationals: consistent ones are
+    off by rounding only, inconsistent ones by far more than TOL_CONS, so
+    detection answers on every one."""
     rng = random.Random(31)
     verdicts = []
     for _ in range(120):
         n = rng.randint(2, 7)
         kind = rng.randrange(3)
         if kind == 0:
-            A = consistent_from_vector(rand_vector(n, rng))
+            A = consistent_matrix(rand_vector(n, rng))
         elif kind == 1:
             A = coarse_reciprocal(n, rng)
         else:
             A = scrambled_block(n + 1, rng.randint(2, n), rng)
         if backend == "float":
             A = A.to_float()
-        verdicts.append(is_consistent(A))
+        verdicts.append(detect_minimal_block(A).K == (0,))
         assert verdicts[-1] == triple_consistent(A)
     assert 20 <= sum(verdicts) <= 100
 
 
 class TestDetectMinimalBlock:
     def test_consistent(self):
-        d = detect_minimal_block(consistent_from_vector((1, 2, 3)))
+        d = detect_minimal_block(consistent_matrix((1, 2, 3)))
         assert d is not None and len(d.K) == 1
 
     def test_four_block(self):
@@ -317,7 +319,7 @@ class TestDetectMinimalBlock:
     def test_scrambled_three_block(self, rng):
         for _ in range(5):
             B = rand_reciprocal(3, rng)
-            if is_consistent(B):
+            if triple_consistent(B):
                 continue
             A = apply_similarity(block_matrix(B, 6), rand_similarity(6, rng))
             d = detect_minimal_block(A)
@@ -326,7 +328,7 @@ class TestDetectMinimalBlock:
     def test_exact_minimal_large_n(self, rng):
         for n in (9, 10):
             B = rand_reciprocal(3, rng)
-            assert not is_consistent(B)
+            assert not triple_consistent(B)
             A = apply_similarity(block_matrix(B, n), rand_similarity(n, rng))
             d = detect_minimal_block(A)
             assert d.K == brute_force_block(A)
@@ -366,7 +368,7 @@ def test_detection_scans_each_reference_once(backend, scans):
     M = MonomialSimilarity((F(2), F(1, 3), F(5), F(1), F(7, 2), F(3, 4), F(9)),
                            (3, 5, 6, 0, 1, 2, 4))
     A = apply_similarity(block_matrix(B3, 7), M)
-    C = consistent_from_vector((1, 2, 3, 5))
+    C = consistent_matrix((1, 2, 3, 5))
     if backend == "float":
         A, C = A.to_float(), C.to_float()
     assert detect_minimal_block(A).K == (3, 5, 6) and scans == [0]
@@ -393,7 +395,7 @@ def test_reference_block_underflow_is_a_bad_pair():
     """A float product a_ir * a_rj that underflows to 0 marks its pair."""
     A = validate_reciprocal([[1, 1e200, 1e-200], [1e-200, 1, 0.5], [1e200, 2, 1]])
     assert matrix._reference_block(A, 0, 2) == {1, 2}
-    assert not is_consistent(A)
+    assert matrix._reference_block(A, 0, 0) is None
 
 
 @pytest.mark.parametrize("rows", [
@@ -520,7 +522,7 @@ class TestGeometricMean:
         assert geometric_mean_vector(CC, [2]) == CC.column(2)
 
     def test_consistent_multiple_of_column(self):
-        A = consistent_from_vector((1, 2, 4))
+        A = consistent_matrix((1, 2, 4))
         g = geometric_mean_vector(A, [0, 1, 2])
         ratios = [gi / float(c) for gi, c in zip(g, A.column(0))]
         assert max(ratios) / min(ratios) == pytest.approx(1.0, rel=1e-12)
@@ -537,5 +539,5 @@ class TestGeometricMean:
 def test_consistency_iff_rank_one_reconstruction(rng):
     for _ in range(30):
         A = rand_reciprocal(4, rng)
-        recon = consistent_from_vector(A.column(0))
-        assert is_consistent(A) == (recon.entries == A.entries)
+        recon = consistent_matrix(A.column(0))
+        assert (detect_minimal_block(A).K == (0,)) == (recon.entries == A.entries)

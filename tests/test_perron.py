@@ -13,7 +13,6 @@ from effvec import (
     ThreeBlockMatrix,
     block_matrix,
     canonical_form,
-    consistent_from_vector,
     constant_block_perron_check,
     is_efficient,
     perron,
@@ -27,7 +26,7 @@ from effvec.io import parse_matrix_text
 from effvec.perron import MAX_QUOTIENT, STALL_ITER
 from effvec.fixtures import B3, CC, three_block_from_triple
 
-from conftest import rand_reciprocal
+from conftest import consistent_matrix, rand_reciprocal
 
 
 @pytest.mark.parametrize("rows", [
@@ -166,7 +165,7 @@ class TestQuotientRoute:
 
 class TestPerron:
     def test_consistent_eigenpair(self):
-        A = consistent_from_vector((1, 2, 4, 8))
+        A = consistent_matrix((1, 2, 4, 8))
         r = perron(A)
         assert r.lam == pytest.approx(4.0, abs=1e-10)
         assert r.residual <= 1e-12

@@ -36,6 +36,7 @@ from .efficiency import (
     dominance_compare,
     equal_tail_reduce,
     extension_interval,
+    form_verdict,
     is_efficient,
     is_strongly_connected,
     strongly_connected_components,

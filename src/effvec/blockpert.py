@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InputError, InternalError, PreconditionError
-from .efficiency import TOL_EDGE, build_digraph, is_efficient
+from .efficiency import TOL_EDGE, build_digraph, form_is_efficient, is_efficient
 from .matrix import (
     BlockPerturbedForm,
     MonomialSimilarity,
@@ -94,8 +94,18 @@ class ThreeBlockMatrix(BlockPerturbedForm):
 
 
 def two_block_is_efficient(S: TwoBlockMatrix, w: Sequence[Scalar]) -> bool:
-    """Chain test: w_1 between w_2 and x*w_2, and w_3..w_n between w_1 and w_2."""
+    """Chain test: w_1 between w_2 and x*w_2, and w_3..w_n between w_1 and w_2.
+    On floats, form_is_efficient: the tolerant edge relation is not
+    transitive, so a chain of tolerant ties is no chain."""
     w = S.weights(w)
+    if isinstance(w[0], float):
+        return form_is_efficient(S, w)
+    return _chain(S, w)
+
+
+def _chain(S: TwoBlockMatrix, w: Vector) -> bool:
+    """The chain, w as S.weights returns it: the verdict on exact input, and on
+    floats the bounds two_block_sample draws in."""
     return _within(w, (w[1], S.x * w[1]), (0,)) and _within(w, w[:2], range(2, S.n))
 
 
@@ -127,11 +137,14 @@ def _within(w: Sequence[Scalar], head: Sequence[Scalar], indices: Iterable[int])
 
 def lcompl_membership(form: BlockPerturbedForm, w: Sequence[Scalar]) -> bool:
     """Given w[0:s] efficient for the block, w is efficient for A_n(B) iff
-    every tail entry lies in [min(head), max(head)]."""
+    every tail entry lies in [min(head), max(head)].  On floats,
+    form_is_efficient, as in two_block_is_efficient."""
     w = form.weights(w)
     head = w[: form.s]
     if not is_efficient(form.block, head).efficient:
         raise PreconditionError("w[0:s] is not efficient for the perturbed block")
+    if isinstance(w[0], float):
+        return form_is_efficient(form, w)
     return _within(w, head, range(form.s, form.n))
 
 
@@ -184,13 +197,14 @@ def two_block_sample(
 ) -> Iterator[GeneratedVector]:
     """Stream of chain vectors for S(x), normalized to w_2 = 1.
 
-    w_1 is drawn between w_2 and x*w_2 and the tail between w_1 and w_2, so
-    every emitted vector passes two_block_is_efficient.
+    w_1 is drawn between w_2 and x*w_2 and the tail between w_1 and w_2, and
+    every emitted vector is checked against that chain, on floats too, so the
+    form_verdict that generate certifies with is a second, independent test.
     """
     one = S.x ** 0
     ends = sorted((one, S.x))
     for g in _stream(lambda: (_sample_in(*ends, rng), one), S.n, rng, count):
-        if not two_block_is_efficient(S, g.vector):
+        if not _chain(S, S.weights(g.vector)):
             raise InternalError(f"two-block sampler produced non-chain vector {g.vector}")
         yield g
 

@@ -24,7 +24,7 @@ from .blockpert import (
     three_block_generate,
     two_block_sample,
 )
-from .efficiency import is_efficient
+from .efficiency import form_verdict, is_efficient
 from .errors import EffvecError, InputError, InternalError
 from .io import load_matrix, load_vector, parse_scalar, scalar_repr
 from .matrix import detect_minimal_block
@@ -104,21 +104,21 @@ def _three_block_seed_stream(rng):
 
 def _two_block_stream(args, rng):
     S = TwoBlockMatrix(parse_scalar(args.x), args.n)
-    return S.matrix(), two_block_sample(S, rng)
+    return S, two_block_sample(S, rng)
 
 
 def _three_block_stream(args, rng):
     B = fixtures.three_block_from_triple(*map(parse_scalar, (args.a12, args.a13, args.a23)))
     tbm = ThreeBlockMatrix(B, args.n)
-    return tbm.matrix(), three_block_generate(tbm, _three_block_seed_stream(rng), rng)
+    return tbm, three_block_generate(tbm, _three_block_seed_stream(rng), rng)
 
 
 def _constant_stream(args, rng):
     M = ConstantBlockMatrix(parse_scalar(args.x), args.s, args.n)
-    return M.matrix(), constant_block_sample(M, rng)
+    return M, constant_block_sample(M, rng)
 
 
-#: generate's families: the builder of (matrix, stream of GeneratedVector)
+#: generate's families: the builder of (form, stream of GeneratedVector)
 #: and the parameters it reads, each required, with its argparse type
 _FAMILIES = {
     "2block": (_two_block_stream, {"--x": str}),
@@ -131,10 +131,12 @@ def cmd_generate(args) -> int:
     if args.count < 0:
         raise InputError(f"--count must be >= 0, got {args.count}")
     rng = random.Random(args.seed)
-    A, stream = args.family_stream(args, rng)
+    form, stream = args.family_stream(args, rng)
     for g in islice(stream, args.count):
-        # self-certify before emission
-        if not is_efficient(A, g.vector).efficient:
+        # self-certify before emission, on the form: O(s^2 + n log n) per vector.
+        # The only full verdict a vector meets: two_block_sample checks its draw
+        # by the chain, three_block_generate its 4-vector seed.
+        if not form_verdict(form, g.vector).efficient:
             raise InternalError(f"generated vector failed the digraph test: {g}")
         print(
             json.dumps(

@@ -10,17 +10,19 @@ vector that strictly dominates w.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError, PreconditionError
 from .io import scalar_repr
 from .matrix import (
+    BlockPerturbedForm,
     ReciprocalMatrix,
     Scalar,
     Vector,
@@ -70,6 +72,26 @@ class ComparisonDigraph:
         return all(self.has_edge(cycle[k], cycle[(k + 1) % m]) for k in range(m))
 
 
+class _FormDigraph(ComparisonDigraph):
+    """G(A_n(B), w) of a form_verdict: has_edge is the edge test, O(1), so a
+    cycle is checked without the n-by-n adj, which build() makes on first read:
+    _digraph on form.matrix(), so it is build_digraph's."""
+
+    def __init__(self, n: int, edge: Callable[[int, int], bool], build: Callable[[], np.ndarray]):
+        self.__dict__.update(_n=n, _edge=edge, _build=build)
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @cached_property
+    def adj(self) -> np.ndarray:
+        return self._build()
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return self._edge(i, j)
+
+
 def build_digraph(A: ReciprocalMatrix, w: Sequence[Scalar]) -> ComparisonDigraph:
     """Edge i->j iff w_i/w_j >= a_ij (float backend: >= a_ij*(1 - TOL_EDGE))."""
     return _digraph(A, A.weights(w))
@@ -97,13 +119,18 @@ def _digraph(A: ReciprocalMatrix, w) -> ComparisonDigraph:
 
 
 def strongly_connected_components(G: ComparisonDigraph) -> list:
-    """Strong components of the semicomplete G, sink first, as sorted tuples.
+    """Strong components of the semicomplete G, sink first, as sorted tuples."""
+    return _landau_cut((G.adj.sum(axis=1) - G.adj.sum(axis=0)).tolist())
 
-    A k-set's score sum (out - in) is edges leaving minus edges entering, at most
-    k(n-k), with equality iff it heads the condensation; such a set outscores the rest.
+
+def _landau_cut(score: list) -> list:
+    """The strong components of a semicomplete digraph from its Landau scores
+    (out - in), sink first, as sorted tuples.
+
+    A k-set's score sum is edges leaving minus edges entering, at most k(n-k),
+    with equality iff it heads the condensation; such a set outscores the rest.
     """
-    n = G.n
-    score = (G.adj.sum(axis=1) - G.adj.sum(axis=0)).tolist()
+    n = len(score)
     order = sorted(range(n), key=score.__getitem__, reverse=True)  # stable
     comps = []
     start = total = 0
@@ -240,6 +267,77 @@ def is_efficient(A: ReciprocalMatrix, w: Sequence[Scalar]) -> EfficiencyVerdict:
     if len(comps) == 1:
         return EfficiencyVerdict(comps, G)
     return EfficiencyVerdict(comps, G, _dominator(A, w, comps[-1]))
+
+
+def form_verdict(form: BlockPerturbedForm, w: Sequence[Scalar]) -> EfficiencyVerdict:
+    """is_efficient(form.matrix(), w), w in the form's coordinates, from the
+    Landau scores of G(A_n(B), w) without building it.
+
+    Head pairs read B by build_digraph's rule.  Every pair with a tail end has
+    a = 1, so a vertex's edges to and from those partners are a prefix and a
+    suffix of their sorted values, counted by bisection with the same
+    predicate: a tolerant float tie counts in both directions, as in
+    build_digraph.  O(s^2 + n log n), plus O(|S| (n - |S|)) for an
+    inefficient verdict's dominator.  The verdict's digraph answers has_edge
+    and has_cycle by the same tests, and is built, O(n^2), when its adj is read.
+    """
+    w = form.weights(w)
+    comps, edge = _form_cut(form, w)
+
+    def adj():
+        A = form.matrix()
+        return _digraph(A, A.weights(w)).adj
+
+    G = _FormDigraph(form.n, edge, adj)
+    if len(comps) == 1:
+        return EfficiencyVerdict(comps, G)
+    A = form.matrix()
+    return EfficiencyVerdict(comps, G, _dominator(A, A.weights(w), comps[-1]))
+
+
+def form_is_efficient(form: BlockPerturbedForm, w: Sequence[Scalar]) -> bool:
+    """form_verdict(form, w).efficient in O(s^2 + n log n) on every w: the
+    components alone, with no dominator.  The float closed forms call it."""
+    return len(_form_cut(form, form.weights(w))[0]) == 1
+
+
+def _form_cut(form: BlockPerturbedForm, w: Vector) -> tuple:
+    """(components of G(A_n(B), w), sink first, and its edge test), w as
+    form.weights returns it."""
+    s, n = form.s, form.n
+    exact = type(w[0]) is Fraction
+    if exact:  # w_i/w_j >= p/q iff W_i * q >= p * W_j
+        x = _integers(w)
+        P, Q = form.block.ratios
+
+        def edge(i, j):  # i -> j in G(A_n(B), w): a = p/q on the head, 1 elsewhere
+            p, q = (P[i][j], Q[i][j]) if i < s and j < s else (1, 1)
+            return i != j and x[i] * q >= p * x[j]
+    else:
+        x, c, b = w, 1.0 - TOL_EDGE, form.block.array.tolist()
+
+        def edge(i, j):
+            a = b[i][j] if i < s and j < s else 1.0
+            return i != j and x[i] / x[j] >= a * c
+    score = [0] * n
+    for i in range(s):
+        for j in range(i + 1, s):
+            d = edge(i, j) - edge(j, i)
+            score[i] += d
+            score[j] -= d
+    # a head vertex meets a = 1 on the tail, a tail vertex on every vertex (its
+    # pair with itself counts once each way)
+    for pool, vertices in ((x[s:], range(s)), (x, range(s, n))):
+        up = sorted(pool)
+        if exact:  # edges v -> k where x_k <= x_v, k -> v where x_k >= x_v
+            for v in vertices:
+                score[v] += bisect_right(up, x[v]) + bisect_left(up, x[v]) - len(up)
+            continue
+        down = up[::-1]  # x_k / x_v rises along up, x_v / x_k along down
+        for v in vertices:
+            xv = x[v]
+            score[v] += bisect_left(up, c, key=xv.__rtruediv__) - bisect_left(down, c, key=xv.__truediv__)
+    return tuple(_landau_cut(score)), edge
 
 
 def dominance_compare(

@@ -285,6 +285,7 @@ def validate_reciprocal(grid: Sequence[Sequence[Scalar]]) -> ReciprocalMatrix:
             raise InputError("grid is not square")
     if not all(map(_all_exact, grid)):
         # float backend, on the array; errors name the first bad entry in row-major order
+        _reject_bools(grid)
         a = float_view(grid, "entry")
         if not (a > 0).all():
             i, j = np.argwhere(~(a > 0))[0]
@@ -321,6 +322,21 @@ def validate_reciprocal(grid: Sequence[Sequence[Scalar]]) -> ReciprocalMatrix:
     A = ReciprocalMatrix(rows, True)
     A.__dict__["ratios"] = ratios  # fill the cached property
     return A
+
+
+def _reject_bools(grid) -> None:
+    """InputError naming the first bool cell of a grid bound for the float
+    backend, whose float_view reads True as 1.0: an array by its dtype, Python
+    cells by their types (an all-exact row has none)."""
+    dtype = getattr(grid, "dtype", None)
+    if dtype is not None and dtype != object:
+        if dtype == bool:
+            raise InputError(f"entry (0,0) = {grid[0][0]!r} is not a number")
+        return
+    for i, r in enumerate(grid):
+        if not _BOOLS.isdisjoint(map(type, r)):
+            j = next(j for j, x in enumerate(r) if type(x) in _BOOLS)
+            raise InputError(f"entry ({i},{j}) = {r[j]!r} is not a number")
 
 
 def _split(rows) -> tuple:

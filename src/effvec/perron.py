@@ -23,14 +23,15 @@ from typing import Optional
 import numpy as np
 
 from .blockpert import ConstantBlockMatrix
-from .efficiency import EfficiencyVerdict, is_efficient
+from .efficiency import EfficiencyVerdict, form_verdict
 from .errors import InputError, InternalError, NoConvergence, PreconditionError
-from .matrix import BlockPerturbedForm, ReciprocalMatrix, block_matrix, canonical_form, check_size
+from .matrix import BlockPerturbedForm, ReciprocalMatrix, canonical_form, check_size
 
 TOL_PERRON = 1e-12
 #: power-iteration steps before NoConvergence
 MAX_ITER = 200_000
-#: steps without a new smallest residual before NoConvergence
+#: steps without a new smallest residual before NoConvergence; also the window
+#: over which the smallest residual's rate must promise TOL_PERRON by MAX_ITER
 STALL_ITER = 10_000
 #: largest quotient order s + 1 that perron solves directly
 MAX_QUOTIENT = 64
@@ -52,8 +53,9 @@ def perron(A: ReciprocalMatrix) -> PerronResult:
     that of the n-by-n pair, since each head row of A w is a row of R_m q and
     every tail row equals the last one.  Otherwise, or if that pair is not
     positive with a residual below TOL_PERRON, power iteration from the
-    all-ones vector; NoConvergence after MAX_ITER steps or STALL_ITER without
-    progress."""
+    all-ones vector; NoConvergence after MAX_ITER steps, after STALL_ITER
+    without progress, or once the last STALL_ITER steps' progress, kept up,
+    would not reach TOL_PERRON within MAX_ITER."""
     B = A._block
     if B is not None and B.n < A.n and B.n + 1 <= MAX_QUOTIENT:
         r = _quotient_pair(B.array, A.n - B.n)
@@ -91,6 +93,7 @@ def _power_iteration(M: np.ndarray) -> PerronResult:
     v = np.ones(n)
     lam_prev = 0.0
     best, best_it = np.inf, 0
+    mark = np.inf  # best at the last multiple of STALL_ITER steps
     with np.errstate(over="ignore", invalid="ignore"):  # only in u and lam: checked below
         for it in range(1, MAX_ITER + 1):
             u = M @ v
@@ -105,10 +108,24 @@ def _power_iteration(M: np.ndarray) -> PerronResult:
                 best, best_it = residual, it
             elif it - best_it >= STALL_ITER:
                 break
+            if it % STALL_ITER == 0:
+                if _too_slow(mark, best, it):
+                    break
+                mark = best
             lam_prev = lam
             v = u / u[-1]
     raise NoConvergence(f"power iteration did not reach {TOL_PERRON} in {it} steps "
                         f"(smallest residual {best:.3g})")
+
+
+def _too_slow(mark: float, best: float, it: int) -> bool:
+    """At step it, a multiple of STALL_ITER: True if the smallest residual,
+    falling from mark to best over the last STALL_ITER steps, would not reach
+    TOL_PERRON within MAX_ITER at that geometric rate."""
+    if not (TOL_PERRON < best < mark < np.inf):
+        return False
+    rate = math.log(best / mark) / STALL_ITER  # < 0: log residual per step
+    return math.log(TOL_PERRON / best) / rate > MAX_ITER - it
 
 
 @dataclass(frozen=True)
@@ -128,11 +145,12 @@ def perron_tail_structure(form: BlockPerturbedForm, r: PerronResult) -> TailStru
 def perron_efficiency_via_submatrix(
     form: BlockPerturbedForm, r: PerronResult
 ) -> EfficiencyVerdict:
-    """Verdict from the leading (s+1)-by-(s+1) pair only; by the equal-tail
-    structure it equals the full-matrix verdict."""
+    """Verdict from the leading (s+1)-by-(s+1) pair only, A_{s+1}(B) and
+    r.w[:s+1], by form_verdict; by the equal-tail structure it equals the
+    full-matrix verdict."""
     if not perron_tail_structure(form, r).ok:
         raise PreconditionError("Perron tail entries are not equal within tolerance")
-    return is_efficient(block_matrix(form.block, form.s + 1), r.w[: form.s + 1])
+    return form_verdict(canonical_form(form.block, form.s + 1), r.w[: form.s + 1])
 
 
 @dataclass(frozen=True)
@@ -168,7 +186,8 @@ def constant_block_perron_check(M: ConstantBlockMatrix) -> EfficiencyVerdict:
 
     On M.oriented(), C_s(1/x) when x < 1, asserts equal tails and the proof's
     witness cycle s+1 -> s -> ... -> 1 -> s+1 in the digraph of the leading
-    (s+1)-pair verdict; a missing edge signals a bug.
+    (s+1)-pair verdict, edge by edge (its adj is not built); a missing edge
+    signals a bug.
     """
     if M.n <= M.s:
         raise PreconditionError("need n > s for the Perron check")

@@ -226,6 +226,27 @@ def test_bool_is_not_a_number(call, message, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("grid, cell", [
+    ([[True, 2], [0.5, 1]], "(0,0) = True"),
+    ([[True, True], [True, True]], "(0,0) = True"),
+    ([[1, 2.0, 1], [0.5, 1, 1], [1, np.True_, 1]], "(2,1) = np.True_"),
+    (np.array([[True, True], [True, True]]), "(0,0) = np.True_"),
+    (np.array([[1, 2.0], [0.5, True]], dtype=object), "(1,1) = True"),
+], ids=["list", "all-bool-list", "numpy-bool-cell", "bool-array", "object-array"])
+def test_validate_rejects_bool_cells(grid, cell):
+    """A bool cell of a grid bound for the float backend is no entry 1.0."""
+    with pytest.raises(InputError, match="^" + re.escape(f"entry {cell} is not a number") + "$"):
+        validate_reciprocal(grid)
+
+
+def test_validate_float_grids_without_bools():
+    """An exact grid with int cells, a float64 array and a mixed list grid
+    are read as before."""
+    assert validate_reciprocal([[1, 2], [F(1, 2), 1]]).exact
+    for grid in (np.array([[1.0, 2.0], [0.5, 1.0]]), [[1, 2.0], [F(1, 2), 1]]):
+        assert validate_reciprocal(grid).entries == ((1.0, 2.0), (0.5, 1.0))
+
+
 class TestDominatorInput:
     @pytest.mark.parametrize("w", [(-3, 2, 1, 2), (0, 2, 1, 2)])
     def test_non_positive_exact_weight(self, w):

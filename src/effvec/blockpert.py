@@ -98,7 +98,7 @@ def two_block_is_efficient(S: TwoBlockMatrix, w: Sequence[Scalar]) -> bool:
     On floats, form_is_efficient: the tolerant edge relation is not
     transitive, so a chain of tolerant ties is no chain."""
     w = S.weights(w)
-    if isinstance(w[0], float):
+    if type(w[0]) is not Fraction:
         return form_is_efficient(S, w)
     return _chain(S, w)
 
@@ -130,7 +130,7 @@ def _within(w: Sequence[Scalar], head: Sequence[Scalar], indices: Iterable[int])
     with a = 1, written as build_digraph writes it on a float vector (w as
     BlockPerturbedForm.weights returns it)."""
     lo, hi = min(head), max(head)
-    if isinstance(w[0], float):
+    if type(w[0]) is not Fraction:
         return all(w[i] / lo >= 1.0 - TOL_EDGE and hi / w[i] >= 1.0 - TOL_EDGE for i in indices)
     return all(lo <= w[i] <= hi for i in indices)
 
@@ -143,7 +143,7 @@ def lcompl_membership(form: BlockPerturbedForm, w: Sequence[Scalar]) -> bool:
     head = w[: form.s]
     if not is_efficient(form.block, head).efficient:
         raise PreconditionError("w[0:s] is not efficient for the perturbed block")
-    if isinstance(w[0], float):
+    if type(w[0]) is not Fraction:
         return form_is_efficient(form, w)
     return _within(w, head, range(form.s, form.n))
 
@@ -260,13 +260,15 @@ def three_block_membership(
     """Membership via the union route: w is efficient iff for some j >= 3
     (0-based) the 4-subvector (w_0, w_1, w_2, w_j) is efficient for the
     4-by-4 leading form and all other tail entries lie within its min/max.
-    Returns the smallest witness j."""
+    Returns the smallest witness j.  A route that holds proves efficiency on
+    floats too; with none, tolerant ties need not chain, so a float w is
+    decided by form_is_efficient, and a True comes with no witness (None)."""
     w = A.weights(w)
     A4 = block_matrix(A.block, 4)
     for j in range(3, A.n):
         if _route(A4, w, j):
             return True, j
-    return False, None
+    return type(w[0]) is not Fraction and form_is_efficient(A, w), None
 
 
 def three_block_generate(

@@ -73,10 +73,8 @@ def cmd_perron(args) -> int:
         "sufficient_condition": None,
         "block_indices": None,
     }
-    # Block facts for n <= 8 only: on one core of a shared 2-vCPU Xeon host,
-    # detection takes 0.12-0.16 s on a scrambled float A_n(B) and 0.67-0.87 s on a
-    # generic float matrix at n = 1024, and 0.018-0.020 s on a scrambled exact one
-    # at n = 512.  Lift the gate, adding block facts above n = 8, once it is O(n^2).
+    # Block facts for n <= 8 only: float detection is O(n^3) at worst (ROADMAP
+    # item 3 has its timings); lift the gate once it is O(n^2).
     detected = detect_minimal_block(A) if A.n <= 8 else None
     if detected is not None:
         form = detected.form

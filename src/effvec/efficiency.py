@@ -105,12 +105,14 @@ def _integers(w: Vector) -> list:
     return [x.numerator * (L // x.denominator) for x in w]
 
 
-def _digraph(A: ReciprocalMatrix, w) -> ComparisonDigraph:
-    if isinstance(w, tuple):  # w_i/w_j >= p_ij/q_ij iff W_i * q_ij >= p_ij * W_j
+def _digraph(A: ReciprocalMatrix, w: Vector) -> ComparisonDigraph:
+    """G(A, w), w as A.weights returns it."""
+    if type(w[0]) is Fraction:  # w_i/w_j >= p_ij/q_ij iff W_i * q_ij >= p_ij * W_j
         W = _integers(w)
         adj = np.array([[Wi * q >= p * Wj for p, q, Wj in zip(P, Q, W)]
                         for Wi, P, Q in zip(W, *A.ratios)], dtype=bool)
     else:
+        w = np.array(w)
         with np.errstate(over="ignore"):  # w_i/w_j = inf is an edge, as it should be
             adj = w[:, None] / w[None, :] >= A.array * (1.0 - TOL_EDGE)
     np.fill_diagonal(adj, False)
@@ -198,12 +200,13 @@ def construct_dominating_vector(
     return _dominator(A, A.weights(w), source_set)
 
 
-def _dominator(A: ReciprocalMatrix, w, source_set: Iterable[int]) -> Vector:
+def _dominator(A: ReciprocalMatrix, w: Vector, source_set: Iterable[int]) -> Vector:
+    """construct_dominating_vector, w as A.weights returns it."""
     S = frozenset(source_set)
     n = A.n
     if not S or len(S) >= n:
         raise PreconditionError(f"source set {sorted(S)!r} must be nonempty and proper")
-    exact = isinstance(w, tuple)
+    exact = type(w[0]) is Fraction
     if exact:
         # t = max p_ij W_j / (q_ij W_i) as num/den, cross-multiplied; on a tie
         # the larger (i, j) wins, as in a max over (t, i, j)
@@ -218,6 +221,7 @@ def _dominator(A: ReciprocalMatrix, w, source_set: Iterable[int]) -> Vector:
                     num, den, i, j = x, y, k, m
         t = Fraction(num, den)
     else:
+        w = np.array(w)
         inside = np.array(sorted(S))
         outside = np.delete(np.arange(n), inside)
         cand = A.array[np.ix_(inside, outside)] * w[outside] / w[inside, None]
@@ -281,18 +285,12 @@ def form_verdict(form: BlockPerturbedForm, w: Sequence[Scalar]) -> EfficiencyVer
     inefficient verdict's dominator.  The verdict's digraph answers has_edge
     and has_cycle by the same tests, and is built, O(n^2), when its adj is read.
     """
-    w = form.weights(w)
+    w = form.weights(w)  # as form.matrix().weights(w) reads it
     comps, edge = _form_cut(form, w)
-
-    def adj():
-        A = form.matrix()
-        return _digraph(A, A.weights(w)).adj
-
-    G = _FormDigraph(form.n, edge, adj)
+    G = _FormDigraph(form.n, edge, lambda: _digraph(form.matrix(), w).adj)
     if len(comps) == 1:
         return EfficiencyVerdict(comps, G)
-    A = form.matrix()
-    return EfficiencyVerdict(comps, G, _dominator(A, A.weights(w), comps[-1]))
+    return EfficiencyVerdict(comps, G, _dominator(form.matrix(), w, comps[-1]))
 
 
 def form_is_efficient(form: BlockPerturbedForm, w: Sequence[Scalar]) -> bool:
@@ -354,7 +352,7 @@ def dominance_compare(
     n = A.n
     w, v = A.weights(w), A.weights(v)
     v_le = w_le = True
-    if isinstance(w, tuple) and isinstance(v, tuple):
+    if type(w[0]) is Fraction and type(v[0]) is Fraction:
         W, V = _integers(w), _integers(v)
         if all(a * W[0] == b * V[0] for a, b in zip(V, W)):
             return EQUAL
@@ -369,7 +367,7 @@ def dominance_compare(
             if not (v_le or w_le):
                 break
     else:
-        w, v = float_view(w, "vector entry"), float_view(v, "vector entry")
+        w, v = float_view(w, "vector entry ({})"), float_view(v, "vector entry ({})")
         # ratios past the floats are inf or 0, and inf/inf or inf - inf NaN: a NaN
         # ratio is never "equal", and a NaN gap is neither worse nor better
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):

@@ -111,7 +111,7 @@ def parse_matrix_text(
                 return validate_reciprocal(a)
         rows = [[parse_scalar(c, backend) for c in line.split(",")] for line in lines]
     if backend == "float" or not all(all(map(is_exact_scalar, r)) for r in rows):
-        rows = [float_view(r, "cell") for r in rows]
+        rows = [float_view(r, f"cell ({i},{{}})") for i, r in enumerate(rows)]
     return validate_reciprocal(rows)
 
 
@@ -128,7 +128,7 @@ def parse_vector_text(text: str, backend: Optional[str] = None) -> Vector:
         else:
             raise InputError("vector file must be a single CSV row or column")
     if backend == "float":
-        vals = float_view(vals, "cell").tolist()
+        vals = float_view(vals, "cell ({})").tolist()
     return check_positive_vector(vals, len(vals))
 
 

@@ -136,10 +136,19 @@ def check_positive_vector(w: Sequence[Scalar], n: int) -> Vector:
         if not (x.numerator > 0 if exact else 0 < x < math.inf):
             raise InputError(f"vector entry {x!r} is not positive and finite")
     if not exact:
-        return tuple(float_view(w, "vector entry").tolist())
+        return tuple(float_view(w, "vector entry ({})").tolist())
     if type(w) is tuple and _FRACTION.issuperset(map(type, w)):
         return w  # immutable, and already what the kernels read
     return tuple(x if type(x) is Fraction else Fraction(x) for x in w)
+
+
+def _pair_vector(w: Sequence[Scalar], n: int, exact: bool) -> Vector:
+    """check_positive_vector(w, n) for a pair whose matrix is exact or not: Fractions
+    when both are exact, else floats.  Kernels test type(w[0]) is Fraction."""
+    w = check_positive_vector(w, n)
+    if exact or type(w[0]) is not Fraction:
+        return w
+    return tuple(float_view(w, "vector entry ({})").tolist())
 
 
 class ReciprocalMatrix:
@@ -155,11 +164,11 @@ class ReciprocalMatrix:
     Outside input goes through validate_reciprocal.  Derived matrices
     (submatrix, delete, to_float, block_matrix, the blocks of canonical
     forms) are built from validated parts and are not checked again.
-    block_matrix records B on the A_n(B) it returns, and the float view
-    is built from B's; B takes no part in equality, hash or repr.
+    block_matrix records B as `block` (None on other matrices), and its float
+    view and ratios are built from B's; B takes no part in equality, hash or repr.
     """
 
-    _block: Optional["ReciprocalMatrix"] = None
+    block: Optional["ReciprocalMatrix"] = None
 
     def __init__(self, entries: tuple, exact: bool):
         self.__dict__.update(entries=entries, exact=exact, n=len(entries))
@@ -239,12 +248,12 @@ class ReciprocalMatrix:
         An exact entry outside the positive floats is an InputError.  An
         A_n(B) from block_matrix is ones with B's view in the leading
         corner: s^2 conversions, not n^2."""
-        if self._block is None:
+        if self.block is None:
             a = float_view(self.entries, "entry ({},{})")
         else:
-            s = self._block.n
+            s = self.block.n
             a = np.ones((self.n, self.n))
-            a[:s, :s] = self._block.array
+            a[:s, :s] = self.block.array
         a.flags.writeable = False
         return a
 
@@ -253,20 +262,16 @@ class ReciprocalMatrix:
         """(P, Q) for an exact matrix: integer rows with a_ij = P[i][j] / Q[i][j]
         in lowest terms, Q positive, built at most once.  An A_n(B) from
         block_matrix shares B's rows and one all-ones row, as its entries do."""
-        if self._block is not None:
-            (P, Q), tail = self._block.ratios, (1,) * (self.n - self._block.n)
-            ones = ((1,) * self.n,) * (self.n - self._block.n)
+        if self.block is not None:
+            (P, Q), tail = self.block.ratios, (1,) * (self.n - self.block.n)
+            ones = ((1,) * self.n,) * (self.n - self.block.n)
             return (tuple(r + tail for r in P) + ones, tuple(r + tail for r in Q) + ones)
         return _split(self.entries)
 
-    def weights(self, w: Sequence[Scalar]):
-        """w through check_positive_vector(w, n), on the backend the kernels
-        use for the pair: Fractions when A and w are exact, else a float64
-        array."""
-        w = check_positive_vector(w, self.n)
-        if self.exact and type(w[0]) is Fraction:
-            return w
-        return float_view(w, "vector entry")
+    def weights(self, w: Sequence[Scalar]) -> Vector:
+        """w through check_positive_vector(w, n), as a tuple of Fractions when
+        A and w are both exact, else of floats."""
+        return _pair_vector(w, self.n, self.exact)
 
 
 def validate_reciprocal(grid: Sequence[Sequence[Scalar]]) -> ReciprocalMatrix:
@@ -286,7 +291,7 @@ def validate_reciprocal(grid: Sequence[Sequence[Scalar]]) -> ReciprocalMatrix:
     if not all(map(_all_exact, grid)):
         # float backend, on the array; errors name the first bad entry in row-major order
         _reject_bools(grid)
-        a = float_view(grid, "entry")
+        a = float_view(grid, "entry ({},{})")
         if not (a > 0).all():
             i, j = np.argwhere(~(a > 0))[0]
             raise InputError(f"entry ({i},{j}) = {float(a[i, j])!r} is not positive")
@@ -467,13 +472,8 @@ class BlockPerturbedForm:
         return self if self.block[0, self.s - 1] >= 1 else self.reversed()
 
     def weights(self, w: Sequence[Scalar]) -> Vector:
-        """w through check_positive_vector(w, n), as a tuple (not the array
-        ReciprocalMatrix.weights returns) on the backend is_efficient reads for
-        the pair (block, w): Fractions when both are exact, else floats."""
-        w = check_positive_vector(w, self.n)
-        if self.block.exact or type(w[0]) is not Fraction:
-            return w
-        return tuple(float_view(w, "vector entry").tolist())
+        """w read for the pair (A_n(B), w), as matrix().weights(w) reads it."""
+        return _pair_vector(w, self.n, self.block.exact)
 
     def from_input(self, w: Sequence[Scalar]) -> Vector:
         """weights(w), from the coordinates of the matrix the back map leads to
@@ -498,7 +498,7 @@ def block_matrix(B: ReciprocalMatrix, n: int) -> ReciprocalMatrix:
 
     B is already validated, so no entry is checked again.  The rows share
     one tail and one all-ones row: O(s*n) references.  The matrix records B
-    for its float view."""
+    as its block."""
     s, n = B.n, check_integer(n, "n")
     if n < s:
         raise InputError(f"n = {n} smaller than block size {s}")
@@ -508,7 +508,7 @@ def block_matrix(B: ReciprocalMatrix, n: int) -> ReciprocalMatrix:
     tail = (one,) * (n - s)
     rows = tuple(B.row(i) + tail for i in range(s)) + ((one,) * n,) * (n - s)
     A = ReciprocalMatrix(rows, B.exact)
-    object.__setattr__(A, "_block", B)
+    A.__dict__["block"] = B
     return A
 
 

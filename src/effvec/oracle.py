@@ -79,10 +79,10 @@ def grid_dominator_search(
     """
     n = A.n
     w_kernel = A.weights(w)
-    exact = isinstance(w_kernel, tuple)
-    w_arr = float_view(w_kernel, "vector entry")
+    exact = type(w_kernel[0]) is Fraction
+    w_arr = float_view(w_kernel, "vector entry ({})")
     check_size(g.base, n)
-    wf = float_view(g.base, "vector entry")
+    wf = float_view(g.base, "vector entry ({})")
     if g.candidate_count > GRID_GUARD:
         raise InputError(
             f"{g.candidate_count} candidates exceed the {GRID_GUARD} guard"

@@ -56,7 +56,7 @@ def perron(A: ReciprocalMatrix) -> PerronResult:
     all-ones vector; NoConvergence after MAX_ITER steps, after STALL_ITER
     without progress, or once the last STALL_ITER steps' progress, kept up,
     would not reach TOL_PERRON within MAX_ITER."""
-    B = A._block
+    B = A.block
     if B is not None and B.n < A.n and B.n + 1 <= MAX_QUOTIENT:
         r = _quotient_pair(B.array, A.n - B.n)
         if r is not None:

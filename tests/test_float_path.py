@@ -238,7 +238,7 @@ ODD_INPUTS = [
     ("1,1e-400\n1e400,1\n", "entry (0,1) = 0.0 is not positive"),
     ("1.0,1e-400\n1,1\n", "entry (0,1) = 0.0 is not positive"),
     (f"1.0,{'1' + '0' * 399}\n1e-399,1\n",
-     "cell too large for a float: integer division result too large for a float"),
+     "cell (0,1) too large for a float: integer division result too large for a float"),
     (f"1,{'1' + '0' * 399}.0\n0.5,1\n", "a[0][1] * a[1][0] = inf deviates from 1 beyond 1e-12"),
     ("1,2.0,4.0\n0.5,1\n0.25,1,1\n", "grid is not square"),
     ("1,2.0\n0.5,1,1\n", "grid is not square"),

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from effvec import (
+    BlockPerturbedForm,
     ConstantBlockMatrix,
+    ReciprocalMatrix,
     ThreeBlockMatrix,
     TwoBlockMatrix,
     block_matrix,
@@ -27,12 +29,14 @@ from effvec import (
     perron,
     perron_efficiency_via_submatrix,
     three_block_generate,
+    three_block_membership,
     two_block_is_efficient,
     two_block_sample,
+    union_route_member,
 )
 from effvec import cli, efficiency
 from effvec.errors import PreconditionError
-from effvec.fixtures import TABLE1, table1_matrix, three_block_from_triple
+from effvec.fixtures import B3, TABLE1, table1_matrix, three_block_from_triple
 
 from conftest import rand_frac, rand_reciprocal, rand_vector
 from test_exact_kernels import scrambled_blocks, vectors
@@ -127,6 +131,49 @@ def test_float_near_ties():
         head = B.column(rng.randrange(s))
         w = head + tuple(rng.choice(head) for _ in range(n - s))
         assert_same(form, near(w, rng))
+
+
+def test_form_verdict_reads_w_once(monkeypatch):
+    """form_verdict reads w by one weights call: its scores, its digraph's
+    array and its dominator take that checked w."""
+    calls = []
+    for cls in (ReciprocalMatrix, BlockPerturbedForm):
+        monkeypatch.setattr(cls, "weights", lambda self, w, read=cls.weights:
+                            calls.append(w) or read(self, w))
+    for B, w in ((B3, (1, 1, 1, 9, 1)),
+                 (float_three_block(random.Random(5)), (1.0, 1.0, 1.0, 9.0, 1.0))):
+        calls.clear()
+        verdict = form_verdict(canonical_form(B, 5), w)
+        assert not verdict.efficient and verdict.digraph.adj.any()
+        assert calls == [w]
+
+
+def test_three_block_near_tie_example():
+    """No union route holds on this float pair, yet G(A, w) is strongly
+    connected: tolerant ties need not chain, so the verdict is
+    form_is_efficient's, with no witness."""
+    A = ThreeBlockMatrix(three_block_from_triple(0.30315149147492815, 0.26695329780779065,
+                                                 0.41717732363987137), 8)
+    w = (0.26695329778109533, 0.4171773223883394, 0.9999999995, 0.41717732343128267,
+         0.9999999999999, 0.26695329780779065, 0.9999999999999, 1.0000000005)
+    assert is_efficient(A.matrix(), w).efficient
+    assert not any(union_route_member(A, w, j) for j in range(3, A.n))
+    assert three_block_membership(A, w) == (True, None)
+
+
+def test_three_block_membership_on_near_ties():
+    """The float 3-block union test says what is_efficient says on 4,000
+    vectors built on ties: a head from a column of A_4(B), tail entries drawn
+    from that column, then every entry moved by near(); a witness j is a
+    route that holds."""
+    rng = random.Random(1)
+    for _ in range(4000):
+        A = ThreeBlockMatrix(float_three_block(rng), rng.randint(4, 9))
+        col = block_matrix(A.block, 4).column(rng.randrange(4))
+        w = near(col[:3] + tuple(rng.choice(col) for _ in range(A.n - 3)), rng)
+        ok, j = three_block_membership(A, w)
+        assert ok == is_efficient(A.matrix(), w).efficient, (A.block, w)
+        assert j is None or union_route_member(A, w, j)
 
 
 def test_two_block_near_tie_example():

@@ -2,8 +2,9 @@
 from a submodule that does not define it, or an effvec name inside a
 function body, and every module-level private name is used in its own
 module.  In src/effvec a float literal below 1e-6 (a tolerance or a slack)
-appears only in a module-level assignment, so each is named once, and no
-module but efficiency.py reads G(A, w)'s adj array.  Every function the
+appears only in a module-level assignment, so each is named once, no
+module but efficiency.py reads G(A, w)'s adj array, and no module reads a
+private attribute that another module defines.  Every function the
 package exports has a caller outside the tests."""
 
 import ast
@@ -335,6 +336,51 @@ def test_detects_attribute_reads(tmp_path):
         "G.adj.any()\n"
     )
     assert attribute_reads(probe, "adj") == [2, 4]
+
+
+def foreign_private_reads(path):
+    """(line, name) of each attribute read `x._name` in the file whose name
+    the file itself binds nowhere (with a def, a class or an assignment, at
+    any depth): a private attribute is read only in the module that defines
+    it.  Reads through self or cls, and dunder names, are exempt."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id if isinstance(n, ast.Name) else n.attr
+                         for t in targets for n in ast.walk(t)
+                         if isinstance(n, (ast.Name, ast.Attribute)))
+    return sorted((n.lineno, n.attr) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                  and n.attr.startswith("_") and not n.attr.endswith("__")
+                  and not (isinstance(n.value, ast.Name) and n.value.id in ("self", "cls"))
+                  and n.attr not in bound)
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.parent.name == "effvec"],
+                         ids=lambda p: p.name)
+def test_no_foreign_private_reads(path):
+    assert foreign_private_reads(path) == []
+
+
+def test_detects_foreign_private_reads(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class C:\n"
+        "    _cache = None\n\n"
+        "    def _helper(self):\n"
+        "        return self._other, cls._made\n\n"
+        "def f(A, M):\n"
+        "    A._block\n"
+        "    M.matrix()._private.x\n"
+        "    C._helper(A), C._cache, A.__dict__\n"
+        "    A._stored = 1\n"
+        "    return M._stored\n"
+    )
+    assert foreign_private_reads(probe) == [(8, "_block"), (9, "_private")]
 
 
 def unreferenced_exports(init, paths):

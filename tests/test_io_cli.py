@@ -295,13 +295,13 @@ class TestFloatOverflow:
     float, or it is an input error (exit 2)."""
 
     def test_conversion_errors(self):
-        with pytest.raises(InputError, match="cell too large for a float"):
+        with pytest.raises(InputError, match=r"^cell \(0,1\) too large for a float"):
             parse_matrix_text(f"1,{BIG}\n0.5,1.0\n")
-        with pytest.raises(InputError, match="cell too large for a float"):
+        with pytest.raises(InputError, match=r"^cell \(0\) too large for a float"):
             parse_vector_text(f"{BIG},1\n", backend="float")
         A = parse_matrix_text("1,2.0\n0.5,1\n")
-        for vector, message in ((f"{BIG},1\n", "vector entry too large for a float"),
-                                (f"1/{BIG},1\n", "vector entry rounds to 0.0")):
+        for vector, message in ((f"{BIG},1\n", r"^vector entry \(0\) too large for a float"),
+                                (f"1/{BIG},1\n", r"^vector entry \(0\) rounds to 0.0")):
             with pytest.raises(InputError, match=message):
                 effvec.build_digraph(A, parse_vector_text(vector))
         A = parse_matrix_text(f"1,{BIG}\n1/{BIG},1\n")

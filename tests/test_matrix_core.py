@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import numpy as np
@@ -73,7 +74,7 @@ class TestValidate:
         assert not A.exact
 
     def test_mixed_exact_entry_beyond_floats(self):
-        with pytest.raises(InputError, match="entry too large for a float"):
+        with pytest.raises(InputError, match=r"^entry \(1,0\) too large for a float"):
             validate_reciprocal([[1, 5e-324], [1 / F(5e-324), 1]])
 
 
@@ -165,6 +166,33 @@ def test_canonical_form_sizes():
     with pytest.raises(InputError, match="^n = 2 smaller than block size 3$"):
         canonical_form(B3, 2)
     assert canonical_form(B3, 3).n == 3
+
+
+@pytest.mark.parametrize("w", [(3, 2, 1), (F(3), F(2, 7), F(1)), (3.0, 0.5, 1.0),
+                               (3, 0.5, F(1)), np.array([3.0, 0.5, 1.0])],
+                         ids=["ints", "fractions", "floats", "mixed", "array"])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_one_vector_shape(backend, w):
+    """A matrix and its form read a vector alike: a tuple, of Fractions when
+    the matrix and w are both exact, else of floats."""
+    A = B3 if backend == "exact" else validate_reciprocal(B3.array.tolist())
+    got = A.weights(w)
+    assert got == canonical_form(A, A.n).weights(w)
+    assert type(got) is tuple
+    exact = A.exact and all(type(x) in (int, F) for x in w)
+    assert set(map(type, got)) == {F if exact else float}
+
+
+def test_recorded_block():
+    """block_matrix records B as its matrix's read-only block; every other
+    matrix has None."""
+    A = block_matrix(B3, 5)
+    assert A.block is B3 and canonical_form(B3, 5).matrix().block is B3
+    with pytest.raises(FrozenInstanceError):
+        A.block = None
+    others = (B3, validate_reciprocal(B3.array.tolist()), A.submatrix(range(4)),
+              validate_reciprocal(A.as_lists()))
+    assert [M.block for M in others] == [None] * 4
 
 
 class TestBlockPerturbation:

@@ -96,7 +96,7 @@ def reference_candidates(A, w, g):
     verifies.  An entry v_i that overflows to inf or underflows to 0.0 makes
     v_i/v_i NaN and fails.  Also returns how many points pass every pair off
     the diagonal and fail on it."""
-    n, exact = A.n, isinstance(A.weights(w), tuple)
+    n, exact = A.n, type(A.weights(w)[0]) is F
     w_arr, wf = (np.array([float(x) for x in u]) for u in (w, g.base))
     combos = [(1.0,) + c for c in itertools.product(g.factor_values(), repeat=n - 1)]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

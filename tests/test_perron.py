@@ -57,7 +57,7 @@ def test_iterate_past_the_floats_stops_at_once(read):
     step 2.  perron stops there, warning nothing."""
     if read:
         A = parse_matrix_text("1,1e300,1e-300,1\n1e-300,1,1e300,1\n1e300,1e-300,1,1\n1,1,1,1\n")
-        assert A._block is None
+        assert A.block is None
     else:
         A = block_matrix(validate_reciprocal(OVERFLOWING_BLOCK), 4)
     with pytest.raises(NoConvergence, match=r"^power iteration left the floats in \d+ steps$") as exc:

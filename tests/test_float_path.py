@@ -11,6 +11,7 @@ are returned.
 import json
 import math
 import random
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
@@ -220,7 +221,156 @@ def test_c_reader_accepts_nothing_float_refuses():
     assert taken > 3000
 
 
-#: odd CSV inputs and the InputError text they give, on every backend but "exact"
+# ---------------------------------------------------------------------------
+# the plain-decimal reader of the CSV parse
+
+
+def _plain(q, digits, up):
+    """The positive rational q rounded down (or up) to `digits` significant
+    digits, written as digits "." digits."""
+    e = math.floor(math.log10(q))
+    e += (F(10) ** (e + 1) <= q) - (F(10) ** e > q)  # 10^e <= q < 10^(e+1)
+    scale = digits - 1 - e
+    t = q * F(10) ** scale
+    m = -(-t.numerator // t.denominator) if up else t.numerator // t.denominator
+    if scale <= 0:
+        return f"{m * 10 ** -scale}.0"
+    text = str(m).rjust(scale + 1, "0")
+    return f"{text[:-scale]}.{text[-scale:]}"
+
+
+def _is_plain(cell):
+    """Whether the plain-decimal reader takes the cell: digits "." digits,
+    at most 18 significant digits and 22 after the "."."""
+    whole, dot, fraction = cell.partition(".")
+    return (dot == "." and whole.isascii() and whole.isdigit() and fraction.isascii()
+            and fraction.isdigit() and len(fraction) <= 22 and int(whole + fraction) < 10 ** 18)
+
+
+def _plain_corpus(rng, count):
+    """Positive plain-decimal cells that are hard to round: double midpoints
+    rounded both ways at 1-18 significant digits, exact midpoints (ties),
+    values at and beside powers of two, leading zeros, and random digits."""
+    cells = ["00.5", "0.0000000000000001", "000123.456", "0.123456789012345678",
+             "12345678901234567.8", "9007199254740993.0", "1.0"]
+    for _ in range(count):
+        x = 10 ** rng.uniform(-5, 17)
+        if rng.random() < 0.2:  # a tie: an integer midpoint above 2^53
+            x = float(rng.randrange(2 ** 53, 10 ** 17))
+        mid = (F(x) + F(math.nextafter(x, math.inf))) / 2
+        cells += [_plain(mid, d, up) for d in range(1, 19) for up in (False, True)]
+        if mid.denominator == 1:
+            cells.append(f"{mid}.0")
+        digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(2, 18)))
+        dot = rng.randint(1, len(digits) - 1)
+        cells.append(f"{'0' * rng.randint(0, 2)}{digits[:dot]}.{digits[dot:]}")
+    for e in range(-16, 57):
+        x = 2.0 ** e
+        down, up = math.nextafter(x, 0), math.nextafter(x, math.inf)
+        cells += [repr(y) for y in (down, x, up)]
+        cells += [_plain(q, d, rounded_up) for q in (F(x), (F(down) + F(x)) / 2, (F(x) + F(up)) / 2)
+                  for d in range(14, 19) for rounded_up in (False, True)]
+    return [c for c in cells if _is_plain(c) and float(c) > 0]
+
+
+def _square(cells):
+    """The cells, repeated as needed, as the lines of a square CSV grid."""
+    n = math.isqrt(len(cells) - 1) + 1
+    cells = (cells * 2)[:n * n]
+    return [",".join(cells[i:i + n]) for i in range(0, n * n, n)]
+
+
+def test_plain_reader_matches_float_bit_for_bit(monkeypatch):
+    """On hard-to-round plain decimals, the plain-decimal reader (not
+    loadtxt) reads float()'s value of every cell.  Some cells need the
+    one-ulp step after fl(fl(m) / 10^k), and some (ties) the float() re-read."""
+    lines = _square(_plain_corpus(random.Random(31), 800))
+    reread = []
+    monkeypatch.setattr(io, "float", raising=False, value=lambda cell: reread.append(
+        cell if isinstance(cell, str) else cell.decode()) or float(cell))
+    a = io._plain_decimal_grid(lines)
+    monkeypatch.undo()
+    assert a is not None and a.tobytes() == io._float_grid(lines).tobytes()
+    cells = [c for line in lines for c in line.split(",")]
+    assert a.tobytes() == np.array([float(c) for c in cells]).tobytes()
+    first = {c for c in cells  # fl(fl(m) / 10^k)
+             if int(c.replace(".", "")) / float(10 ** (len(c) - c.index(".") - 1)) != float(c)}
+    assert len(cells) > 30000 and reread and set(reread) <= set(cells)
+    assert len(first - set(reread)) > 1000  # stepped one ulp and proven
+
+
+def test_plain_reader_reads_zero():
+    """A 0.0 cell reads as 0.0; the grid is then no float matrix."""
+    lines = ["1.0,0.0", "0.0,00.000"]
+    assert io._plain_decimal_grid(lines).tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    assert io._float_grid(lines) is None
+
+
+def _ragged(n, long_row, short_row):
+    """An n-row grid of plain decimals in which one row has n + 1 cells and
+    another n - 1, so the cell count is n * n."""
+    rows = [["1.0" if i == j else "2.0" if i > j else "0.5" for i in range(n)] for j in range(n)]
+    rows[long_row].append("1.0")
+    rows[short_row].pop()
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+#: inputs near the plain-decimal grammar, and what they read as before the
+#: plain-decimal reader existed: an InputError text, or the matrix's rows
+NEAR_PLAIN_INPUTS = [
+    ("1.0,2.0,0.5,1.0\n0.5,1.0\n2.0,1.0,1.0\n", "grid is not square"),
+    (_ragged(130, 5, 6), "grid is not square"),     # in one row chunk
+    (_ragged(130, 5, 120), "grid is not square"),   # in two
+    ("1.0,1.2.5,4\n0.5,1.0,2.0\n1.0,0.5,1.0\n",
+     "cannot parse cell '1.2.5': could not convert string to float: '1.2.5'"),
+    ("1.0,2.0.,4\n0.5,1.0,2.0\n0.25,0.5,1.0\n",
+     "cannot parse cell '2.0.': could not convert string to float: '2.0.'"),
+    ("1.0,2.\n.5,1.0\n", [[1.0, 2.0], [0.5, 1.0]]),
+    ("1.0,5.\n0.2,1.0\n", [[1.0, 5.0], [0.2, 1.0]]),
+    ("1.0,2.0\r\n0.5,1.0\r\n", [[1.0, 2.0], [0.5, 1.0]]),
+    ("1.0,\t2.0\n0.5, 1.0\n", [[1.0, 2.0], [0.5, 1.0]]),
+    ("1.0,2.0\n0.5,1 .0\n", "cannot parse cell '1 .0': could not convert string to float: '1 .0'"),
+    ("1.0,٢.0\n0.5,1.0\n", [[1.0, 2.0], [0.5, 1.0]]),
+    ("1.0,2.000000000000000000\n0.5,1.0\n", [[1.0, 2.0], [0.5, 1.0]]),
+    # 19 significant digits, which round otherwise than their first 18
+    ("1.0,1.000000000000000112\n1.0,1.0\n", [[1.0, 1.0000000000000002], [0.9999999999999998, 1.0]]),
+    ("1.0,0.9999999999999999445\n1.0,1.0\n", [[1.0, 1.0], [1.0, 1.0]]),
+]
+
+
+@pytest.mark.parametrize("backend", [None, "float"])
+@pytest.mark.parametrize("text, expected", NEAR_PLAIN_INPUTS,
+                         ids=[f"near{k}" for k in range(len(NEAR_PLAIN_INPUTS))])
+def test_near_plain_inputs_read_as_before(text, expected, backend):
+    """The byte check does not misread these: each reads as it did through
+    loadtxt, which is where all but the CRLF grid go."""
+    if isinstance(expected, str):
+        with pytest.raises(InputError) as exc:
+            parse_matrix_text(text, backend)
+        assert str(exc.value) == expected
+    else:
+        assert parse_matrix_text(text, backend).array.tobytes() == np.array(expected).tobytes()
+    lines = [line.strip() for line in text.splitlines()]
+    assert (io._plain_decimal_grid(lines) is not None) == (text == "1.0,2.0\r\n0.5,1.0\r\n")
+
+
+def test_plain_reader_memory():
+    """At n = 1024 on repr cells, the plain-decimal reader's tracemalloc
+    peak is at most 1.5 times its 8 MiB output."""
+    rng = random.Random(41)
+    n = 1024
+    lines = [",".join([repr(math.exp(rng.uniform(-2.2, 2.2))) for _ in range(n)]) for _ in range(n)]
+    tracemalloc.start()
+    try:
+        a = io._float_grid(lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a is not None and a.nbytes == 8 * 2 ** 20
+    assert peak <= 1.5 * a.nbytes
+
+
+#: odd CSV (and JSON) inputs and the InputError text they give, on every backend but "exact"
 ODD_INPUTS = [
     ("1,2.0\n,1\n", "cannot parse cell '': invalid literal for int() with base 10: ''"),
     ("1,2.0,\n0.5,1,\n", "cannot parse cell '': invalid literal for int() with base 10: ''"),
@@ -234,18 +384,29 @@ ODD_INPUTS = [
     ("1.0,inf\n0,1\n", "cannot parse cell 'inf': invalid literal for int() with base 10: 'inf'"),
     ("1,2.0\n0.5,-inf\n",
      "cannot parse cell '-inf': invalid literal for int() with base 10: '-inf'"),
-    ("1,1e400\n1e-400,1\n", "entry (1,0) = 0.0 is not positive"),
-    ("1,1e-400\n1e400,1\n", "entry (0,1) = 0.0 is not positive"),
-    ("1.0,1e-400\n1,1\n", "entry (0,1) = 0.0 is not positive"),
+    ("1,1e400\n1e-400,1\n", "cell (0,1) too large for a float: '1e400'"),
+    ("1,1e-400\n1e400,1\n", "cell (0,1) rounds to 0.0 as a float"),
+    ("1.0,1e-400\n1,1\n", "cell (0,1) rounds to 0.0 as a float"),
     (f"1.0,{'1' + '0' * 399}\n1e-399,1\n",
      "cell (0,1) too large for a float: integer division result too large for a float"),
-    (f"1,{'1' + '0' * 399}.0\n0.5,1\n", "a[0][1] * a[1][0] = inf deviates from 1 beyond 1e-12"),
+    (f"1,{'1' + '0' * 399}.0\n0.5,1\n", f"cell (0,1) too large for a float: '{'1' + '0' * 399}.0'"),
     ("1,2.0,4.0\n0.5,1\n0.25,1,1\n", "grid is not square"),
     ("1,2.0\n0.5,1,1\n", "grid is not square"),
     ("1.0\n2.0\n", "grid is not square"),
     ("1.0,2.0\n", "need n >= 2, got 1"),
     ("1.0,-0\n-0,1\n", "entry (0,1) = 0.0 is not positive"),  # the reader reads -0.0
     ("1.0,2.0\n0.5,-1.0\n", "entry (1,1) = -1.0 is not positive"),
+    ("1.0,1e400\n0.5,1.0\n", "cell (0,1) too large for a float: '1e400'"),
+    ("1.0,2.0\n1e-400,1.0\n", "cell (1,0) rounds to 0.0 as a float"),
+    ("1.0,2.0\n0.5,-1E+400\n", "cell (1,1) too large for a float: '-1E+400'"),
+    ("1.0,2.0\n0.5,0.0e-400\n", "entry (1,1) = 0.0 is not positive"),  # a zero is no underflow
+    (f"1.0,{'1' + '0' * 399}\n1e-400,1\n",  # the first cell beyond the floats in row-major order
+     "cell (0,1) too large for a float: integer division result too large for a float"),
+    (f"1.0,1e-400\n{'1' + '0' * 399},1\n", "cell (0,1) rounds to 0.0 as a float"),
+    (f"1.0,1e-400,1/{'1' + '0' * 399}\n1,1,1\n1,1,1\n", "cell (0,1) rounds to 0.0 as a float"),
+    (f"1.0,1/{'1' + '0' * 399},1e-400\n1,1,1\n1,1,1\n", "cell (0,1) rounds to 0.0 as a float"),
+    ('[[1, 1e400], [1e-400, 1]]', "cell (0,1) too large for a float: '1e400'"),
+    ('{"entries": [[1, 2.0], [1e-400, 1]]}', "cell (1,0) rounds to 0.0 as a float"),
 ]
 
 
@@ -255,6 +416,33 @@ def test_odd_inputs_keep_their_error_text(text, message, backend):
     with pytest.raises(InputError) as exc:
         parse_matrix_text(text, backend)
     assert str(exc.value) == message
+
+
+#: vectors whose decimal cells leave the floats, and the InputError text they give on
+#: every backend but "exact"
+ODD_VECTORS = [
+    ("1e400,1\n", "cell (0) too large for a float: '1e400'"),
+    ("1\n1e-400\n", "cell (1) rounds to 0.0 as a float"),
+    ("[1, 1e-400]", "cell (1) rounds to 0.0 as a float"),
+    ('{"entries": [2.5, -1e400]}', "cell (1) too large for a float: '-1e400'"),
+    (f"{'1' + '0' * 399},1e400\n",
+     "cell (0) too large for a float: integer division result too large for a float"),
+]
+
+
+@pytest.mark.parametrize("backend", [None, "float"])
+@pytest.mark.parametrize("text, message", ODD_VECTORS,
+                         ids=[f"vector{k}" for k in range(len(ODD_VECTORS))])
+def test_odd_vectors_name_their_cell(text, message, backend):
+    with pytest.raises(InputError) as exc:
+        io.parse_vector_text(text, backend)
+    assert str(exc.value) == message
+
+
+def test_exact_backend_reads_beyond_the_floats():
+    A = parse_matrix_text("1,1e400\n1e-400,1\n", "exact")
+    assert A.exact and A.entries[0][1] == F(10) ** 400 == 1 / A.entries[1][0]
+    assert io.parse_vector_text("1e400,1e-400\n", "exact") == (F(10) ** 400, F(1, 10 ** 400))
 
 
 #: inputs that read the same through either route

@@ -92,9 +92,12 @@ class TestParseVector:
         with pytest.raises(InputError, match="single CSV row or column"):
             parse_vector_text("1,2\n3\n")
 
-    @pytest.mark.parametrize("text", ["1e400,1,1", "[Infinity, 1, 1]"])
-    def test_non_finite_rejected(self, text):
-        with pytest.raises(InputError, match="is not positive and finite"):
+    @pytest.mark.parametrize("text, message", [
+        ("1e400,1,1", r"^cell \(0\) too large for a float: '1e400'$"),
+        ("[Infinity, 1, 1]", "is not positive and finite"),
+    ], ids=["1e400,1,1", "[Infinity, 1, 1]"])
+    def test_non_finite_rejected(self, text, message):
+        with pytest.raises(InputError, match=message):
             parse_vector_text(text)
 
     @pytest.mark.parametrize("text", ["[Infinity, 1, 1]", "[NaN, 1, 1]"])

@@ -348,6 +348,8 @@ def dominance_compare(
     better only beyond TOL_DOMINANCE * max(a_ij, w_i/w_j, v_i/v_j), the slack
     of the "equal" test: scaling a set of entries moves the ratios inside it in
     the last bit, and a ratio far above a_ij carries that rounding into the error.
+    On floats, where v and w share more than half their entries, only the rows and
+    columns of the others are compared: a pair of shared entries is neither worse nor better.
     """
     n = A.n
     w, v = A.weights(w), A.weights(v)
@@ -374,10 +376,18 @@ def dominance_compare(
             r = v / w
             if (np.abs(r / r[0] - 1.0) <= TOL_DOMINANCE).all():
                 return EQUAL
-            step = max(1, 2**16 // n)  # row blocks of ~64k cells; the diagonal has gap 0
-            for lo in range(0, n, step):
-                a = A.array[lo : lo + step]
-                rv, rw = v[lo : lo + step, None] / v, w[lo : lo + step, None] / w
+            # blocks of ~64k cells; a pair of entries equal in v and w has gap 0 or NaN
+            changed = np.flatnonzero(v != w)
+            step = max(1, 2**16 // n)
+            if 2 * len(changed) < n:
+                wide = max(1, 2**16 // len(changed))
+                blocks = [(changed[lo : lo + step], slice(None)) for lo in range(0, len(changed), step)]
+                blocks += [(slice(lo, lo + wide), changed) for lo in range(0, n, wide)]
+            else:
+                blocks = [(slice(lo, lo + step), slice(None)) for lo in range(0, n, step)]
+            for rows, cols in blocks:
+                a = A.array[rows, cols]
+                rv, rw = v[rows, None] / v[cols], w[rows, None] / w[cols]
                 gap = np.abs(a - rv) - np.abs(a - rw)
                 # capped, so a ratio that overflows to inf still counts as worse
                 slack = np.minimum(TOL_DOMINANCE * np.maximum(np.maximum(a, rv), rw), _FLOAT_MAX)

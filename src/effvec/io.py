@@ -10,11 +10,11 @@ infinite float, or as 0.0, is an InputError naming the cell, as float_view
 names an exact value beyond the floats.
 
 A float CSV matrix (backend="float", or a decimal mark or exponent in some
-row) is read with no Python object per cell, straight into the float64
-array that the ReciprocalMatrix is (see _float_grid); its per-entry tuples
-are built only if something reads them.  Any other CSV text, and a float
-one that neither reader takes, is read cell by cell with parse_scalar,
-which names the cell it cannot read.
+data line) is read with no Python object per cell, straight into the
+float64 array that the ReciprocalMatrix is, a plain-decimal grid in row
+chunks cut from the text (see _float_grid); per-entry tuples are built only
+if something reads them.  Other CSV text, and float text that neither
+reader takes, is read cell by cell by parse_scalar, which names a bad cell.
 """
 
 from __future__ import annotations
@@ -68,114 +68,114 @@ def _csv_lines(text: str) -> list:
     return lines
 
 
-#: a plain-decimal cell has at most 18 significant digits: its mantissa is an int64 below this
+#: a plain-decimal cell's mantissa is below this (18 digits); np.fromstring reads an overflow as 2^63 - 1
 _MANTISSA_BOUND = 10 ** 18
-#: 10^k for the fraction lengths k of a plain-decimal cell, each a double (5^22 < 2^53)
-_POW10 = np.array([float(10 ** k) for k in range(23)])
+#: 5^k and 10^k, a double (5^22 < 2^53), for the fraction lengths k of a plain-decimal cell
+_POW5 = np.array([5 ** k for k in range(23)], np.uint64)
+_POW10 = _POW5 * 2.0 ** np.arange(23)
 #: every integer up to 2^53 is a double, so fl(m) = m below it and m / 10^k is rounded once
 _EXACT_INT = 2 ** 53
-#: Veltkamp's splitter for 26-bit halves of a double
-_SPLITTER = 2.0 ** 27 + 1
 #: cells per row chunk of the plain-decimal reader, so its temporaries stay small beside its output
 _CHUNK_CELLS = 1 << 14
 
 
-def _float_grid(lines: list) -> Optional[np.ndarray]:
-    """The CSV lines as an n-by-n float64 array, or None unless they read
-    as n rows of n positive finite floats.  Each value is float()'s on the
-    cell, bit for bit; a cell neither reader takes (empty, quoted, "p/q",
-    "1_0.5", non-ASCII digits) makes it None.
-
-    A grid of plain decimals (ASCII digits "." digits, at most 18
-    significant digits and 22 after the ".") is read in row chunks of about
-    16K cells: numpy's C integer tokenizer reads each cell without its "."
-    as an int64 mantissa m, and the "." and "," positions give its fraction
-    length k.  numpy rounds x = fl(fl(m) / 10^k), which is m / 10^k rounded
-    to nearest where m <= 2^53 (Clinger 1990); elsewhere an exact residual
-    proves it (_rounding_residual), or proves one ulp step toward m / 10^k,
-    and a cell still unproven (a tie, say) is read by float().  Any other
-    grid (exponents, signs, spaces, more digits) goes to numpy's loadtxt,
-    whose C parser calls a correctly rounded strtod on each cell.  At
-    n = 1024 on 17-digit repr cells the first takes about 0.12 s where
-    loadtxt takes 0.22-0.26 s (in-process, minimum of 7, a 2-vCPU host)."""
-    n = len(lines)
-    a = _plain_decimal_grid(lines)
+def _float_grid(text: str) -> Optional[np.ndarray]:
+    """The CSV text as an n-by-n float64 array, or None unless its data
+    lines read as n rows of n positive finite floats, each float()'s value
+    of its cell, bit for bit (a cell neither reader takes, "p/q" say, makes
+    it None).  A grid of plain decimals (ASCII digits "." digits, at most 18
+    significant digits and 22 after the ".") on n lines ending in "\n" or
+    "\r\n", after any comment and blank lines, is read in row chunks of
+    about 16K cells cut from the text: numpy's C integer tokenizer reads
+    each cell without its "." as an int64 mantissa m, and the marks give its
+    fraction length k.  numpy rounds x = fl(fl(m) / 10^k), m / 10^k rounded
+    to nearest where m <= 2^53 (Clinger 1990); elsewhere an integer residual
+    proves it, or one ulp step toward m / 10^k, and float() reads a cell
+    still unproven (a tie, say).  Other text (exponents, padding, a comment
+    below the first row) goes to numpy's loadtxt, which calls a correctly
+    rounded strtod per cell.  At n = 1024 on 17-digit repr cells the first
+    takes 0.11 s, loadtxt 0.26 s (in-process, best of 7, 2 vCPUs)."""
+    a = _plain_decimal_grid(text)
     if a is None:
         try:
-            a = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+            a = np.loadtxt(_csv_lines(text), delimiter=",", comments=None, ndmin=2, dtype=float)
         except ValueError:
             return None
-    return a if a.shape == (n, n) and (a > 0).all() and np.isfinite(a).all() else None
+    return a if len(a) == a.shape[1] and (a > 0).all() and np.isfinite(a).all() else None
 
 
-def _plain_decimal_grid(lines: list) -> Optional[np.ndarray]:
-    """The n lines of plain decimals as an n-by-n array of float()'s values,
-    or None unless _plain_decimals takes every row chunk."""
-    n = len(lines)
-    a = np.empty((n, n))
-    step = max(1, _CHUNK_CELLS // n)
-    for i in range(0, n, step):
-        x = _plain_decimals(lines[i:i + step], n)
-        if x is None:
-            return None
-        a[i:i + step] = x.reshape(-1, n)
-    return a
-
-
-def _plain_decimals(lines: list, n: int) -> Optional[np.ndarray]:
-    """The cells of the lines, n to a line, in row-major order, as float()'s
-    values, or None unless each is a plain decimal."""
-    raw = ",".join(lines).encode()
-    if not raw.isascii():
+def _plain_decimal_grid(text: str) -> Optional[np.ndarray]:
+    """The text as an n-by-n array of float()'s values, n the cells of its first line that
+    _csv_lines keeps, or None unless _plain_decimals takes n lines from there and blanks follow."""
+    start = 0  # past the comment and blank lines that _csv_lines drops
+    while text[start:start + 1] not in "0123456789":  # "" at the text's end
+        start = text.find("\n", start) + 1 or len(text)
+    n = text.count(",", start, text.find("\n", start) % (len(text) + 1)) + 1  # find's -1: the end
+    if 4 * n * n > len(text) - start + 1 or any(  # a cell takes at least "0.0,"
+            line.lstrip()[:1] not in ("", "#") for line in text[:start].splitlines()):
         return None
+    a, step = np.empty((n, n)), max(1, _CHUNK_CELLS // n)
+    for i in range(0, n, step):
+        rows, stop = min(step, n - i), start - 1  # stop: the "\n" ending the chunk, or the text's end
+        for _ in range(rows):
+            stop = text.find("\n", stop + 1) % (len(text) + 1)
+        if not _plain_decimals(text[start:stop], a[i:i + rows]):
+            return None
+        start = stop + 1
+    return None if text[start:].strip() else a
+
+
+def _plain_decimals(chunk: str, out: np.ndarray) -> bool:
+    """Whether the chunk's lines, as many as out's rows, hold as many plain
+    decimals each as out's columns; out then holds their float()'s values."""
+    rows, n = out.shape
+    if not chunk.isascii():
+        return False
+    if "\r" in chunk:  # CRLF line ends
+        chunk = chunk.replace("\r\n", "\n").removesuffix("\r")
+    raw = chunk.encode()
     b = np.frombuffer(raw, np.uint8)
     marks = np.flatnonzero((b - ord("0")) > 9)  # the bytes that are not digits
-    cells = len(lines) * n
-    dots, commas = marks[::2], marks[1::2]
-    ends = np.append(commas, len(raw))  # one past each cell
-    # a "." in each cell and a "," after it, a digit on each side of every
-    # mark, and each line's end at the end of an n-th cell
-    if (len(marks) != 2 * cells - 1 or (b[dots] != ord(".")).any() or (b[commas] != ord(",")).any()
-            or (np.diff(marks, prepend=-1, append=len(raw)) < 2).any()
-            or (ends[n - 1::n] != np.cumsum([len(line) + 1 for line in lines]) - 1).any()):
-        return None
+    if len(marks) + 1 != 2 * n * rows:
+        return False
+    dots, ends = marks[::2], np.append(marks[1::2], len(raw))  # ends: one past each cell
+    seps = np.append(b[ends[:-1]], ord("\n")).reshape(rows, n)
+    # a "." in each cell, a "," after all but a line's n-th, and a digit beside each mark
+    if ((b[dots] != ord(".")).any() or (seps[:, :-1] != ord(",")).any() or (seps[:, -1] != ord("\n")).any()
+            or (np.diff(marks, prepend=-1, append=len(raw)) < 2).any()):
+        return False
     k = ends - dots - 1
-    m = np.fromstring(raw.replace(b".", b""), np.int64, sep=",")  # an overflow reads as 2^63 - 1
-    if len(m) != cells or m.max() >= _MANTISSA_BOUND or k.max() >= len(_POW10):
-        return None
-    p = _POW10[k]
-    x = m / p
+    m = np.fromstring(raw.replace(b".", b"").replace(b"\n", b","), np.int64, sep=",")
+    if len(m) != len(ends) or m.max() >= _MANTISSA_BOUND or k.max() >= len(_POW10):
+        return False
+    x = np.divide(m, _POW10[k], out=out.reshape(-1))
     big = np.flatnonzero(m > _EXACT_INT)
-    r, ok = _rounding_residual(m[big], x[big], p[big])
+    r, ok = _rounding_residual(m[big], x[big], k[big])
     i, r = big[~ok], r[~ok]
     if len(i):  # off by one ulp at most: step toward m / 10^k and prove again
         y = np.nextafter(x[i], np.where(r > 0, np.inf, 0.0))
-        ok = _rounding_residual(m[i], y, p[i])[1]
+        ok = _rounding_residual(m[i], y, k[i])[1]
         x[i[ok]] = y[ok]
         for j in i[~ok]:  # a tie, say
             x[j] = float(raw[ends[j - 1] + 1 if j else 0:ends[j]])
-    return x
+    return True
 
 
-def _split(a: np.ndarray) -> tuple:
-    """Veltkamp's split of doubles a = hi + lo, each half of at most 26 significant bits."""
-    c = a * _SPLITTER
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _rounding_residual(m: np.ndarray, x: np.ndarray, p: np.ndarray) -> tuple:
-    """(r, ok) for integers 2^53 < m < 10^18, p = 10^k with k <= 22 and
-    doubles x within two ulps of m / p: r = m - x*p exactly, and ok where
-    |r| < half x's gap to its neighbour on r's side, times p, which proves
-    x is m / p rounded to nearest (the gap below a power of two is half the
-    gap above it).  x*p = hi + lo exactly by Dekker's TwoProduct (1971);
-    hi is an integer, so m - hi is taken in int64, and r fits in a double."""
-    (x_hi, x_lo), (p_hi, p_lo) = _split(x), _split(p)
-    hi = x * p
-    lo = x_hi * p_hi - hi + x_hi * p_lo + x_lo * p_hi + x_lo * p_lo
-    r = (m - hi.astype(np.int64)) - lo
-    return r, (2 * r < np.spacing(x) * p) & (-2 * r < (x - np.nextafter(x, 0.0)) * p)
+def _rounding_residual(m: np.ndarray, x: np.ndarray, k: np.ndarray) -> tuple:
+    """(r, ok) for integers 2^53 < m < 10^18, fraction lengths k <= 22 and
+    positive doubles x within two ulps of m / 10^k.  With x = X 2^(e-53),
+    2^52 <= X < 2^53 (np.frexp), and s = e - 53 + k, r = m 2^max(-s,0) -
+    X 5^k 2^max(s,0) is (m - x 10^k) 2^max(-s,0); ok where 2r and -2r are
+    below u = 5^k 2^max(s,0), -2r below u / 2 if X = 2^52 (the gap below a
+    power of two is half that above it), proves x is m / 10^k rounded to
+    nearest.  u < 2^53 and |r| < 2u, so uint64, which wraps, holds r exactly."""
+    f, e = np.frexp(x)
+    big_x = (f * 2.0 ** 53).astype(np.uint64)
+    s = e - 53 + k
+    u = _POW5[k] << np.maximum(s, 0).astype(np.uint64)
+    r = ((m.astype(np.uint64) << np.maximum(-s, 0).astype(np.uint64)) - big_x * u).view(np.int64)
+    u = u.view(np.int64)
+    return r, (2 * r < u) & (-2 * r * (1 + (big_x == 2 ** 52)) < u)
 
 
 def _json_entries(text: str, unit: str) -> list:
@@ -217,14 +217,14 @@ def parse_matrix_text(
             if not isinstance(row, list):
                 raise InputError(f"JSON matrix row {i} is not a list")
     else:
-        lines = _csv_lines(text)
+        # a decimal mark or exponent in some data line: only comment lines need the split
         if backend == "float" or backend is None and any(
-                "." in line or "e" in line or "E" in line for line in lines):
-            a = _float_grid(lines)
+                "." in line or "e" in line or "E" in line
+                for line in (_csv_lines(text) if "#" in text else [text])):
+            a = _float_grid(text)
             if a is not None:
-                del lines  # freed before validation allocates its n-by-n temporaries
                 return validate_reciprocal(a)
-        cells = [line.split(",") for line in lines]
+        cells = [line.split(",") for line in _csv_lines(text)]
     rows = [[parse_scalar(c, backend) for c in row] for row in cells]
     if backend == "float" or not all(all(map(is_exact_scalar, r)) for r in rows):
         for i, r in enumerate(rows):

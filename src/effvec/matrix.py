@@ -38,6 +38,9 @@ def is_exact_scalar(x: Scalar) -> bool:
 _EXACT_TYPES, _FRACTION = frozenset((int, Fraction)), frozenset((Fraction,))
 #: the truth values, which no intake takes as numbers (int and float accept them)
 _BOOLS = frozenset((bool, np.bool_))
+#: rows per panel of float validation, and a panel's diagonal block on and above its diagonal
+_PANEL = 64
+_UPPER = ~np.tri(_PANEL, k=-1, dtype=bool)
 
 
 def _all_exact(values: Sequence) -> bool:
@@ -280,7 +283,10 @@ def validate_reciprocal(grid: Sequence[Sequence[Scalar]]) -> ReciprocalMatrix:
     Exact entries must satisfy a_ij * a_ji == 1 exactly; on the float
     backend the product may deviate by TOL_RECIP and a_ji is then
     renormalized to exactly 1/a_ij.  Mixed exact/float grids are promoted
-    to the float backend.
+    to the float backend.  A float grid is checked and copied in panels of
+    64 rows, each with one contiguous copy of the matching column panel,
+    which gives both the products a_ij * a_ji and the reciprocals below the
+    diagonal; an error names the first bad entry in row-major order.
     """
     n = len(grid)
     if n < 2:
@@ -295,20 +301,25 @@ def validate_reciprocal(grid: Sequence[Sequence[Scalar]]) -> ReciprocalMatrix:
         if not (a > 0).all():
             i, j = np.argwhere(~(a > 0))[0]
             raise InputError(f"entry ({i},{j}) = {float(a[i, j])!r} is not positive")
-        bad = a * a.T
-        bad -= 1.0
-        bad = np.abs(bad, out=bad) > TOL_RECIP
-        np.fill_diagonal(bad, a.diagonal() != 1)
-        if bad.any():
-            i, j = np.argwhere(np.triu(bad))[0]
-            if i == j:
-                raise InputError(f"diagonal entry ({i},{i}) = {float(a[i, i])!r} != 1")
-            raise InputError(f"a[{i}][{j}] * a[{j}][{i}] = {float(a[i, j] * a[j, i])} "
-                                       f"deviates from 1 beyond {TOL_RECIP}")
-        out = np.empty((n, n))  # row-major: 1.0 / a.T alone would be column-major
+        out = np.empty((n, n))
         with np.errstate(over="ignore"):
-            np.divide(1.0, a.T, out=out)  # a_ji := 1/a_ij below the diagonal
-        np.copyto(out, a, where=np.tri(n, dtype=bool).T)  # a's own entries on and above it
+            for lo in range(0, n, _PANEL):
+                hi = min(lo + _PANEL, n)
+                t = np.ascontiguousarray(a[:, lo:hi].T)  # a_ji for the panel's rows i
+                bad = a[lo:hi, lo:] * t[:, lo:]
+                bad -= 1.0
+                # a bad pair below the diagonal is bad in its mirror above it, which comes first
+                bad = np.abs(bad, out=bad) > TOL_RECIP
+                np.fill_diagonal(bad, a.diagonal()[lo:hi] != 1)
+                if bad.any():
+                    i, j = np.argwhere(bad)[0] + lo
+                    if i == j:
+                        raise InputError(f"diagonal entry ({i},{i}) = {float(a[i, i])!r} != 1")
+                    raise InputError(f"a[{i}][{j}] * a[{j}][{i}] = {float(a[i, j] * a[j, i])} "
+                                     f"deviates from 1 beyond {TOL_RECIP}")
+                np.divide(1.0, t[:, :hi], out=out[lo:hi, :hi])  # a_ij := 1/a_ji below the diagonal
+                np.copyto(out[lo:hi, lo:hi], a[lo:hi, lo:hi], where=_UPPER[:hi - lo, :hi - lo])
+                out[lo:hi, hi:] = a[lo:hi, hi:]  # a's own entries on and above it
         out.flags.writeable = False
         return ReciprocalMatrix._of_array(out)
     rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in grid)

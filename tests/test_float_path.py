@@ -8,6 +8,7 @@ float operations: every answer must be identical, bit for bit where floats
 are returned.
 """
 
+import codecs
 import json
 import math
 import random
@@ -20,7 +21,8 @@ import pytest
 
 from effvec import (build_digraph, dominance_compare, extension_interval, io, is_efficient,
                     validate_reciprocal)
-from effvec.efficiency import EQUAL, INCOMPARABLE, TOL_EDGE, V_DOMINATES, W_DOMINATES
+from effvec.efficiency import (EQUAL, INCOMPARABLE, TOL_DOMINANCE, TOL_EDGE, V_DOMINATES,
+                               W_DOMINATES)
 from effvec.errors import EffvecError, InputError
 from effvec.io import parse_matrix_text, parse_scalar
 from effvec.matrix import TOL_RECIP, ReciprocalMatrix, is_exact_scalar
@@ -192,7 +194,7 @@ def test_c_reader_matches_cell_by_cell_bit_for_bit():
     rng = random.Random(23)
     n = 320
     lines = [",".join(_hard_cell(rng) for _ in range(n)) for _ in range(n)]
-    a = io._float_grid(lines)
+    a = io._float_grid("".join(line + "\n" for line in lines))
     ref = np.array([[float(parse_scalar(c)) for c in line.split(",")] for line in lines])
     assert a is not None and a.dtype == ref.dtype and a.shape == ref.shape
     assert a.tobytes() == ref.tobytes()
@@ -209,7 +211,7 @@ def test_c_reader_accepts_nothing_float_refuses():
         cell = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8))).strip()
         if not cell or cell.startswith("#"):
             continue
-        a = io._float_grid([cell])
+        a = io._float_grid(cell)
         try:
             x = float(cell)
         except ValueError:
@@ -274,24 +276,24 @@ def _plain_corpus(rng, count):
 
 
 def _square(cells):
-    """The cells, repeated as needed, as the lines of a square CSV grid."""
+    """The cells, repeated as needed, as the text of a square CSV grid."""
     n = math.isqrt(len(cells) - 1) + 1
     cells = (cells * 2)[:n * n]
-    return [",".join(cells[i:i + n]) for i in range(0, n * n, n)]
+    return "".join(",".join(cells[i:i + n]) + "\n" for i in range(0, n * n, n))
 
 
 def test_plain_reader_matches_float_bit_for_bit(monkeypatch):
     """On hard-to-round plain decimals, the plain-decimal reader (not
     loadtxt) reads float()'s value of every cell.  Some cells need the
     one-ulp step after fl(fl(m) / 10^k), and some (ties) the float() re-read."""
-    lines = _square(_plain_corpus(random.Random(31), 800))
+    text = _square(_plain_corpus(random.Random(31), 800))
     reread = []
     monkeypatch.setattr(io, "float", raising=False, value=lambda cell: reread.append(
         cell if isinstance(cell, str) else cell.decode()) or float(cell))
-    a = io._plain_decimal_grid(lines)
+    a = io._plain_decimal_grid(text)
     monkeypatch.undo()
-    assert a is not None and a.tobytes() == io._float_grid(lines).tobytes()
-    cells = [c for line in lines for c in line.split(",")]
+    assert a is not None and a.tobytes() == io._float_grid(text).tobytes()
+    cells = [c for line in text.splitlines() for c in line.split(",")]
     assert a.tobytes() == np.array([float(c) for c in cells]).tobytes()
     first = {c for c in cells  # fl(fl(m) / 10^k)
              if int(c.replace(".", "")) / float(10 ** (len(c) - c.index(".") - 1)) != float(c)}
@@ -301,9 +303,9 @@ def test_plain_reader_matches_float_bit_for_bit(monkeypatch):
 
 def test_plain_reader_reads_zero():
     """A 0.0 cell reads as 0.0; the grid is then no float matrix."""
-    lines = ["1.0,0.0", "0.0,00.000"]
-    assert io._plain_decimal_grid(lines).tolist() == [[1.0, 0.0], [0.0, 0.0]]
-    assert io._float_grid(lines) is None
+    text = "1.0,0.0\n0.0,00.000\n"
+    assert io._plain_decimal_grid(text).tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    assert io._float_grid(text) is None
 
 
 def _ragged(n, long_row, short_row):
@@ -319,8 +321,10 @@ def _ragged(n, long_row, short_row):
 #: plain-decimal reader existed: an InputError text, or the matrix's rows
 NEAR_PLAIN_INPUTS = [
     ("1.0,2.0,0.5,1.0\n0.5,1.0\n2.0,1.0,1.0\n", "grid is not square"),
-    (_ragged(130, 5, 6), "grid is not square"),     # in one row chunk
-    (_ragged(130, 5, 120), "grid is not square"),   # in two
+    (_ragged(130, 5, 6), "grid is not square"),     # in one row chunk of 126 rows
+    (_ragged(130, 5, 120), "grid is not square"),
+    (_ragged(130, 125, 126), "grid is not square"),  # across a row chunk boundary
+    (_ragged(130, 129, 0), "grid is not square"),
     ("1.0,1.2.5,4\n0.5,1.0,2.0\n1.0,0.5,1.0\n",
      "cannot parse cell '1.2.5': could not convert string to float: '1.2.5'"),
     ("1.0,2.0.,4\n0.5,1.0,2.0\n0.25,0.5,1.0\n",
@@ -350,8 +354,7 @@ def test_near_plain_inputs_read_as_before(text, expected, backend):
         assert str(exc.value) == expected
     else:
         assert parse_matrix_text(text, backend).array.tobytes() == np.array(expected).tobytes()
-    lines = [line.strip() for line in text.splitlines()]
-    assert (io._plain_decimal_grid(lines) is not None) == (text == "1.0,2.0\r\n0.5,1.0\r\n")
+    assert (io._plain_decimal_grid(text) is not None) == (text == "1.0,2.0\r\n0.5,1.0\r\n")
 
 
 def test_plain_reader_memory():
@@ -359,15 +362,98 @@ def test_plain_reader_memory():
     peak is at most 1.5 times its 8 MiB output."""
     rng = random.Random(41)
     n = 1024
-    lines = [",".join([repr(math.exp(rng.uniform(-2.2, 2.2))) for _ in range(n)]) for _ in range(n)]
+    text = "".join(",".join([repr(math.exp(rng.uniform(-2.2, 2.2))) for _ in range(n)]) + "\n"
+                   for _ in range(n))
     tracemalloc.start()
     try:
-        a = io._float_grid(lines)
+        a = io._float_grid(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert a is not None and a.nbytes == 8 * 2 ** 20
     assert peak <= 1.5 * a.nbytes
+
+
+def _repr_grid(n, rng):
+    """The rows of a random n-by-n float reciprocal matrix as repr cells (plain decimals)."""
+    rows = [["1.0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = math.exp(rng.uniform(-2.2, 2.2))
+            rows[i][j], rows[j][i] = repr(x), repr(1 / x)
+    return rows
+
+
+def test_parse_memory():
+    """parse_matrix_text on an n = 1024 grid of repr cells, read and
+    validated, peaks at most 2.5 times its 8 MiB array under tracemalloc."""
+    text = "".join(",".join(r) + "\n" for r in _repr_grid(1024, random.Random(43)))
+    tracemalloc.start()
+    try:
+        A = parse_matrix_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.array.nbytes == 8 * 2 ** 20
+    assert peak <= 2.5 * A.array.nbytes
+
+
+_LINES = [",".join(r) for r in _repr_grid(5, random.Random(47))]
+_CHUNKED = [",".join(r) for r in _repr_grid(130, random.Random(53))]  # 126 rows to a chunk
+
+
+#: texts of one grid laid out in lines in different ways (ragged rows are among
+#: NEAR_PLAIN_INPUTS), whether the plain-decimal reader takes the text, and the InputError
+#: text it gives (None: it reads as reference_parse reads it)
+LINE_STRUCTURE = [
+    ("\n".join(_LINES), True, None),                        # no final newline
+    ("\n".join(_LINES) + "\n\n\n", True, None),              # several trailing newlines
+    ("\n".join(_LINES) + "\n \t\n", True, None),
+    ("\r\n".join(_LINES) + "\r\n", True, None),              # CRLF
+    ("\r\n".join(_LINES), True, None),
+    ("\n".join(_CHUNKED), True, None),                      # two row chunks
+    ("\r\n".join(_CHUNKED) + "\r\n", True, None),
+    ("# m\n  \n\n" + "\n".join(_LINES), True, None),         # a comment and blank lines first
+    ("\n" + "\n".join(_LINES), True, None),
+    ("  # m\r\n" + "\r\n".join(_CHUNKED), True, None),
+    ("# \ud800 \u00e9\n" + "\n".join(_LINES), True, None),  # a comment no codec can encode
+    ("# m\n" + "\n".join(_LINES[:2]) + "\n\n" + "\n".join(_LINES[2:]), False, None),  # blank inside
+    ("\n".join(_LINES) + "\n# end\n", False, None),
+    ("\n".join("  " + line for line in _LINES), False, None),  # leading spaces
+    ("# m\r" + "\n".join(_LINES), False, None),               # a data line after "\r"
+    ("\r".join(_LINES), False, None),                       # CR alone ends a line too
+    ("", False, "no data rows found"),
+    ("\n\n", False, "no data rows found"),
+    ("# only\n", False, "no data rows found"),
+    ("\n".join(_LINES + _LINES[:1]), False, "grid is not square"),         # n + 1 rows
+    ("\n".join(_LINES[:-1]), False, "grid is not square"),                 # n - 1 rows
+]
+
+
+@pytest.mark.parametrize("backend", [None, "float"])
+@pytest.mark.parametrize("text, plain, message", LINE_STRUCTURE,
+                         ids=[f"lines{k}" for k in range(len(LINE_STRUCTURE))])
+def test_line_structure_reads_as_before(text, plain, message, backend, monkeypatch):
+    """Line ends, blank and comment lines, padding and ragged rows: a grid
+    reads as the per-cell reference reads it, or gives the same error.  The
+    text the plain-decimal reader takes never reaches loadtxt."""
+    assert (io._plain_decimal_grid(text) is not None) == plain
+    if message is not None:
+        with pytest.raises(InputError) as exc:
+            parse_matrix_text(text, backend)
+        assert str(exc.value) == message
+        return
+    expected = reference_parse(text, backend)
+    if plain:
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: pytest.fail("loadtxt called"))
+    assert parse_matrix_text(text, backend).array.tobytes() == np.array(expected.entries).tobytes()
+
+
+def test_byte_order_mark_file_reads_as_without(tmp_path):
+    text = "\n".join(_LINES) + "\n"
+    path = tmp_path / "m.csv"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert io.load_matrix(path).array.tobytes() == np.array(reference_parse(text).entries).tobytes()
 
 
 #: odd CSV (and JSON) inputs and the InputError text they give, on every backend but "exact"
@@ -472,6 +558,65 @@ def test_all_ones_integer_csv_stays_exact():
     A = parse_matrix_text("1,1,1\n1,1,1\n1,1,1\n")
     assert A.exact and A.entries == ((F(1),) * 3,) * 3
     assert not parse_matrix_text("1,1\n1,1\n", "float").exact
+
+
+# ---------------------------------------------------------------------------
+# float validation in row panels
+
+
+def _panel_grid(n, changes):
+    """2.0 above the diagonal, 0.5 below it and 1.0 on it, with the changes made."""
+    a = np.full((n, n), 2.0)
+    a[np.tril_indices(n, -1)] = 0.5
+    np.fill_diagonal(a, 1.0)
+    for (i, j), x in changes.items():
+        a[i, j] = x
+    return a
+
+
+#: (changes as functions of n, the InputError text with n's last index as {last})
+PANEL_ERRORS = [
+    # a pair within TOL_RECIP, a bad pair in the second 64-row panel and one in the last
+    (lambda last: {(5, 6): 2.0000000000008, (70, 100): 3.0, (last - 1, last): 5.0},
+     "a[70][100] * a[100][70] = 1.5 deviates from 1 beyond 1e-12"),
+    # a bad a_ji in the last panel's rows names the pair (i, j) of the first panel
+    (lambda last: {(last, 10): 0.25, (70, 100): 3.0},
+     "a[10][{last}] * a[{last}][10] = 0.5 deviates from 1 beyond 1e-12"),
+    (lambda last: {(70, 100): 3.0, (90, 90): 2.0},  # a bad diagonal after a bad pair
+     "a[70][100] * a[100][70] = 1.5 deviates from 1 beyond 1e-12"),
+    (lambda last: {(65, 65): 1.5, (70, 100): 3.0}, "diagonal entry (65,65) = 1.5 != 1"),
+    (lambda last: {(70, 100): 3.0, (70, 70): 1.0000001}, "diagonal entry (70,70) = 1.0000001 != 1"),
+    # a product past the floats is inf, with no RuntimeWarning
+    (lambda last: {(3, 100): 1e200, (100, 3): 1e200, (80, 90): 3.0},
+     "a[3][100] * a[100][3] = inf deviates from 1 beyond 1e-12"),
+    # non-positive cells below the diagonal come before any pair
+    (lambda last: {(0, 1): 3.0, (last, 3): 0.0, (100, 2): -0.5}, "entry (100,2) = -0.5 is not positive"),
+    (lambda last: {(last, 3): -0.0, (64, 64): 2.0}, "entry ({last},3) = -0.0 is not positive"),
+]
+
+
+@pytest.mark.parametrize("n", [130, 200])
+@pytest.mark.parametrize("changes, message", PANEL_ERRORS,
+                         ids=[f"panel{k}" for k in range(len(PANEL_ERRORS))])
+def test_panel_validation_names_the_first_bad_entry(n, changes, message):
+    with pytest.raises(InputError) as exc:
+        validate_reciprocal(_panel_grid(n, changes(n - 1)))
+    assert str(exc.value) == message.format(last=n - 1)
+
+
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 130, 200])
+def test_panel_validation_renormalizes_like_the_loop(n):
+    """a_ji is 1/a_ij bit for bit across panel edges, also where the text's
+    a_ji was off by less than TOL_RECIP."""
+    rng = random.Random(n)
+    rows = [[1.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = math.exp(rng.uniform(-5, 5))
+            rows[j][i] = 1 / rows[i][j] * (1 + rng.uniform(-4e-13, 4e-13))
+    A = validate_reciprocal(np.array(rows))
+    assert A.array.tobytes() == np.array(reference_validate(rows).entries).tobytes()
+    assert A.array.flags.c_contiguous and not A.array.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +827,52 @@ def test_float_path_matches_loop_references():
         assert json.dumps(full) == reference_report(succ, comps, dom)
         assert list(v.to_dict().items()) == [kv for kv in full.items() if kv[0] != "edge_list"]
     assert multi_source >= 20 and ties >= 100
+
+
+def full_compare(A, w, v):
+    """dominance_compare's float answer from all n^2 gaps at once."""
+    w, v = np.array(w, float), np.array(v, float)
+    with np.errstate(all="ignore"):
+        r = v / w
+        if (np.abs(r / r[0] - 1.0) <= TOL_DOMINANCE).all():
+            return EQUAL
+        a, rv, rw = A.array, v[:, None] / v, w[:, None] / w
+        gap = np.abs(a - rv) - np.abs(a - rw)
+        slack = np.minimum(TOL_DOMINANCE * np.maximum(np.maximum(a, rv), rw), np.finfo(float).max)
+    v_le, w_le = not (gap > slack).any(), not (gap < -slack).any()
+    return V_DOMINATES if v_le else W_DOMINATES if w_le else INCOMPARABLE
+
+
+def test_dominance_compare_on_changed_entries():
+    """Comparing only the rows and columns of the entries v and w do not
+    share answers as the full n^2 comparison does: dominators and vectors that
+    scale 1..n entries, scalar multiples, rescaled dominators (every entry
+    changes) and entries near 1e+-200, whose ratios are inf or NaN."""
+    rng = random.Random(59)
+    seen = set()
+    for n, kind in [(5, "random"), (17, "groups"), (64, "random"), (64, "groups"), (300, "random"),
+                    (300, "groups"), (700, "groups")]:
+        A, w = float_instance(n, rng, kind)
+        pairs = []
+        v = is_efficient(A, w)
+        if not v.efficient:
+            pairs += [(w, v.dominator), (w, tuple(2.5 * x for x in v.dominator))]
+        counts = range(1, n + 1) if n <= 64 else sorted({1, 2, 3, n // 4, n // 2 - 1, n // 2, n - 1, n})
+        for count in counts:
+            moved = set(rng.sample(range(n), count))
+            for c in (1.5, 1 / 1.5, 1 + 1e-13, 8.0):
+                pairs.append((w, tuple(x * c if i in moved else x for i, x in enumerate(w))))
+        pairs.append((w, tuple(3.7 * x for x in w)))
+        huge = tuple(1e200 if i % 3 == 0 else 1e-200 if i % 3 == 1 else x for i, x in enumerate(w))
+        pairs += [(huge, tuple(x * 1.5 if i == 1 else x for i, x in enumerate(huge))),
+                  (huge, tuple(1e-200 if i == 0 else x for i, x in enumerate(huge))),
+                  (w, tuple(1e200 if i == 2 else x for i, x in enumerate(w)))]
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                answer = dominance_compare(A, x, y)
+                assert answer == full_compare(A, x, y), (n, kind)
+                seen.add(answer)
+    assert seen == {EQUAL, V_DOMINATES, W_DOMINATES, INCOMPARABLE}
 
 
 def test_dominance_compare_row_blocks():

@@ -73,8 +73,9 @@ def cmd_perron(args) -> int:
         "sufficient_condition": None,
         "block_indices": None,
     }
-    # Block facts for n <= 8 only: float detection is O(n^3) at worst (ROADMAP
-    # item 3 has its timings); lift the gate once it is O(n^2).
+    # Block facts for n <= 8 only.  Detection is O(n^2), but at n = 1024 the
+    # facts would add about 13-36 ms to a float run; ROADMAP item 3 lifts the
+    # gate when `perron` solves from the detected block, which repays it.
     detected = detect_minimal_block(A) if A.n <= 8 else None
     if detected is not None:
         form = detected.form

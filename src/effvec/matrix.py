@@ -523,38 +523,56 @@ def block_matrix(B: ReciprocalMatrix, n: int) -> ReciprocalMatrix:
     return A
 
 
-def is_block_perturbation(
-    A: ReciprocalMatrix, K: Iterable[int]
-) -> Optional[BlockPerturbedForm]:
-    """The form of A with block K, which is one iff K_r lies inside K for r the
-    smallest index outside K; else None.  None too on floats when a block
-    entry or its reciprocal leaves the floats: A has no float form.  O(n^2)."""
+def is_block_perturbation(A: ReciprocalMatrix, K: Iterable[int]) -> Optional[BlockPerturbedForm]:
+    """The form of A with block K, which is one iff every row outside K is a_ir
+    times row r, the first index outside K; else None.  None too on floats when
+    a block entry or its reciprocal leaves the floats (no float form).  O(n^2)."""
     n = A.n
     K = sorted({check_index(k, range(n), "K index") for k in K})
     if not K or len(K) >= n:
         raise InputError(f"K must be a nonempty proper subset of 0..{n - 1}")
     rest = sorted(set(range(n)).difference(K))
-    K_r = _reference_block(A, rest[0], len(K))
-    return _block_form(A, K, rest) if K_r is not None and K_r <= set(K) else None
+    r = rest[0]
+    if A.exact:  # cross-multiplied as in detect_minimal_block; columns of rest below i hold
+        P, Q = A.ratios
+        p_r, q_r = P[r], Q[r]
+        for i in rest[1:]:
+            p, q, p_ir, q_ir = P[i], Q[i], P[i][r], Q[i][r]
+            if [j for j in chain(K, range(i + 1, n))
+                    if p[j] * q_ir * q_r[j] != p_ir * p_r[j] * q[j]]:
+                return None
+    elif not _multiples(A.array, rest[1:], r).all():
+        return None
+    return _block_form(A, K)
 
 
-def _block_form(A: ReciprocalMatrix, K: list, rest: list) -> Optional[BlockPerturbedForm]:
-    """The form with block K, where K_r lies inside K for r = rest[0] (K and
-    rest ascending, splitting 0..n-1).  Scaling by column r leaves 1s outside
-    B_pq = a_{K_p K_q} * a_{K_q r} / a_{K_p r}; the back map permutes by K + rest
-    and scales by column r in that order.  None if a float B_pq leaves the floats."""
-    s, col_r, order = len(K), A.column(rest[0]), tuple(K + rest)
+def _multiples(a: np.ndarray, rows: Sequence[int], r: int) -> np.ndarray:
+    """Whether each row i in rows of the float array a is a_ir times row r,
+    |a_ij / (a_ir a_rj) - 1| <= TOL_CONS for every j (a_ir a_rj = 0 or inf fails)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        d = a[rows] / np.multiply.outer(a[rows, r], a[r])
+    d -= 1.0
+    return (np.abs(d, out=d) <= TOL_CONS).all(axis=1)
+
+
+def _block_form(A: ReciprocalMatrix, K: list) -> Optional[BlockPerturbedForm]:
+    """The form with block K (ascending), where every row outside K is a multiple
+    of row r, the first index outside K.  Scaling by column r leaves 1s outside
+    B_pq = a_{K_p K_q} a_{K_q r} / a_{K_p r}; the back map permutes by K + rest and
+    scales by column r in that order.  None if a float B_pq or 1 / B_pq leaves the floats."""
+    rest = sorted(set(range(A.n)).difference(K))
+    col_r, order = A.column(rest[0]), tuple(K + rest)
     if A.exact:
         B = _exact_block(A, K, rest[0])
     else:
-        rows = [[1.0] * s for _ in range(s)]
-        for p in range(s):
-            for q in range(p + 1, s):
-                x = A[K[p], K[q]] * col_r[K[q]] / col_r[K[p]]
-                if not 0 < x < math.inf or 1 / x == math.inf:
-                    return None
-                rows[p][q], rows[q][p] = x, 1 / x
-        B = ReciprocalMatrix(tuple(map(tuple, rows)), False)
+        c = A.array[K, rest[0]]
+        with np.errstate(divide="ignore", over="ignore"):
+            b = np.triu(A.array[np.ix_(K, K)] * c / c[:, None], 1)
+            b += np.tril(1.0 / b.T, -1) + np.eye(len(K))
+        if not np.isfinite(b).all():
+            return None
+        b.flags.writeable = False
+        B = ReciprocalMatrix._of_array(b)
     # column r of a validated matrix: positive and finite, so no check again
     back = MonomialSimilarity._unchecked(tuple(col_r[i] for i in order), order)
     return BlockPerturbedForm(B, A.n, back)
@@ -603,82 +621,63 @@ class DetectedBlock:
         return self.form.back_map.perm[: self.form.s]
 
 
-def _reference_block(A: ReciprocalMatrix, r: int, limit: int) -> Optional[set]:
-    """K_r: endpoints of the pairs (i, j) with a_ij != a_ir * a_rj, or None
-    once it grows past `limit` members.  Pairs through r hold exactly on
-    both backends (a_rr = 1), so r is never a member.  On floats a product
-    a_ir * a_rj that underflows to 0 is a bad pair, as one that overflows is."""
-    n = A.n
-    if A.exact:  # cross-multiplied: p_ij * q_ir * q_rj != p_ir * p_rj * q_ij
-        P, Q = A.ratios
-        p_r, q_r = P[r], Q[r]
-
-        def bad_in(i: int) -> list:
-            p, q = P[i], Q[i]
-            p_ir, q_ir = p[r], q[r]
-            return [j for j in range(i + 1, n) if p[j] * q_ir * q_r[j] != p_ir * p_r[j] * q[j]]
-    else:
-        row_r = A.row(r)
-
-        def bad_in(i: int) -> list:
-            row_i = A.row(i)
-            a_ir = row_i[r]
-            return [j for j in range(i + 1, n)
-                    if (p := a_ir * row_r[j]) == 0.0 or abs(row_i[j] / p - 1.0) > TOL_CONS]
-    K: set = set()
-    for i in range(n):
-        bad = bad_in(i)
-        if bad:
-            K.add(i)
-            K.update(bad)
-            if len(K) > limit:
-                return None
-            if len(K) == n - 1:
-                return K
-    return K
-
-
 def detect_minimal_block(A: ReciprocalMatrix) -> Optional[DetectedBlock]:
-    """Smallest index set K (lexicographic tie-break) making A a block perturbation.
-
-    K is a block iff K contains K_r for some (then every) r outside K, so each
-    minimal block is K_r for every r outside it.  A block of size m misses one
-    of the indices 0..m, hence scanning r = 0, 1, ... while r <= |best| finds
-    them all; once 2|K_r| < n, K_r is the unique minimum.  O(n^3) at worst.
-    A consistent A gives K = (0,), formed from r = 1; on exact input with no
-    scan of K_1, as K_0 = {} makes every K_r empty.  Returns None only on
-    floats: near tol, where K_r for two references r can disagree, and when
-    the block's canonical entries leave the float range (see
-    is_block_perturbation).
-
-    On exact input only the references r inside best are scanned, since one
-    outside reads best again.  Proof: best = K_f with f outside best, and
-    exact K_r is a block for every r.  An r outside the block best has
-    K_r inside best; f lies outside best, so outside K_r, and the block K_r
-    contains K_f = best.  So K_r = best, and the form is built from
-    r = rest[0] without a scan.  Floats scan every r <= |best|: there K_r
-    can disagree near TOL_CONS.
-    """
+    """Smallest index set K (lexicographic tie-break) making A a block perturbation:
+    the complement of the largest class of proportional rows (of two of one size,
+    the one with the larger least index); K = (0,) when one class holds every row.
+    Exact rows are bucketed by the reduced a_i1 / a_i0 and confirmed against a
+    class's first row r, p_ij q_ir q_rj == p_ir p_rj q_ij, on the columns j outside
+    the class (a_ij = 1 / a_ji = a_ir a_rj in it): O(n^2), plus O(n) per further
+    class in a row's bucket.  Float proportionality within TOL_CONS is not
+    transitive, so a float K goes through is_block_perturbation (None if it fails)."""
     n = A.n
-    best = sorted(_reference_block(A, 0, n - 1))
-    # found: the reference whose scan set best.  best only falls in (size,
-    # indices) order, so an earlier scan with the final K would have set it
-    # first; found is outside its own K_r, so rest[0] <= found, and a scanned
-    # rest[0] reads the final K iff it is found.
-    found, r = 0, 1
-    while 2 * len(best) >= n and r <= len(best):
-        if not A.exact or r in best:  # an exact r outside best reads best again
-            K = _reference_block(A, r, len(best))
-            if K is not None and (len(K), sorted(K)) < (len(best), best):
-                best, found = sorted(K), r
-        r += 1
-    if not best:  # K = (0,), a block iff K_1 is empty, as it is on exact input
-        best = [0]
-        if r == 1 and not A.exact and _reference_block(A, 1, 0) is not None:
-            found = 1  # K_0 was empty, so the loop did not scan K_1
-    rest = sorted(set(range(n)).difference(best))
-    form = _block_form(A, best, rest) if A.exact or rest[0] == found else None
+    if A.exact:
+        P, Q = A.ratios
+        buckets, outs = {}, {}  # outs: by a class's first row r, the rows from r not in it
+        for i, (p, q) in enumerate(zip(P, Q)):
+            x, y = p[1] * q[0], q[1] * p[0]
+            g = math.gcd(x, y)
+            bucket = buckets.setdefault((x // g, y // g), [])
+            for c in bucket:
+                r = c[0]
+                p_ir, q_ir, p_r, q_r = p[r], q[r], P[r], Q[r]
+                out = outs.setdefault(r, [])
+                out += range(r + len(out) + len(c), i)  # out and c split range(r, i)
+                if not [j for j in chain(range(r), out, range(i + 1, n))
+                        if p[j] * q_ir * q_r[j] != p_ir * p_r[j] * q[j]]:
+                    c.append(i)
+                    break
+            else:
+                bucket.append([i])
+        classes = chain.from_iterable(buckets.values())
+    else:
+        classes = _float_classes(A.array)
+    best = max(classes, key=lambda c: (len(c), min(c)))
+    K = sorted(set(range(n)).difference(best)) or [0]
+    form = _block_form(A, K) if A.exact else is_block_perturbation(A, K)
     return None if form is None else DetectedBlock(form)
+
+
+def _float_classes(a: np.ndarray) -> list:
+    """Classes of proportional rows of the float array a.  In the order of
+    sum_j log(a_ij / a_i0), where proportional rows lie within 2 n TOL_CONS (2
+    TOL_CONS a term), a row no class took starts one and takes its multiples
+    among the later rows within 4 n TOL_CONS; a row taken twice merges two."""
+    n = len(a)
+    key = np.log(a).sum(axis=1) - n * np.log(a[:, 0])
+    order = np.argsort(key, kind="stable")
+    end = np.searchsorted(key[order], key[order] + 4 * n * TOL_CONS, side="right").tolist()
+    label = np.arange(n)  # per position of the order: the position that started its class
+    for p in range(n):
+        if label[p] == p and end[p] > p + 1:  # a row no class took, with rows in its window
+            seg = label[p + 1:end[p]]
+            taken = _multiples(a, order[p + 1:end[p]], order[p])
+            merged = seg[taken & (seg < p)]
+            if merged.size:
+                label[np.isin(label, merged)] = p
+            seg[taken] = p
+    by_class = np.argsort(label, kind="stable")
+    return np.split(order[by_class], np.flatnonzero(np.diff(label[by_class])) + 1)
 
 
 # ---------------------------------------------------------------------------

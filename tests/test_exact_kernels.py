@@ -18,11 +18,11 @@ from effvec import (
     construct_dominating_vector,
     detect_minimal_block,
     dominance_compare,
+    is_block_perturbation,
     is_efficient,
     strongly_connected_components,
     validate_reciprocal,
 )
-from effvec import matrix
 from effvec.efficiency import EQUAL, INCOMPARABLE, V_DOMINATES, W_DOMINATES, ComparisonDigraph
 from effvec.errors import InputError, PreconditionError
 
@@ -66,18 +66,18 @@ def ref_dominance(A, w, v):
     return V_DOMINATES if v_le else W_DOMINATES if w_le else INCOMPARABLE
 
 
-def ref_reference_block(A, r, limit):
+def ref_reference_block(A, r):
+    """K_r: the endpoints of the pairs (i, j) with a_ij != a_ir * a_rj."""
     n = A.n
-    K = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if A[i, j] != A[i, r] * A[r, j]:
-                K.update((i, j))
-                if len(K) > limit:
-                    return None
-                if len(K) == n - 1:
-                    return K
-    return K
+    return sorted({k for i in range(n) for j in range(i + 1, n)
+                   if A[i, j] != A[i, r] * A[r, j] for k in (i, j)})
+
+
+def ref_minimal_block(A):
+    """The smallest nonempty K_r, lexicographic among equal sizes; (0,) when
+    every K_r is empty."""
+    blocks = [K for K in (ref_reference_block(A, r) for r in range(A.n)) if K]
+    return tuple(min(blocks, key=lambda K: (len(K), K))) if blocks else (0,)
 
 
 def ref_validate_error(grid):
@@ -255,16 +255,13 @@ def test_dominance_matches_fractions_on_every_outcome():
     assert seen == {EQUAL, INCOMPARABLE, V_DOMINATES, W_DOMINATES}
 
 
-def test_reference_block_and_detection_match_fractions(monkeypatch):
+def test_detection_matches_fractions():
     matrices = [A for _, A, _ in CORPUS] + scrambled_blocks()
-    for A in matrices:
-        n = A.n
-        for r in range(n):
-            for limit in {1, n // 2, n - 1}:
-                assert matrix._reference_block(A, r, limit) == ref_reference_block(A, r, limit)
     found = [detect_minimal_block(A) for A in matrices]
-    monkeypatch.setattr(matrix, "_reference_block", ref_reference_block)
-    assert found == [detect_minimal_block(A) for A in matrices]
+    for d, A in zip(found, matrices):
+        assert d.K == ref_minimal_block(A)
+        assert d.form == is_block_perturbation(A, d.K)
+        assert apply_similarity(d.form.matrix(), d.form.back_map).entries == A.entries
     assert sum(d.form.s < A.n - 1 for d, A in zip(found, matrices)) >= 50
 
 

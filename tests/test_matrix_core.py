@@ -377,53 +377,40 @@ class TestDetectMinimalBlock:
             assert d.form == is_block_perturbation(A, d.K)
 
 
-@pytest.fixture
-def scans(monkeypatch):
-    """The references r that matrix._reference_block scans, in call order."""
-    calls = []
-    scan = matrix._reference_block
-    monkeypatch.setattr(matrix, "_reference_block",
-                        lambda A, r, limit: calls.append(r) or scan(A, r, limit))
-    return calls
-
-
 @pytest.mark.parametrize("backend", ["exact", "float"])
-def test_detection_scans_each_reference_once(backend, scans):
-    """The form reuses the scan of its reference r: a block of under n/2
-    indices that misses 0 is K_0, found and formed from one scan.  A
-    consistent matrix gets K = (0,); its float form reads K_1, while an
-    exact K_0 = {} already proves K_1 empty."""
+def test_detection_takes_the_largest_class(backend):
+    """K is the complement of the largest class of proportional rows: a block
+    of under n/2 indices that misses 0, and K = (0,) on a consistent matrix."""
     M = MonomialSimilarity((F(2), F(1, 3), F(5), F(1), F(7, 2), F(3, 4), F(9)),
                            (3, 5, 6, 0, 1, 2, 4))
     A = apply_similarity(block_matrix(B3, 7), M)
     C = consistent_matrix((1, 2, 3, 5))
     if backend == "float":
         A, C = A.to_float(), C.to_float()
-    assert detect_minimal_block(A).K == (3, 5, 6) and scans == [0]
-    scans.clear()
-    assert detect_minimal_block(C).K == (0,) and scans == ([0] if backend == "exact" else [0, 1])
+    assert detect_minimal_block(A).K == (3, 5, 6)
+    assert detect_minimal_block(C).K == (0,)
 
 
-def test_references_that_disagree_near_tolerance(scans):
-    """Float entries off consistency by about TOL_CONS: K_0 = {1, 3},
-    K_1 = {0, 3} and K_2 is empty, so K = (0,), whose K_1 does not lie
-    inside it.  There is no form, and reference 1 is not scanned again."""
+def test_references_that_disagree_near_tolerance():
+    """Float entries off consistency by about TOL_CONS: row 2 is a multiple
+    of every row, rows 0 and 1 are not multiples of each other, nor is row 3
+    of either.  Proportionality is not transitive here, so there is no
+    form."""
     A = validate_reciprocal([
         [1.0, 0.16976933086389143, 0.10264874680107239, 0.08005786012277413],
         [5.890345416992464, 1.0, 0.6046365747719847, 0.47156844896075495],
         [9.741960142367299, 1.6538860560612154, 1.0, 0.779920482399282],
         [12.490965889750644, 2.120582923229502, 1.2821819949178457, 1.0]])
-    assert [matrix._reference_block(A, r, 3) for r in range(3)] == [{1, 3}, {0, 3}, set()]
-    scans.clear()
-    assert detect_minimal_block(A) is None and scans == [0, 1, 2]
+    assert detect_minimal_block(A) is None
     assert is_block_perturbation(A, (0,)) is None
 
 
-def test_reference_block_underflow_is_a_bad_pair():
-    """A float product a_ir * a_rj that underflows to 0 marks its pair."""
+def test_underflowing_product_is_not_proportional():
+    """A float product a_ir * a_rj that underflows to 0 fails the test "row i
+    is a_ir times row r": a_12 = 0.5 against a_10 * a_02 = 1e-200 * 1e-200."""
     A = validate_reciprocal([[1, 1e200, 1e-200], [1e-200, 1, 0.5], [1e200, 2, 1]])
-    assert matrix._reference_block(A, 0, 2) == {1, 2}
-    assert matrix._reference_block(A, 0, 0) is None
+    assert A.array[1, 0] * A.array[0, 2] == 0.0
+    assert is_block_perturbation(A, (2,)) is None
 
 
 @pytest.mark.parametrize("rows", [

@@ -50,46 +50,39 @@ INCOMPARABLE = "incomparable"
 
 @dataclass(frozen=True, eq=False)
 class ComparisonDigraph:
-    """G(A, w): for every ordered pair at least one direction is present."""
+    """G(A, w): for every ordered pair at least one direction is present.
+    has_edge(i, j) tests i -> j in O(1); score holds the Landau scores, out-
+    minus in-degree, that strongly_connected_components cuts; adj, the read-only
+    n-by-n bool array with adj[i, j] iff i -> j, is build()'s, made on first read."""
 
-    adj: np.ndarray  # n-by-n bool, adj[i, j] iff edge i -> j
+    has_edge: Callable[[int, int], bool]
+    score: tuple
+    build: Callable[[], np.ndarray]
+
+    @classmethod
+    def _of_adj(cls, adj: np.ndarray) -> "ComparisonDigraph":
+        """The digraph whose adjacency array is adj, made read-only; build returns it."""
+        adj.flags.writeable = False
+        return cls(lambda i, j: bool(adj[i, j]),
+                   tuple((adj.sum(axis=1) - adj.sum(axis=0)).tolist()), lambda: adj)
 
     @property
     def n(self) -> int:
-        return len(self.adj)
+        return len(self.score)
+
+    @cached_property
+    def adj(self) -> np.ndarray:
+        return self.build()
 
     @cached_property
     def succ(self) -> tuple:
         """succ[i] = frozenset of j with edge i -> j."""
         return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.adj)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.adj[i, j])
-
     def has_cycle(self, cycle: Sequence[int]) -> bool:
         """True iff consecutive edges of the closed walk are all present."""
         m = len(cycle)
         return all(self.has_edge(cycle[k], cycle[(k + 1) % m]) for k in range(m))
-
-
-class _FormDigraph(ComparisonDigraph):
-    """G(A_n(B), w) of a form_verdict: has_edge is the edge test, O(1), so a
-    cycle is checked without the n-by-n adj, which build() makes on first read:
-    _digraph on form.matrix(), so it is build_digraph's."""
-
-    def __init__(self, n: int, edge: Callable[[int, int], bool], build: Callable[[], np.ndarray]):
-        self.__dict__.update(_n=n, _edge=edge, _build=build)
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @cached_property
-    def adj(self) -> np.ndarray:
-        return self._build()
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return self._edge(i, j)
 
 
 def build_digraph(A: ReciprocalMatrix, w: Sequence[Scalar]) -> ComparisonDigraph:
@@ -106,7 +99,7 @@ def _integers(w: Vector) -> list:
 
 
 def _digraph(A: ReciprocalMatrix, w: Vector) -> ComparisonDigraph:
-    """G(A, w), w as A.weights returns it."""
+    """G(A, w), w as A.weights returns it, with its adj built."""
     if type(w[0]) is Fraction:  # w_i/w_j >= p_ij/q_ij iff W_i * q_ij >= p_ij * W_j
         W = _integers(w)
         adj = np.array([[Wi * q >= p * Wj for p, q, Wj in zip(P, Q, W)]
@@ -116,23 +109,15 @@ def _digraph(A: ReciprocalMatrix, w: Vector) -> ComparisonDigraph:
         with np.errstate(over="ignore"):  # w_i/w_j = inf is an edge, as it should be
             adj = w[:, None] / w[None, :] >= A.array * (1.0 - TOL_EDGE)
     np.fill_diagonal(adj, False)
-    adj.flags.writeable = False
-    return ComparisonDigraph(adj)
+    return ComparisonDigraph._of_adj(adj)
 
 
 def strongly_connected_components(G: ComparisonDigraph) -> list:
-    """Strong components of the semicomplete G, sink first, as sorted tuples."""
-    return _landau_cut((G.adj.sum(axis=1) - G.adj.sum(axis=0)).tolist())
-
-
-def _landau_cut(score: list) -> list:
-    """The strong components of a semicomplete digraph from its Landau scores
-    (out - in), sink first, as sorted tuples.
-
-    A k-set's score sum is edges leaving minus edges entering, at most k(n-k),
-    with equality iff it heads the condensation; such a set outscores the rest.
-    """
-    n = len(score)
+    """Strong components of the semicomplete G, sink first, as sorted tuples,
+    cut from its Landau scores: a k-set's score sum is edges leaving minus edges
+    entering, at most k(n-k), with equality iff it heads the condensation; such
+    a set outscores the rest."""
+    score, n = G.score, G.n
     order = sorted(range(n), key=score.__getitem__, reverse=True)  # stable
     comps = []
     start = total = 0
@@ -224,7 +209,8 @@ def _dominator(A: ReciprocalMatrix, w: Vector, source_set: Iterable[int]) -> Vec
         w = np.array(w)
         inside = np.array(sorted(S))
         outside = np.delete(np.arange(n), inside)
-        cand = A.array[np.ix_(inside, outside)] * w[outside] / w[inside, None]
+        a = _cross_block(A, inside, outside)
+        cand = a * w[outside] / w[inside, None]
         p, q = np.unravel_index(np.argmax(cand), cand.shape)
         t, i, j = cand[p, q], inside[p], outside[q]
     if not t < 1:
@@ -235,17 +221,28 @@ def _dominator(A: ReciprocalMatrix, w: Vector, source_set: Iterable[int]) -> Vec
     if scaled.min() > 0:
         w[inside] = scaled
         return tuple(w.tolist())
-    return _rescaled_dominator(A, w, inside, outside)
+    return _rescaled_dominator(a, w, inside, outside)
 
 
-def _rescaled_dominator(A: ReciprocalMatrix, w: np.ndarray, inside, outside) -> Vector:
-    """The float dominator when w_i * t underflows to 0.0: t and v carried as
-    mantissa and exponent (m * 2**e), then scaled by the power of two that
-    centres v's exponents on 0, or that puts its largest entry just below the
-    float maximum when centring would overflow.  v's ratios lie between w's and
+def _cross_block(A: ReciprocalMatrix, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """A's float entries at rows inside and columns outside, both ascending: on
+    an A_n(B) that records B, ones with B's in the head corner, not the n-by-n array."""
+    if A.block is None:
+        return A.array[np.ix_(inside, outside)]
+    k, m = np.searchsorted(inside, A.block.n), np.searchsorted(outside, A.block.n)
+    a = np.ones((len(inside), len(outside)))
+    a[:k, :m] = A.block.array[np.ix_(inside[:k], outside[:m])]
+    return a
+
+
+def _rescaled_dominator(a: np.ndarray, w: np.ndarray, inside, outside) -> Vector:
+    """The float dominator when w_i * t underflows to 0.0, a A's cross block: t
+    and v carried as mantissa and exponent (m * 2**e), then scaled by the power of
+    two that centres v's exponents on 0, or that puts its largest entry just below
+    the float maximum when centring would overflow.  v's ratios lie between w's and
     A's, so v fits wherever w does; the raise guards rounding at the subnormal end."""
     m, e = np.frexp(w)
-    am, ae = np.frexp(A.array[np.ix_(inside, outside)])
+    am, ae = np.frexp(a)
     cm, ce = np.frexp(am * m[outside] / m[inside, None])  # a_ij w_j / w_i = cm * 2**ce
     ce += ae + e[outside] - e[inside, None]
     # the largest factor: the highest exponent, then the largest mantissa
@@ -266,11 +263,7 @@ def _rescaled_dominator(A: ReciprocalMatrix, w: np.ndarray, inside, outside) -> 
 def is_efficient(A: ReciprocalMatrix, w: Sequence[Scalar]) -> EfficiencyVerdict:
     """Full verdict: strong connectivity witness, or source set + dominator."""
     w = A.weights(w)
-    G = _digraph(A, w)
-    comps = tuple(strongly_connected_components(G))
-    if len(comps) == 1:
-        return EfficiencyVerdict(comps, G)
-    return EfficiencyVerdict(comps, G, _dominator(A, w, comps[-1]))
+    return _verdict(_digraph(A, w), lambda: A, w)
 
 
 def form_verdict(form: BlockPerturbedForm, w: Sequence[Scalar]) -> EfficiencyVerdict:
@@ -281,27 +274,32 @@ def form_verdict(form: BlockPerturbedForm, w: Sequence[Scalar]) -> EfficiencyVer
     a = 1, so a vertex's edges to and from those partners are a prefix and a
     suffix of their sorted values, counted by bisection with the same
     predicate: a tolerant float tie counts in both directions, as in
-    build_digraph.  O(s^2 + n log n), plus O(|S| (n - |S|)) for an
-    inefficient verdict's dominator.  The verdict's digraph answers has_edge
-    and has_cycle by the same tests, and is built, O(n^2), when its adj is read.
+    build_digraph.  O(s^2 + n log n) time and O(s^2 + n) memory, plus
+    O(|S| (n - |S|)) of both for an inefficient verdict's dominator.  Its
+    digraph's has_edge is the same test; its adj is built, O(n^2), when read.
     """
     w = form.weights(w)  # as form.matrix().weights(w) reads it
-    comps, edge = _form_cut(form, w)
-    G = _FormDigraph(form.n, edge, lambda: _digraph(form.matrix(), w).adj)
+    return _verdict(_form_digraph(form, w), form.matrix, w)
+
+
+def _verdict(G: ComparisonDigraph, matrix: Callable[[], ReciprocalMatrix], w: Vector):
+    """The verdict on G = G(A, w): its components, and for an inefficient one
+    the dominator, which alone reads A = matrix()."""
+    comps = tuple(strongly_connected_components(G))
     if len(comps) == 1:
         return EfficiencyVerdict(comps, G)
-    return EfficiencyVerdict(comps, G, _dominator(form.matrix(), w, comps[-1]))
+    return EfficiencyVerdict(comps, G, _dominator(matrix(), w, comps[-1]))
 
 
 def form_is_efficient(form: BlockPerturbedForm, w: Sequence[Scalar]) -> bool:
     """form_verdict(form, w).efficient in O(s^2 + n log n) on every w: the
     components alone, with no dominator.  The float closed forms call it."""
-    return len(_form_cut(form, form.weights(w))[0]) == 1
+    return len(strongly_connected_components(_form_digraph(form, form.weights(w)))) == 1
 
 
-def _form_cut(form: BlockPerturbedForm, w: Vector) -> tuple:
-    """(components of G(A_n(B), w), sink first, and its edge test), w as
-    form.weights returns it."""
+def _form_digraph(form: BlockPerturbedForm, w: Vector) -> ComparisonDigraph:
+    """G(A_n(B), w), w as form.weights returns it: its edge test and scores;
+    adj is _digraph's on form.matrix(), built when read."""
     s, n = form.s, form.n
     exact = type(w[0]) is Fraction
     if exact:  # w_i/w_j >= p/q iff W_i * q >= p * W_j
@@ -335,7 +333,7 @@ def _form_cut(form: BlockPerturbedForm, w: Vector) -> tuple:
         for v in vertices:
             xv = x[v]
             score[v] += bisect_left(up, c, key=xv.__rtruediv__) - bisect_left(down, c, key=xv.__truediv__)
-    return tuple(_landau_cut(score)), edge
+    return ComparisonDigraph(edge, tuple(score), lambda: _digraph(form.matrix(), w).adj)
 
 
 def dominance_compare(

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -66,6 +67,17 @@ def _csv_lines(text: str) -> list:
     if not lines:
         raise InputError("no data rows found")
     return lines
+
+
+#: a run of characters that holds none of str.splitlines' line boundaries
+_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]+")
+
+
+def _data_lines(text: str) -> Iterator[str]:
+    """The lines _csv_lines keeps, one at a time, without a copy of the text
+    (a regex scan, slower per character than splitlines on long texts)."""
+    return (line for line in (m.group().strip() for m in _LINE.finditer(text))
+            if line and not line.startswith("#"))
 
 
 #: a plain-decimal cell's mantissa is below this (18 digits); np.fromstring reads an overflow as 2^63 - 1
@@ -217,10 +229,9 @@ def parse_matrix_text(
             if not isinstance(row, list):
                 raise InputError(f"JSON matrix row {i} is not a list")
     else:
-        # a decimal mark or exponent in some data line: only comment lines need the split
+        # a decimal mark or exponent in some data line, read up to the first that holds one
         if backend == "float" or backend is None and any(
-                "." in line or "e" in line or "E" in line
-                for line in (_csv_lines(text) if "#" in text else [text])):
+                "." in line or "e" in line or "E" in line for line in _data_lines(text)):
             a = _float_grid(text)
             if a is not None:
                 return validate_reciprocal(a)

@@ -60,12 +60,12 @@ class TestBuildDigraph:
 
 class TestScc:
     def test_cycle(self):
-        G = ComparisonDigraph(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=bool))
+        G = ComparisonDigraph._of_adj(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=bool))
         assert G.succ == (frozenset({1}), frozenset({2}), frozenset({0}))
         assert len(strongly_connected_components(G)) == 1
 
     def test_single_edge(self):
-        G = ComparisonDigraph(np.array([[0, 1], [0, 0]], dtype=bool))
+        G = ComparisonDigraph._of_adj(np.array([[0, 1], [0, 0]], dtype=bool))
         assert G.succ == (frozenset({1}), frozenset())
         ok, comps, source = is_strongly_connected(G)
         assert not ok and source == (0,)

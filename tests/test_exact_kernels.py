@@ -44,7 +44,7 @@ def ref_adjacency(A, w):
 def ref_verdict(A, w):
     """(components, dominator or None) by the Fraction edge rule and the max
     over (t, i, j) of a_ij w_j / w_i on the source component."""
-    G = ComparisonDigraph(np.array(ref_adjacency(A, w), dtype=bool))
+    G = ComparisonDigraph._of_adj(np.array(ref_adjacency(A, w), dtype=bool))
     comps = tuple(strongly_connected_components(G))
     if len(comps) == 1:
         return comps, None

@@ -120,6 +120,9 @@ PARSE_CORPUS = [
     _random_csv(12, _rng, lambda x: "%.17g" % x),
     _random_csv(9, _rng, lambda x: " %.17e " % x),
     _random_csv(10, _rng, lambda x: "%.15g" % x),
+    "# 0.5e3 E\n1,2\n1/2,1\n",               # a decimal mark and exponents in a comment alone: exact
+    "1,2\x0c# 0.5\x0b1/2,1",                  # form feed and vertical tab end lines too
+    "# m\n1,2\n0.5,1\n",                     # the mark in a later data line: float
 ]
 
 
@@ -427,6 +430,7 @@ LINE_STRUCTURE = [
     ("# only\n", False, "no data rows found"),
     ("\n".join(_LINES + _LINES[:1]), False, "grid is not square"),         # n + 1 rows
     ("\n".join(_LINES[:-1]), False, "grid is not square"),                 # n - 1 rows
+    ("\n".join(_LINES[:2]) + "\n# m\n" + "\n".join(_LINES[2:]), False, None),  # a comment inside
 ]
 
 
@@ -447,6 +451,17 @@ def test_line_structure_reads_as_before(text, plain, message, backend, monkeypat
     if plain:
         monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: pytest.fail("loadtxt called"))
     assert parse_matrix_text(text, backend).array.tobytes() == np.array(expected.entries).tobytes()
+
+
+def test_routing_reads_the_data_lines_one_at_a_time():
+    """The lines that route CSV text (a decimal mark or exponent in one of
+    them sends it to the float reader) are str.splitlines' lines, stripped,
+    but for blank and "#" lines, at every line boundary splitlines knows."""
+    texts = PARSE_CORPUS + [text for text, _, _ in LINE_STRUCTURE] + ["1\r\n\r\n2"]
+    texts += [f"1{sep} #x{sep}{sep} 2.0 {sep}3" for sep in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"]
+    for text in texts:
+        lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+        assert list(io._data_lines(text)) == lines, text
 
 
 def test_byte_order_mark_file_reads_as_without(tmp_path):

@@ -19,6 +19,7 @@ from effvec import (
     block_matrix,
     build_digraph,
     canonical_form,
+    construct_dominating_vector,
     constant_block_perron_check,
     constant_block_sample,
     detect_minimal_block,
@@ -52,11 +53,16 @@ def near(w, rng):
 
 def assert_same(form, w):
     """form_verdict(form, w) is is_efficient(form.matrix(), w) in components,
-    dominator and digraph; returns the verdict."""
+    dominator and digraph, and its dominator is the one read from the n-by-n
+    entries of a copy of A_n(B) that records no block; returns the verdict."""
     got, want = form_verdict(form, w), is_efficient(form.matrix(), w)
     assert got.components == want.components, (form.block, w)
     assert got.dominator == want.dominator, (form.block, w)
     assert list(map(type, got.dominator or ())) == list(map(type, want.dominator or ()))
+    if got.dominator is not None:
+        plain = form.matrix().submatrix(range(form.n))
+        assert plain.block is None
+        assert construct_dominating_vector(plain, w, got.source_set) == got.dominator
     n, G = form.n, got.digraph
     assert [[G.has_edge(i, j) for j in range(n)] for i in range(n)] == want.digraph.adj.tolist()
     assert np.array_equal(G.adj, want.digraph.adj), (form.block, w)
@@ -201,6 +207,40 @@ def test_float_closed_forms_build_no_matrix(monkeypatch):
     monkeypatch.setattr(type(form), "matrix", refuse)
     assert not two_block_is_efficient(S, (3.0, 1.0, 2.0, 2.0, 2.0, 5.0))
     assert not lcompl_membership(form, head + (max(head) * 2,) * 3)
+
+
+def test_float_dominator_reads_no_n_by_n_array(monkeypatch):
+    """An inefficient float form_verdict at n = 4096 reads its dominator from
+    B and ones: with the n-by-n array refused, it gives construct_dominating_vector's
+    on form.matrix() bit for bit, for a source set of one head vertex, of the
+    whole tail, and of a tail 1e300 over a 1e-300 head, where w_i * t underflows
+    to 0.0 and the rescaled dominator answers."""
+    n = 4096
+    cases = [
+        (ConstantBlockMatrix(3.0, 3, n), (100.0,) + (1.0,) * (n - 1), (0,), False),
+        (ConstantBlockMatrix(3.0, 3, n), (1.0,) * 3 + (5.0,) * (n - 3), tuple(range(3, n)), False),
+        (ConstantBlockMatrix(2.0, 3, n), (1e-300,) * 3 + (1e300,) * (n - 3), tuple(range(3, n)), True),
+    ]
+    array = ReciprocalMatrix.__dict__["array"]
+
+    def guarded(A):
+        assert A.n < n, "the n-by-n array built"
+        return array.__get__(A, ReciprocalMatrix)
+
+    rescaled = []
+    monkeypatch.setattr(ReciprocalMatrix, "array", property(guarded))
+    monkeypatch.setattr(efficiency, "_rescaled_dominator", lambda *args, f=efficiency._rescaled_dominator:
+                        rescaled.append(1) or f(*args))
+    for form, w, source, underflows in cases:
+        rescaled.clear()
+        verdict = form_verdict(form, w)
+        assert verdict.source_set == source
+        assert bool(rescaled) == underflows
+        v = construct_dominating_vector(form.matrix(), w, source)
+        assert np.array(verdict.dominator).tobytes() == np.array(v).tobytes()
+        if not underflows:  # the source set scaled down, the rest kept
+            inside = set(source)
+            assert all(v[i] < w[i] if i in inside else v[i] == w[i] for i in range(n))
 
 
 @pytest.mark.parametrize("scale", [1 + d for d in OFFSETS] + [1 - d for d in OFFSETS])

@@ -318,9 +318,19 @@ def _form_digraph(form: BlockPerturbedForm, w: Vector) -> ComparisonDigraph:
     score = [0] * n
     for i in range(s):
         for j in range(i + 1, s):
-            d = edge(i, j) - edge(j, i)
+            if exact:
+                d = edge(i, j) - edge(j, i)
+            else:  # edge's test inline: on a small form the calls cost more than the rest
+                d = (x[i] / x[j] >= b[i][j] * c) - (x[j] / x[i] >= b[j][i] * c)
             score[i] += d
             score[j] -= d
+    if not exact and n == s + 1:  # one tail vertex, as in the Perron verdict's A_{s+1}(B):
+        t = x[s]  # its pairs tested one by one, as the head's, with a = 1
+        for i in range(s):
+            d = (x[i] / t >= c) - (t / x[i] >= c)
+            score[i] += d
+            score[s] -= d
+        return ComparisonDigraph(edge, tuple(score), lambda: _digraph(form.matrix(), w).adj)
     # a head vertex meets a = 1 on the tail, a tail vertex on every vertex (its
     # pair with itself counts once each way)
     for pool, vertices in ((x[s:], range(s)), (x, range(s, n))):

@@ -143,20 +143,29 @@ def _plain_decimals(chunk: str, out: np.ndarray) -> bool:
     rows, n = out.shape
     if not chunk.isascii():
         return False
-    if "\r" in chunk:  # CRLF line ends
-        chunk = chunk.replace("\r\n", "\n").removesuffix("\r")
     raw = chunk.encode()
     b = np.frombuffer(raw, np.uint8)
     marks = np.flatnonzero((b - ord("0")) > 9)  # the bytes that are not digits
+    end, eol, crlf = len(raw), ord("\n"), "\r" in chunk
+    if crlf:  # "\r" ends a line, and the "\n" after it is no mark
+        lf = b[marks] == eol
+        nl, marks, eol = marks[lf], marks[~lf], ord("\r")
+        if raw.endswith(b"\r"):  # the last line's, whose "\n" ends the chunk
+            marks, end = marks[:-1], end - 1
     if len(marks) + 1 != 2 * n * rows:
         return False
-    dots, ends = marks[::2], np.append(marks[1::2], len(raw))  # ends: one past each cell
-    seps = np.append(b[ends[:-1]], ord("\n")).reshape(rows, n)
+    dots, ends = marks[::2], np.append(marks[1::2], end)  # ends: one past each cell
+    seps = np.append(b[ends[:-1]], eol).reshape(rows, n)
+    gaps = np.diff(marks, prepend=-1, append=end)
     # a "." in each cell, a "," after all but a line's n-th, and a digit beside each mark
-    if ((b[dots] != ord(".")).any() or (seps[:, :-1] != ord(",")).any() or (seps[:, -1] != ord("\n")).any()
-            or (np.diff(marks, prepend=-1, append=len(raw)) < 2).any()):
+    if ((b[dots] != ord(".")).any() or (seps[:, :-1] != ord(",")).any() or (seps[:, -1] != eol).any()
+            or (gaps < 2).any()):
+        return False
+    # and on CRLF lines, a "\n" just after each line's "\r" but the last, and a digit after it
+    if crlf and (len(nl) != rows - 1 or (nl != ends[n - 1:-1:n] + 1).any() or (gaps[2 * n::2 * n] < 3).any()):
         return False
     k = ends - dots - 1
+    # a "\r" left before a "," is whitespace, which the reader skips
     m = np.fromstring(raw.replace(b".", b"").replace(b"\n", b","), np.int64, sep=",")
     if len(m) != len(ends) or m.max() >= _MANTISSA_BOUND or k.max() >= len(_POW10):
         return False

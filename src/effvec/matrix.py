@@ -35,7 +35,7 @@ def is_exact_scalar(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-_EXACT_TYPES, _FRACTION = frozenset((int, Fraction)), frozenset((Fraction,))
+_EXACT_TYPES, _FRACTION, _FLOAT = frozenset((int, Fraction)), frozenset((Fraction,)), frozenset((float,))
 #: the truth values, which no intake takes as numbers (int and float accept them)
 _BOOLS = frozenset((bool, np.bool_))
 #: rows per panel of float validation, and a panel's diagonal block on and above its diagonal
@@ -138,10 +138,10 @@ def check_positive_vector(w: Sequence[Scalar], n: int) -> Vector:
         # an exact entry is finite and has its sign on the numerator
         if not (x.numerator > 0 if exact else 0 < x < math.inf):
             raise InputError(f"vector entry {x!r} is not positive and finite")
+    if (_FRACTION if exact else _FLOAT).issuperset(map(type, w)):
+        return w if type(w) is tuple else tuple(w)  # checked above: what the kernels read
     if not exact:
         return tuple(float_view(w, "vector entry ({})").tolist())
-    if type(w) is tuple and _FRACTION.issuperset(map(type, w)):
-        return w  # immutable, and already what the kernels read
     return tuple(x if type(x) is Fraction else Fraction(x) for x in w)
 
 
@@ -157,12 +157,13 @@ def _pair_vector(w: Sequence[Scalar], n: int, exact: bool) -> Vector:
 class ReciprocalMatrix:
     """Validated reciprocal matrix.  Immutable.
 
-    An exact matrix holds its entries, rows of Fractions.  A float matrix
-    from validate_reciprocal, to_float, submatrix or delete is its read-only
-    float64 array; `entries`, its rows as tuples of Python floats, is built
-    from that array on its first read (by the readers of single entries,
-    equality, hash and repr), at most once.  Equality, hash and repr are those of
-    (entries, exact).
+    An exact matrix holds its entries, rows of Fractions, but for the block
+    of exact detection, which is its integer ratios.  A float matrix from
+    validate_reciprocal, to_float, submatrix or delete is its read-only
+    float64 array.  The entries of a matrix that is its ratios or its array,
+    rows of Fractions or of Python floats, are built on their first read (by
+    the readers of single entries, equality, hash and repr), at most once.
+    Equality, hash and repr are those of (entries, exact).
 
     Outside input goes through validate_reciprocal.  Derived matrices
     (submatrix, delete, to_float, block_matrix, the blocks of canonical
@@ -181,6 +182,13 @@ class ReciprocalMatrix:
         """The float matrix that is a, a validated read-only float64 array."""
         A = cls.__new__(cls)
         A.__dict__.update(array=a, exact=False, n=len(a))
+        return A
+
+    @classmethod
+    def _of_ratios(cls, ratios: tuple) -> "ReciprocalMatrix":
+        """The exact matrix whose ratios are (P, Q), validated and in lowest terms."""
+        A = cls.__new__(cls)
+        A.__dict__.update(ratios=ratios, exact=True, n=len(ratios[0]))
         return A
 
     def __setattr__(self, name, value):
@@ -202,7 +210,9 @@ class ReciprocalMatrix:
 
     @cached_property
     def entries(self) -> tuple:
-        """The rows of a float matrix that is its array, built on first read."""
+        """The rows of a matrix that is its ratios or its array, built on first read."""
+        if self.exact:
+            return tuple(tuple(map(Fraction, p, q)) for p, q in zip(*self.ratios))
         return tuple(map(tuple, self.array.tolist()))
 
     def __getitem__(self, ij):
@@ -213,7 +223,7 @@ class ReciprocalMatrix:
         return self.entries[i]
 
     def column(self, j: int) -> tuple:
-        if "entries" in self.__dict__:
+        if self.exact or "entries" in self.__dict__:
             return tuple(r[j] for r in self.entries)
         return tuple(self.array[:, j].tolist())  # a float matrix that is its array
 
@@ -249,16 +259,32 @@ class ReciprocalMatrix:
     def array(self) -> np.ndarray:
         """The entries as a read-only float64 array, built at most once.
         An exact entry outside the positive floats is an InputError.  An
-        A_n(B) from block_matrix is ones with B's view in the leading
-        corner: s^2 conversions, not n^2."""
-        if self.block is None:
-            a = float_view(self.entries, "entry ({},{})")
-        else:
+        exact matrix's view is p / q over its ratios: int true division rounds
+        correctly, so each is float(Fraction(p, q)) bit for bit.  An A_n(B)
+        from block_matrix is ones with B's view in the leading corner: s^2
+        conversions, not n^2."""
+        if self.block is not None:
             s = self.block.n
             a = np.ones((self.n, self.n))
             a[:s, :s] = self.block.array
+        elif self.exact:
+            a = self._ratio_view()
+        else:
+            a = float_view(self.entries, "entry ({},{})")
         a.flags.writeable = False
         return a
+
+    def _ratio_view(self) -> np.ndarray:
+        """The float view of an exact matrix, p / q over its ratios."""
+        n, (P, Q) = self.n, self.ratios
+        try:
+            a = np.fromiter(map(operator.truediv, chain.from_iterable(P), chain.from_iterable(Q)),
+                            float, n * n)
+            if a.all():
+                return a.reshape(n, n)
+        except OverflowError:
+            pass
+        return float_view(self.entries, "entry ({},{})")  # raises, naming the first such entry
 
     @cached_property
     def ratios(self) -> tuple:
@@ -581,16 +607,11 @@ def _block_form(A: ReciprocalMatrix, K: list) -> Optional[BlockPerturbedForm]:
 def _exact_block(A: ReciprocalMatrix, K: list, r: int) -> ReciprocalMatrix:
     """_block_form's B on an exact A, in integers from A.ratios: B_pq is
     p_{K_p K_q} p_{K_q r} q_{K_p r} / (q_{K_p K_q} q_{K_q r} p_{K_p r}), reduced
-    by one gcd, and B_qp its mirror; each becomes a Fraction once.  B gets
-    those ratios, and its float view as p / q when every p and q is below
-    2**53 (then exactly float(Fraction(p, q))); past that the view is built
-    on first read, which raises if an entry leaves the floats."""
+    by one gcd, and B_qp its mirror.  B is those ratios: its Fractions and its
+    float view are built from them on first read."""
     s, (P, Q) = len(K), A.ratios
     p_r, q_r = [P[k][r] for k in K], [Q[k][r] for k in K]
     num, den = [[1] * s for _ in range(s)], [[1] * s for _ in range(s)]
-    one = Fraction(1)
-    rows = [[one] * s for _ in range(s)]
-    bits = 1  # the bitwise or of every p and q
     for p in range(s):
         P_p, Q_p = P[K[p]], Q[K[p]]
         for q in range(p + 1, s):
@@ -600,15 +621,7 @@ def _exact_block(A: ReciprocalMatrix, K: list, r: int) -> ReciprocalMatrix:
             x, y = x // g, y // g
             num[p][q] = den[q][p] = x
             den[p][q] = num[q][p] = y
-            rows[p][q], rows[q][p] = Fraction(x, y), Fraction(y, x)
-            bits |= x | y
-    B = ReciprocalMatrix(tuple(map(tuple, rows)), True)
-    B.__dict__["ratios"] = (tuple(map(tuple, num)), tuple(map(tuple, den)))
-    if bits < 2**53:
-        a = np.divide(num, den, dtype=float)
-        a.flags.writeable = False
-        B.__dict__["array"] = a
-    return B
+    return ReciprocalMatrix._of_ratios((tuple(map(tuple, num)), tuple(map(tuple, den))))
 
 
 @dataclass(frozen=True)
@@ -625,37 +638,50 @@ def detect_minimal_block(A: ReciprocalMatrix) -> Optional[DetectedBlock]:
     """Smallest index set K (lexicographic tie-break) making A a block perturbation:
     the complement of the largest class of proportional rows (of two of one size,
     the one with the larger least index); K = (0,) when one class holds every row.
-    Exact rows are bucketed by the reduced a_i1 / a_i0 and confirmed against a
-    class's first row r, p_ij q_ir q_rj == p_ir p_rj q_ij, on the columns j outside
-    the class (a_ij = 1 / a_ji = a_ir a_rj in it): O(n^2), plus O(n) per further
-    class in a row's bucket.  Float proportionality within TOL_CONS is not
+    Exact rows are bucketed by the reduced a_i1 / a_i0 and confirmed against the
+    bucket's first class, whose first row is r: p_ij q_ir q_rj == p_ir p_rj q_ij on
+    the columns j outside the class (a_ij = 1 / a_ji = a_ir a_rj in it).  A row it
+    does not take is keyed by its whole row of reduced a_ij / a_i0, which proportional
+    rows share: O(n^2) either way.  Float proportionality within TOL_CONS is not
     transitive, so a float K goes through is_block_perturbation (None if it fails)."""
     n = A.n
     if A.exact:
         P, Q = A.ratios
-        buckets, outs = {}, {}  # outs: by a class's first row r, the rows from r not in it
+        firsts, rest = {}, {}  # by bucket, its first class; by whole row, the classes after those
+        out = {}  # by a first class's first row r, the rows from r not in it
         for i, (p, q) in enumerate(zip(P, Q)):
             x, y = p[1] * q[0], q[1] * p[0]
             g = math.gcd(x, y)
-            bucket = buckets.setdefault((x // g, y // g), [])
-            for c in bucket:
-                r = c[0]
-                p_ir, q_ir, p_r, q_r = p[r], q[r], P[r], Q[r]
-                out = outs.setdefault(r, [])
-                out += range(r + len(out) + len(c), i)  # out and c split range(r, i)
-                if not [j for j in chain(range(r), out, range(i + 1, n))
-                        if p[j] * q_ir * q_r[j] != p_ir * p_r[j] * q[j]]:
-                    c.append(i)
-                    break
+            c = firsts.setdefault((x // g, y // g), [i])
+            if c[0] == i:
+                continue
+            r = c[0]
+            p_ir, q_ir, p_r, q_r = p[r], q[r], P[r], Q[r]
+            o = out.setdefault(r, [])
+            o += range(r + len(o) + len(c), i)  # o and c split range(r, i)
+            if not [j for j in chain(range(r), o, range(i + 1, n))
+                    if p[j] * q_ir * q_r[j] != p_ir * p_r[j] * q[j]]:
+                c.append(i)
             else:
-                bucket.append([i])
-        classes = chain.from_iterable(buckets.values())
+                rest.setdefault(_reduced_row(p, q), []).append(i)
+        classes = chain(firsts.values(), rest.values())
     else:
         classes = _float_classes(A.array)
     best = max(classes, key=lambda c: (len(c), min(c)))
     K = sorted(set(range(n)).difference(best)) or [0]
     form = _block_form(A, K) if A.exact else is_block_perturbation(A, K)
     return None if form is None else DetectedBlock(form)
+
+
+def _reduced_row(p: tuple, q: tuple) -> tuple:
+    """The exact row p / q divided by its first entry: a_ij / a_i0 =
+    p_ij q_i0 / (q_ij p_i0) for every j, each in lowest terms, flattened."""
+    key = []
+    for p_j, q_j in zip(p, q):
+        x, y = p_j * q[0], q_j * p[0]
+        g = math.gcd(x, y)
+        key += (x // g, y // g)
+    return tuple(key)
 
 
 def _float_classes(a: np.ndarray) -> list:

@@ -66,7 +66,9 @@ def perron(A: ReciprocalMatrix) -> PerronResult:
 
 def _quotient_pair(b: np.ndarray, m: int) -> Optional[PerronResult]:
     """The Perron pair of A_{s+m}(B) from R_m, b = B's float view, or None if
-    eig's dominant pair is not positive or misses TOL_PERRON."""
+    eig fails or its dominant pair is not positive and finite or misses
+    TOL_PERRON.  Past eig, the pick, the checks and the residual's last steps
+    run on Python floats."""
     s = len(b)
     R = np.empty((s + 1, s + 1))
     R[:s, :s] = b
@@ -76,16 +78,24 @@ def _quotient_pair(b: np.ndarray, m: int) -> Optional[PerronResult]:
         values, vectors = np.linalg.eig(R)
     except np.linalg.LinAlgError:
         return None
-    k = int(np.argmax(values.real))
-    lam = float(values[k].real)
-    q = (vectors[:, k] / vectors[s, k]).real
-    if not (lam > 0 and np.isfinite(lam) and np.isfinite(q).all() and (q > 0).all()):
+    re = values.real.tolist()
+    lam = max(re)
+    if any(map(math.isnan, re)) or not (lam > 0 and math.isfinite(lam)):
         return None
-    with np.errstate(over="ignore", invalid="ignore"):  # R q past the floats: rejected
-        residual = float(np.max(np.abs(R @ q - lam * q) / (lam * q)))
+    k = re.index(lam)  # the first largest, as np.argmax picks it
+    q = (vectors[:, k] / vectors[s, k]).real
+    w = q.tolist()
+    if not (all(map(math.isfinite, w)) and min(w) > 0):
+        return None
+    with np.errstate(over="ignore"):  # R q past the floats: an inf, rejected below
+        rq = (R @ q).tolist()
+    lq = [lam * x for x in w]
+    if not (min(lq) > 0 and math.isfinite(max(lq))):  # lam q_i under- or overflowed: rejected
+        return None
+    residual = max(abs(y - z) / z for y, z in zip(rq, lq))
     if not residual < TOL_PERRON:
         return None
-    return PerronResult(lam, tuple(q[:s].tolist()) + (1.0,) * m, residual, 0)
+    return PerronResult(lam, tuple(w[:s]) + (1.0,) * m, residual, 0)
 
 
 def _power_iteration(M: np.ndarray) -> PerronResult:
@@ -138,6 +148,8 @@ def perron_tail_structure(form: BlockPerturbedForm, r: PerronResult) -> TailStru
     at most 10 * TOL_PERRON relative to the largest (vacuous for n <= s + 1)."""
     check_size(r.w, form.n)
     tail = r.w[form.s :]
+    if tail and tail.count(tail[0]) == len(tail):  # one value, as the quotient route repeats it
+        return TailStructure(tail[0] >= 0 and math.isfinite(tail[0]))
     hi = max(tail, default=0.0)
     return TailStructure(bool(hi - min(tail, default=hi) <= 10 * TOL_PERRON * hi))
 

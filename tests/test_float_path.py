@@ -304,6 +304,48 @@ def test_plain_reader_matches_float_bit_for_bit(monkeypatch):
     assert len(first - set(reread)) > 1000  # stepped one ulp and proven
 
 
+def test_plain_reader_reads_crlf_as_lf(monkeypatch):
+    """The hard cells of test_plain_reader_matches_float_bit_for_bit on CRLF
+    lines, in several row chunks: the plain-decimal reader reads them as on
+    LF lines, bit for bit, and re-reads its ties, whose text then starts with
+    the "\\n" of the line end before them, as float() does."""
+    lines = _square(_plain_corpus(random.Random(31), 800)).splitlines()
+    reread = []
+    monkeypatch.setattr(io, "float", raising=False, value=lambda cell: reread.append(cell) or float(cell))
+    a = io._plain_decimal_grid("\r\n".join(lines) + "\r\n")
+    monkeypatch.undo()
+    assert len(lines) > io._CHUNK_CELLS // len(lines) and a is not None  # two row chunks or more
+    assert a.tobytes() == io._plain_decimal_grid("\n".join(lines)).tobytes()
+    assert any(cell.startswith(b"\n") for cell in reread)
+
+
+#: texts with "\r" near the plain-decimal grammar: whichever reader takes one,
+#: it reads as reference_parse reads it, or gives an error as that does
+CRLF_NEAR_PLAIN = [
+    "1.0,2.0\r\n.5,1.0\r\n",           # no digit after a line's "\r\n"
+    "1.0,2.0\r\r\n0.5,1.0\r\n",         # "\r" twice
+    "1.0,2.0\r\n0.5,1.0\r\r\n",
+    "1.0,2.0\n\r0.5,1.0\r\n",           # "\n" before "\r"
+    "1.0,2.0\r0.5,1.0\r\n",             # "\r" alone
+    "1.0,2.0\n0.5,1.0\r\n",             # LF and CRLF lines
+    "1.0,2.0\r\n0.5,1.0\n",
+    "1.0,2.0\r,\n0.5,1.0\r\n",
+    "1.0,2.0\r\n\r\n0.5,1.0\r\n",       # a blank line inside
+    "1.0\r,2.0\r\n0.5,1.0\r\n",         # a "\r" in a line
+]
+
+
+@pytest.mark.parametrize("text", CRLF_NEAR_PLAIN, ids=[f"crlf{k}" for k in range(len(CRLF_NEAR_PLAIN))])
+def test_crlf_near_plain_inputs_read_as_the_reference(text):
+    try:
+        expected = reference_parse(text).array.tobytes()
+    except (InputError, ValueError):
+        with pytest.raises(InputError):
+            parse_matrix_text(text)
+    else:
+        assert parse_matrix_text(text).array.tobytes() == expected
+
+
 def test_plain_reader_reads_zero():
     """A 0.0 cell reads as 0.0; the grid is then no float matrix."""
     text = "1.0,0.0\n0.0,00.000\n"
@@ -360,21 +402,24 @@ def test_near_plain_inputs_read_as_before(text, expected, backend):
     assert (io._plain_decimal_grid(text) is not None) == (text == "1.0,2.0\r\n0.5,1.0\r\n")
 
 
-def test_plain_reader_memory():
-    """At n = 1024 on repr cells, the plain-decimal reader's tracemalloc
-    peak is at most 1.5 times its 8 MiB output."""
+def test_plain_reader_memory(monkeypatch):
+    """At n = 1024 on repr cells, with LF and with CRLF line ends, the
+    plain-decimal reader's tracemalloc peak is at most 1.5 times its 8 MiB
+    output; neither text goes to np.loadtxt."""
+    monkeypatch.setattr(io, "_csv_lines", lambda text: pytest.fail("split for np.loadtxt"))
     rng = random.Random(41)
     n = 1024
-    text = "".join(",".join([repr(math.exp(rng.uniform(-2.2, 2.2))) for _ in range(n)]) + "\n"
-                   for _ in range(n))
-    tracemalloc.start()
-    try:
-        a = io._float_grid(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert a is not None and a.nbytes == 8 * 2 ** 20
-    assert peak <= 1.5 * a.nbytes
+    lines = [",".join([repr(math.exp(rng.uniform(-2.2, 2.2))) for _ in range(n)]) for _ in range(n)]
+    for end in ("\n", "\r\n"):
+        text = "".join(line + end for line in lines)
+        tracemalloc.start()
+        try:
+            a = io._float_grid(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a is not None and a.nbytes == 8 * 2 ** 20
+        assert peak <= 1.5 * a.nbytes, end
 
 
 def _repr_grid(n, rng):

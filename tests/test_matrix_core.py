@@ -27,7 +27,7 @@ from effvec import matrix
 from effvec.errors import DimensionMismatch, InputError
 from effvec.fixtures import B3, B_SCALED, CC, D_SCALED, EX20
 
-from conftest import consistent_matrix, rand_reciprocal, rand_similarity, rand_vector
+from conftest import consistent_matrix, rand_frac, rand_reciprocal, rand_similarity, rand_vector
 
 
 class TestValidate:
@@ -486,6 +486,78 @@ def test_exact_submatrix_slices_held_ratios():
     assert "ratios" not in plain.submatrix((2, 0)).__dict__
 
 
+def _wide_entry(rng, kinds=4):
+    """An exact entry inside the floats: single digits, a numerator or
+    denominator past 2**53, or (the fourth kind) one near either end of the
+    float range."""
+    kind = rng.randrange(kinds)
+    if kind == 0:
+        x = F(rng.randint(1, 9), rng.randint(1, 9))
+    elif kind == 1:
+        x = F(rng.randrange(2**53, 2**90), rng.randrange(1, 2**60))
+    elif kind == 2:
+        x = F(3 ** rng.randint(34, 200), 2 ** rng.randint(40, 300))
+    else:
+        x = F(2) ** rng.randint(1000, 1023) * F(rng.randint(1, 2**52), 2**52)
+    return x if rng.random() < 0.5 else 1 / x
+
+
+class TestExactFloatView:
+    """An exact matrix's array is p / q over its ratios: float_view of its
+    Fractions, bit for bit, and the same InputError for an entry past the floats."""
+
+    @staticmethod
+    def view(A):
+        return matrix.float_view(A.entries, "entry ({},{})")
+
+    def test_bit_identical(self):
+        rng = random.Random(67)
+        big = 0
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            rows = [[F(1)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[i][j] = x = _wide_entry(rng)
+                    rows[j][i] = 1 / x
+            A = validate_reciprocal(rows)
+            assert A.array.tobytes() == self.view(A).tobytes() and not A.array.flags.writeable
+            big += max(map(max, A.ratios[1])) >= 2**53
+        assert big >= 200
+
+    @pytest.mark.parametrize("x", [F(2) ** 1024, F(10**400, 3), F(1, 10**400), F(3, 2**1080)],
+                             ids=["2^1024", "1e400", "1e-400", "subnormal-underflow"])
+    def test_past_the_floats(self, x):
+        """The first entry in row-major order that leaves the floats is named,
+        in float_view's words: (1,2) = x, before its reciprocal at (2,1)."""
+        A = validate_reciprocal([[1, 2, 1], [F(1, 2), 1, x], [1, 1 / x, 1]])
+        with pytest.raises(InputError) as ref:
+            self.view(A)
+        with pytest.raises(InputError) as got:
+            A.array
+        assert str(got.value) == str(ref.value) and str(got.value).startswith("entry (1,2) ")
+
+    def test_detected_block(self):
+        """The block exact detection builds holds its ratios only: its view,
+        made on first read, is float_view of its Fractions bit for bit."""
+        rng = random.Random(71)
+        big = 0
+        for _ in range(100):
+            n = rng.randint(3, 8)
+            s = rng.randint(2, n - 1)
+            rows = [[F(1)] * s for _ in range(s)]
+            for i in range(s):
+                for j in range(i + 1, s):
+                    rows[i][j] = x = _wide_entry(rng, 3) if rng.random() < 0.5 else rand_frac(rng)
+                    rows[j][i] = 1 / x
+            A = apply_similarity(block_matrix(validate_reciprocal(rows), n), rand_similarity(n, rng))
+            B = detect_minimal_block(A).form.block
+            assert "entries" not in B.__dict__ and "array" not in B.__dict__
+            assert B.array.tobytes() == self.view(B).tobytes()
+            big += max(map(max, B.ratios[0] + B.ratios[1])) >= 2**53
+        assert big >= 30
+
+
 class TestBlockMatrixView:
     """block_matrix(B, n).array is ones with B.array in the leading corner."""
 
@@ -520,16 +592,19 @@ class TestBlockMatrixView:
             assert not A.to_float().exact
 
     def test_converts_only_the_block(self, monkeypatch):
+        """The exact view divides p / q over a matrix's ratios: for A_512(B)
+        that runs on B's 4-by-4 ratios once, and no Fraction is converted."""
         B = rand_reciprocal(4, random.Random(47))
-        A, seen, to_float = block_matrix(B, 512), [], F.__float__
+        A, seen, ratio_view = block_matrix(B, 512), [], ReciprocalMatrix._ratio_view
 
-        def counting(x):
-            seen.append(x)
-            return to_float(x)
+        def counting(M):
+            seen.append(M.n)
+            return ratio_view(M)
 
-        monkeypatch.setattr(F, "__float__", counting)
+        monkeypatch.setattr(ReciprocalMatrix, "_ratio_view", counting)
+        monkeypatch.setattr(F, "__float__", lambda x: pytest.fail("a Fraction converted"))
         assert A.array.shape == (512, 512)
-        assert 0 < len(seen) <= B.n ** 2
+        assert seen == [B.n]
 
 
 class TestGeometricMean:

@@ -1,6 +1,8 @@
+import importlib
 import math
 import random
 import re
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from effvec import (
     TOL_PERRON,
     ConstantBlockMatrix,
+    PerronResult,
     ReciprocalMatrix,
     ThreeBlockMatrix,
     block_matrix,
@@ -23,6 +26,7 @@ from effvec import (
 )
 from effvec.errors import DimensionMismatch, InputError, NoConvergence, PreconditionError
 from effvec.io import parse_matrix_text
+from effvec.matrix import float_view
 from effvec.perron import MAX_QUOTIENT, STALL_ITER
 from effvec.fixtures import B3, CC, three_block_from_triple
 
@@ -133,12 +137,15 @@ class TestQuotientRoute:
     SECOND_REAL = ((151.726, 3.69, 0.012, 1.485), (12.447, 0.01, 0.071), (26.62, 1.241),
                    (2.927,))
 
-    @pytest.mark.parametrize("eig", ["raises", "negative_value", "second_pair", "inaccurate"])
+    @pytest.mark.parametrize("eig", ["raises", "negative_value", "second_pair", "inaccurate",
+                                     "nan_value", "underflow"])
     def test_rejected_eig_falls_back(self, monkeypatch, eig):
         """An eig that fails, or whose pair is not positive or misses
         TOL_PERRON, leaves the answer to power iteration.  The residual
         alone would accept the first two pairs: with lam < 0 or some q_i < 0
-        a term of its maximum is negative."""
+        a term of its maximum is negative.  A NaN among the values, and a
+        root so small that lam * q_i underflows to 0, are rejected without
+        an error."""
         true_eig = np.linalg.eig
 
         def bad_eig(R):
@@ -150,6 +157,16 @@ class TestQuotientRoute:
             if eig == "second_pair":  # the Perron root demoted below the rest
                 values = values.copy()
                 values[np.argmax(values.real)] = values.real.min() - 1
+                return values, vectors
+            if eig == "nan_value":
+                values = values.copy()
+                values[-1] = np.nan
+                return values, vectors
+            if eig == "underflow":  # lam the least subnormal, the rest -1; q_0 = 1/4
+                k = np.argmax(values.real)
+                values, vectors = np.full_like(values, -1), vectors.copy()
+                values[k] = 5e-324
+                vectors[0, k] = vectors[-1, k] / 4
                 return values, vectors
             return values * (1 + 1e-9), vectors
 
@@ -164,6 +181,103 @@ class TestQuotientRoute:
         want = perron(ReciprocalMatrix(A.entries, False))
         monkeypatch.setattr(np.linalg, "eig", bad_eig)
         assert perron(A) == want
+
+
+def numpy_quotient_pair(b, m):
+    """The quotient route with its pick, checks and residual on numpy arrays,
+    as it read before they moved to Python floats: the reference for it."""
+    s = len(b)
+    R = np.empty((s + 1, s + 1))
+    R[:s, :s] = b
+    R[:s, s] = R[s, s] = m
+    R[s, :s] = 1.0
+    try:
+        values, vectors = np.linalg.eig(R)
+    except np.linalg.LinAlgError:
+        return None
+    k = int(np.argmax(values.real))
+    lam = float(values[k].real)
+    q = (vectors[:, k] / vectors[s, k]).real
+    if not (lam > 0 and np.isfinite(lam) and np.isfinite(q).all() and (q > 0).all()):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.max(np.abs(R @ q - lam * q) / (lam * q)))
+    if not residual < TOL_PERRON:
+        return None
+    return PerronResult(lam, tuple(q[:s].tolist()) + (1.0,) * m, residual, 0)
+
+
+def exact_copy(B):
+    """The exact block whose entries above the diagonal are B's, as Fractions."""
+    return validate_reciprocal([[F(x) if i <= j else 1 / F(B[j, i]) for j, x in enumerate(r)]
+                                for i, r in enumerate(B.entries)])
+
+
+def parity_blocks():
+    """2100 seeded (block, m): for m = 1, 2, 60, 250 in turn 490 blocks, and
+    140 for m = 10^6, whose n-entry vectors cost the most; s = 2..8, log-normal
+    sigma 0.3, 1.2, 3, every other block exact.  Then C_s(x) exact and float,
+    x above and below 1, as built and on its oriented() form, which the Perron
+    check reads."""
+    rng = random.Random(34)
+    for m, count in ((1, 490), (2, 490), (60, 490), (250, 490), (10**6, 140)):
+        for k in range(count):
+            B = lognormal_block(2 + k % 7, (0.3, 1.2, 3.0)[k // 7 % 3], rng)
+            yield (exact_copy(B) if k % 2 else B), m
+    for x in (F(7, 2), F(2, 7), 3.5, 2 / 7, F(10**9, 3), F(3, 10**9)):
+        for s in range(2, 9):
+            C = ConstantBlockMatrix(x, s, s + 1)
+            yield C.block, s + 3
+            yield C.oriented().block, s + 3
+    # blocks whose pair is rejected: R q past the floats, and entries near them
+    for rows in (OVERFLOWING_BLOCK, [[1, 1e300, 1e300], [1e-300, 1, 1e300], [1e-300, 1e-300, 1]]):
+        for m in (1, 60):
+            yield validate_reciprocal(rows), m
+
+
+class TestQuotientParity:
+    """The quotient route and the (s+1) verdict give what the numpy route gave."""
+
+    def test_pairs_and_verdicts_match(self):
+        quotient_pair = importlib.import_module("effvec.perron")._quotient_pair
+        residual_gap = 0.0
+        for B, m in parity_blocks():
+            assert B.array.tobytes() == float_view(B.entries, "entry ({},{})").tobytes()
+            want = numpy_quotient_pair(float_view(B.entries, "entry ({},{})"), m)
+            got = quotient_pair(B.array, m)
+            assert (got is None) == (want is None)
+            if want is None:
+                continue
+            # both tails are (1.0,) * m
+            assert got.lam == want.lam and got.w[:B.n + 1] == want.w[:B.n + 1]
+            assert len(got.w) == len(want.w) == B.n + m
+            if got.residual != want.residual:
+                residual_gap = max(residual_gap, abs(got.residual / want.residual - 1))
+            form, s = canonical_form(B, B.n + m), B.n
+            verdict = perron_efficiency_via_submatrix(form, got)
+            full = is_efficient(block_matrix(B, s + 1), got.w[:s + 1])
+            adj = full.digraph.adj
+            assert verdict.components == full.components
+            assert verdict.digraph.score == tuple((adj.sum(axis=1) - adj.sum(axis=0)).tolist())
+            assert all(verdict.digraph.has_edge(i, j) == adj[i, j]
+                       for i in range(s + 1) for j in range(s + 1))
+            assert verdict.dominator == full.dominator
+        assert residual_gap == 0.0
+
+    def test_order_63_is_not_slower(self):
+        """At s + 1 = 63 the scalar residual of the quotient route costs no more
+        than the numpy one: median of 30 interleaved calls within 15 %."""
+        quotient_pair = importlib.import_module("effvec.perron")._quotient_pair
+        b = lognormal_block(62, 1.2, random.Random(63)).array
+        assert quotient_pair(b, 60) == numpy_quotient_pair(b, 60)
+        times = {quotient_pair: [], numpy_quotient_pair: []}
+        for _ in range(30):
+            for f in times:
+                start = time.perf_counter()
+                f(b, 60)
+                times[f].append(time.perf_counter() - start)
+        got, want = (sorted(times[f])[15] for f in times)
+        assert got <= 1.15 * want
 
 
 class TestPerron:

@@ -160,16 +160,16 @@ class ReciprocalMatrix:
     An exact matrix holds its entries, rows of Fractions, but for the block
     of exact detection, which is its integer ratios.  A float matrix from
     validate_reciprocal, to_float, submatrix or delete is its read-only
-    float64 array.  The entries of a matrix that is its ratios or its array,
-    rows of Fractions or of Python floats, are built on their first read (by
-    the readers of single entries, equality, hash and repr), at most once.
-    Equality, hash and repr are those of (entries, exact).
+    float64 array.  An A_n(B) from block_matrix is B, recorded as `block`
+    (None on other matrices), and n.  The entries of a matrix that is its
+    ratios, its array or its block, rows of Fractions or of Python floats,
+    are built on their first read (by the readers of single entries,
+    equality, hash and repr), at most once.  Equality, hash and repr are
+    those of (entries, exact); B takes no part in them.
 
     Outside input goes through validate_reciprocal.  Derived matrices
     (submatrix, delete, to_float, block_matrix, the blocks of canonical
     forms) are built from validated parts and are not checked again.
-    block_matrix records B as `block` (None on other matrices), and its float
-    view and ratios are built from B's; B takes no part in equality, hash or repr.
     """
 
     block: Optional["ReciprocalMatrix"] = None
@@ -210,7 +210,10 @@ class ReciprocalMatrix:
 
     @cached_property
     def entries(self) -> tuple:
-        """The rows of a matrix that is its ratios or its array, built on first read."""
+        """The rows of a matrix that is its ratios, its array or its block, built
+        on first read; an A_n(B)'s are B's, with tails of 1s (_with_tail)."""
+        if self.block is not None:
+            return self._with_tail(self.block.entries, Fraction(1) if self.exact else 1.0)
         if self.exact:
             return tuple(tuple(map(Fraction, p, q)) for p, q in zip(*self.ratios))
         return tuple(map(tuple, self.array.tolist()))
@@ -223,7 +226,7 @@ class ReciprocalMatrix:
         return self.entries[i]
 
     def column(self, j: int) -> tuple:
-        if self.exact or "entries" in self.__dict__:
+        if self.exact or "entries" in self.__dict__ or self.block is not None:
             return tuple(r[j] for r in self.entries)
         return tuple(self.array[:, j].tolist())  # a float matrix that is its array
 
@@ -289,13 +292,17 @@ class ReciprocalMatrix:
     @cached_property
     def ratios(self) -> tuple:
         """(P, Q) for an exact matrix: integer rows with a_ij = P[i][j] / Q[i][j]
-        in lowest terms, Q positive, built at most once.  An A_n(B) from
-        block_matrix shares B's rows and one all-ones row, as its entries do."""
+        in lowest terms, Q positive, built at most once; an A_n(B)'s are B's,
+        with tails of 1s (_with_tail)."""
         if self.block is not None:
-            (P, Q), tail = self.block.ratios, (1,) * (self.n - self.block.n)
-            ones = ((1,) * self.n,) * (self.n - self.block.n)
-            return (tuple(r + tail for r in P) + ones, tuple(r + tail for r in Q) + ones)
+            return tuple(self._with_tail(rows, 1) for rows in self.block.ratios)
         return _split(self.entries)
+
+    def _with_tail(self, rows: tuple, one) -> tuple:
+        """B's rows as those of A_n(B): each with one shared tail of `one`s, then
+        one shared row of n `one`s, n - s times: O(s*n) references."""
+        tail = (one,) * (self.n - len(rows))
+        return tuple(r + tail for r in rows) + ((one,) * self.n,) * len(tail)
 
     def weights(self, w: Sequence[Scalar]) -> Vector:
         """w through check_positive_vector(w, n), as a tuple of Fractions when
@@ -533,19 +540,16 @@ def canonical_form(B: ReciprocalMatrix, n: int) -> BlockPerturbedForm:
 def block_matrix(B: ReciprocalMatrix, n: int) -> ReciprocalMatrix:
     """Build A_n(B): B as leading principal block, all other entries 1.
 
-    B is already validated, so no entry is checked again.  The rows share
-    one tail and one all-ones row: O(s*n) references.  The matrix records B
-    as its block."""
+    B is already validated, so no entry is checked again.  The matrix is B,
+    recorded as its block, and n: its entries, ratios and float view are
+    built from B's on first read, its rows in O(s*n) references."""
     s, n = B.n, check_integer(n, "n")
     if n < s:
         raise InputError(f"n = {n} smaller than block size {s}")
     if n < 2:
         raise InputError(f"need n >= 2, got {n}")
-    one = Fraction(1) if B.exact else 1.0
-    tail = (one,) * (n - s)
-    rows = tuple(B.row(i) + tail for i in range(s)) + ((one,) * n,) * (n - s)
-    A = ReciprocalMatrix(rows, B.exact)
-    A.__dict__["block"] = B
+    A = ReciprocalMatrix.__new__(ReciprocalMatrix)
+    A.__dict__.update(block=B, exact=B.exact, n=n)
     return A
 
 
@@ -559,7 +563,7 @@ def is_block_perturbation(A: ReciprocalMatrix, K: Iterable[int]) -> Optional[Blo
         raise InputError(f"K must be a nonempty proper subset of 0..{n - 1}")
     rest = sorted(set(range(n)).difference(K))
     r = rest[0]
-    if A.exact:  # cross-multiplied as in detect_minimal_block; columns of rest below i hold
+    if A.exact:  # row i = a_ir row r, cross-multiplied in integers; columns of rest below i hold
         P, Q = A.ratios
         p_r, q_r = P[r], Q[r]
         for i in rest[1:]:
@@ -638,33 +642,15 @@ def detect_minimal_block(A: ReciprocalMatrix) -> Optional[DetectedBlock]:
     """Smallest index set K (lexicographic tie-break) making A a block perturbation:
     the complement of the largest class of proportional rows (of two of one size,
     the one with the larger least index); K = (0,) when one class holds every row.
-    Exact rows are bucketed by the reduced a_i1 / a_i0 and confirmed against the
-    bucket's first class, whose first row is r: p_ij q_ir q_rj == p_ir p_rj q_ij on
-    the columns j outside the class (a_ij = 1 / a_ji = a_ir a_rj in it).  A row it
-    does not take is keyed by its whole row of reduced a_ij / a_i0, which proportional
-    rows share: O(n^2) either way.  Float proportionality within TOL_CONS is not
+    Exact rows are keyed by their reduced rows, which proportional rows and only
+    they share: n gcds a row, O(n^2).  Float proportionality within TOL_CONS is not
     transitive, so a float K goes through is_block_perturbation (None if it fails)."""
     n = A.n
     if A.exact:
-        P, Q = A.ratios
-        firsts, rest = {}, {}  # by bucket, its first class; by whole row, the classes after those
-        out = {}  # by a first class's first row r, the rows from r not in it
-        for i, (p, q) in enumerate(zip(P, Q)):
-            x, y = p[1] * q[0], q[1] * p[0]
-            g = math.gcd(x, y)
-            c = firsts.setdefault((x // g, y // g), [i])
-            if c[0] == i:
-                continue
-            r = c[0]
-            p_ir, q_ir, p_r, q_r = p[r], q[r], P[r], Q[r]
-            o = out.setdefault(r, [])
-            o += range(r + len(o) + len(c), i)  # o and c split range(r, i)
-            if not [j for j in chain(range(r), o, range(i + 1, n))
-                    if p[j] * q_ir * q_r[j] != p_ir * p_r[j] * q[j]]:
-                c.append(i)
-            else:
-                rest.setdefault(_reduced_row(p, q), []).append(i)
-        classes = chain(firsts.values(), rest.values())
+        classes = {}  # by reduced row, the rows that have it
+        for i, (p, q) in enumerate(zip(*A.ratios)):
+            classes.setdefault(_reduced_row(p, q), []).append(i)
+        classes = classes.values()
     else:
         classes = _float_classes(A.array)
     best = max(classes, key=lambda c: (len(c), min(c)))
@@ -675,12 +661,14 @@ def detect_minimal_block(A: ReciprocalMatrix) -> Optional[DetectedBlock]:
 
 def _reduced_row(p: tuple, q: tuple) -> tuple:
     """The exact row p / q divided by its first entry: a_ij / a_i0 =
-    p_ij q_i0 / (q_ij p_i0) for every j, each in lowest terms, flattened."""
-    key = []
+    p_ij q_i0 / (q_ij p_i0) for every j, each in lowest terms, flattened.  Rows
+    are proportional iff their reduced rows are equal."""
+    p_0, q_0, key = p[0], q[0], []
     for p_j, q_j in zip(p, q):
-        x, y = p_j * q[0], q_j * p[0]
+        x, y = p_j * q_0, q_j * p_0
         g = math.gcd(x, y)
-        key += (x // g, y // g)
+        key.append(x // g)
+        key.append(y // g)
     return tuple(key)
 
 

@@ -170,8 +170,8 @@ def off_by_own_factor(n, rng):
 
 
 def test_detection_when_no_two_rows_share_a_class():
-    """At n = 128 the K and the form that a scan of every class of a bucket
-    found: every row but the first in its bucket is keyed by its whole row."""
+    """At n = 128 every row is keyed by its whole reduced row, and no two rows
+    share a key: K is every index but the last, with its form."""
     rows = off_by_own_factor(128, random.Random(128))
     found = detect_minimal_block(validate_reciprocal(rows))
     assert found.K == tuple(range(127))
@@ -179,8 +179,9 @@ def test_detection_when_no_two_rows_share_a_class():
 
 
 def test_detection_is_quadratic_when_no_two_rows_share_a_class():
-    """At n = 512 detection takes under a second (best of three); a scan of
-    every class of a bucket, O(n) each for each row, took about 10 s (2 vCPUs)."""
+    """At n = 512 detection takes under a second (best of three): one key of n
+    gcds per row, O(n^2).  Comparing each row with every earlier class that
+    shares its a_i1 / a_i0, O(n) each, took about 10 s (2 vCPUs)."""
     A = validate_reciprocal(off_by_own_factor(512, random.Random(512)))
     seconds = []
     for _ in range(3):

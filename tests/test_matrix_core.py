@@ -20,6 +20,8 @@ from effvec import (
     geometric_mean_vector,
     is_block_perturbation,
     is_efficient,
+    perron,
+    perron_efficiency_via_submatrix,
     transform_vector,
     validate_reciprocal,
 )
@@ -605,6 +607,45 @@ class TestBlockMatrixView:
         monkeypatch.setattr(F, "__float__", lambda x: pytest.fail("a Fraction converted"))
         assert A.array.shape == (512, 512)
         assert seen == [B.n]
+
+    def test_perron_route_builds_no_rows(self):
+        """A_n(B) of a detected block, which holds its ratios only, goes through
+        perron and the (s+1) verdict without building its rows or B's."""
+        rng = random.Random(73)
+        for _ in range(40):
+            n = rng.randint(3, 8)
+            form = detect_minimal_block(scrambled_block(n, rng.randint(2, n - 1), rng)).form
+            A = form.matrix()
+            perron_efficiency_via_submatrix(form, perron(A))
+            assert "entries" not in A.__dict__ and "entries" not in A.block.__dict__
+
+    @staticmethod
+    def eager_rows(B, n):
+        """The rows of A_n(B) as block_matrix once built them: B's rows with one
+        shared tail of 1s, then one shared all-ones row."""
+        one = F(1) if B.exact else 1.0
+        tail = (one,) * (n - B.n)
+        return tuple(B.row(i) + tail for i in range(B.n)) + ((one,) * n,) * (n - B.n)
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_rows_on_first_read_match_eager_rows(self, backend):
+        """Every reader of a fresh A_n(B), s = 1..5 and n = s..s+3, sees what it
+        sees on the matrix of the eagerly built rows."""
+        rng = random.Random(79)
+        readers = {
+            "entries": lambda M: M.entries, "eq": lambda M: M, "hash": hash, "repr": repr,
+            "row": lambda M: [M.row(i) for i in range(M.n)],
+            "column": lambda M: [M.column(j) for j in range(M.n)],
+            "submatrix": lambda M: M.submatrix(range(M.n - 1, -1, -2)),
+            "as_lists": lambda M: M.as_lists(),
+        }
+        for s in range(1, 6):
+            B = B3.submatrix([0]) if s == 1 else rand_reciprocal(s, rng)
+            B = B if backend == "exact" else B.to_float()
+            for n in range(max(s, 2), s + 4):
+                ref = ReciprocalMatrix(self.eager_rows(B, n), B.exact)
+                for name, read in readers.items():
+                    assert read(block_matrix(B, n)) == read(ref), (s, n, name)
 
 
 class TestGeometricMean:
